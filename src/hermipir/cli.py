@@ -23,7 +23,6 @@ import sys
 from fractions import Fraction
 
 import numpy as np
-from scipy.stats import chi2
 
 from hermipir import tables
 from hermipir.atlas import count_points_hyperelliptic, format_rate
@@ -323,8 +322,16 @@ def cmd_certify(args: argparse.Namespace) -> int:
 # verify suites
 # ---------------------------------------------------------------------------
 
+def _uniformity_threshold(order: int) -> float:
+    # scipy.stats takes about a second to import and only the verify suites
+    # need it, so the other commands never load it
+    from scipy.stats import chi2
+
+    return float(chi2.ppf(UNIFORMITY_LEVEL, order - 1))
+
+
 def _uniform(samples, order: int) -> tuple[bool, float]:
-    threshold = float(chi2.ppf(UNIFORMITY_LEVEL, order - 1))
+    threshold = _uniformity_threshold(order)
     stat = chi_square_uniform_stat(samples, order)
     full_support = len(set(int(v) for v in samples)) == order
     return stat < threshold and full_support, stat
@@ -475,7 +482,7 @@ def _suite_privacy(seed: int) -> list[dict]:
         ), order)
         server_ok &= ok
         server_stats.append(stat)
-    threshold = float(chi2.ppf(UNIFORMITY_LEVEL, order - 1))
+    threshold = _uniformity_threshold(order)
     return [
         {"check": "query-dual-bound", "ok": bound >= 2,
          "detail": f"{bound} >= t_priv + 1 = 2"},
@@ -509,7 +516,7 @@ def _suite_security(seed: int) -> list[dict]:
         ), order)
         share_ok &= ok
         share_stats.append(stat)
-    threshold = float(chi2.ppf(UNIFORMITY_LEVEL, order - 1))
+    threshold = _uniformity_threshold(order)
     wide = build_instance(validate_params(5, 2, 2))
     wide_bounds = [dual_distance_bound(wide.storage_code(l))
                    for l in range(wide.params.frag_count)]

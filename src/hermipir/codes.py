@@ -23,7 +23,7 @@ from itertools import combinations
 import numpy as np
 
 from hermipir.fields import GFField
-from hermipir.linalg import rank, right_kernel_basis
+from hermipir.linalg import rank, right_kernel_basis, rref
 
 _EXHAUSTIVE_SUBSET_LIMIT = 10**6
 _BRUTE_FORCE_LIMIT = 10**7
@@ -157,21 +157,14 @@ def _enumerate_codeword_weights(field: GFField, basis: np.ndarray) -> int:
 def min_distance_bruteforce(code: EvalCode) -> int:
     """Exact minimum distance by span enumeration (guarded).  Reduces to a
     row basis first in case the generator is rank-deficient."""
-    r, _ = _row_basis(code.field, code.gen)
-    return _enumerate_codeword_weights(code.field, r)
+    r, pivots = rref(code.field, code.gen)
+    return _enumerate_codeword_weights(code.field, r[: len(pivots)])
 
 
 def dual_min_distance_bruteforce(code: EvalCode) -> int:
     """Exact minimum distance of the dual code (guarded)."""
     kernel = right_kernel_basis(code.field, code.gen)
     return _enumerate_codeword_weights(code.field, kernel)
-
-
-def _row_basis(field: GFField, mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    from hermipir.linalg import rref
-
-    r, pivots = rref(field, mat)
-    return r[: len(pivots)], pivots
 
 
 def dimension_from_pole_degree(degG: int, genus: int) -> int:

@@ -189,11 +189,6 @@ class CurveFunction:
         num = c.poly_add(c.poly_mul(self.num, other.den), c.poly_mul(other.num, self.den))
         return CurveFunction(c, num, c.poly_mul(self.den, other.den))
 
-    def reciprocal(self) -> "CurveFunction":
-        if not self.num:
-            raise ZeroDivisionError("cannot invert the zero function")
-        return CurveFunction(self.curve, self.den, self.num)
-
     def is_zero(self) -> bool:
         return not self.num
 

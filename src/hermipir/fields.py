@@ -489,9 +489,6 @@ class FieldTower:
     def frobenius_arr(self, a) -> np.ndarray:
         return self.field.pow_arr(a, self.q)
 
-    def in_subfield(self, a: int) -> bool:
-        return self.frobenius(a) == a
-
     def subfield_norm(self, a: int) -> int:
         """a**(q+1); maps onto F_q."""
         return self.field.mul(a, self.frobenius(a))

@@ -1,9 +1,11 @@
 """Dense linear algebra over a GFField.
 
 Matrices are 2-D numpy int64 arrays of element encodings; every routine
-takes the field as its first argument.  Elimination pivots on the first
-nonzero entry in scan order, so all results are deterministic functions of
-the input.
+takes the field as its first argument.  `rref` is the one elimination
+routine: rank, prefix solving, kernels, greedy row selection (pivots of the
+transpose) and column-space membership (a left-kernel parity check) are all
+read off it.  Elimination pivots on the first nonzero entry in scan order,
+so all results are deterministic functions of the input.
 """
 
 from __future__ import annotations
@@ -37,12 +39,14 @@ def rref(field: GFField, mat) -> tuple[np.ndarray, list[int]]:
         lead = row + int(nz[0])
         if lead != row:
             r[[row, lead]] = r[[lead, row]]
-        r[row] = field.mul_arr(r[row], field.inv(int(r[row, col])))
+        # rows from `row` down are zero left of `col`, so row operations
+        # only need to touch columns col and beyond
+        r[row, col:] = field.mul_arr(r[row, col:], field.inv(int(r[row, col])))
         others = np.flatnonzero(r[:, col])
         others = others[others != row]
         if others.size:
             factors = r[others, col][:, None]
-            r[others] = field.sub_arr(r[others], field.mul_arr(factors, r[row][None, :]))
+            r[others, col:] = field.sub_arr(r[others, col:], field.mul_arr(factors, r[row, col:][None, :]))
         pivots.append(col)
         row += 1
     return r, pivots
@@ -84,48 +88,14 @@ def solve_prefix(field: GFField, mat, rhs, prefix_len: int) -> np.ndarray:
     return out
 
 
-class _RowBasis:
-    """Incremental row-space basis used for greedy independent-row selection."""
-
-    def __init__(self, field: GFField, n_cols: int):
-        self.field = field
-        self.rows: list[np.ndarray] = []
-        self.pivot_cols: list[int] = []
-        self.n_cols = n_cols
-
-    def reduce(self, vec: np.ndarray) -> np.ndarray:
-        f = self.field
-        v = vec.copy()
-        for basis_row, col in zip(self.rows, self.pivot_cols):
-            c = int(v[col])
-            if c:
-                v = f.sub_arr(v, f.mul_arr(np.int64(c), basis_row))
-        return v
-
-    def try_add(self, vec: np.ndarray) -> bool:
-        v = self.reduce(vec)
-        nz = np.flatnonzero(v)
-        if nz.size == 0:
-            return False
-        col = int(nz[0])
-        v = self.field.mul_arr(v, self.field.inv(int(v[col])))
-        self.rows.append(v)
-        self.pivot_cols.append(col)
-        return True
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-
 def select_full_rank_rows(field: GFField, mat, target_rank: int, pad_to: int) -> list[int]:
     """Deterministic greedy row selection.
 
-    Scans rows in order, keeping each row that enlarges the row space, until
-    `target_rank` independent rows are found; then pads the selection with
-    the lowest-index unused rows up to `pad_to` total.  Returns sorted row
-    indices.  Raises ValueError when the matrix cannot supply the requested
-    rank or the pad size exceeds the number of rows.
+    Keeps the first `target_rank` rows that each enlarge the span of the
+    rows before them -- the pivot columns of rref(mat.T) -- then pads the
+    selection with the lowest-index unused rows up to `pad_to` total.
+    Returns sorted row indices.  Raises ValueError when the matrix cannot
+    supply the requested rank or the pad size exceeds the number of rows.
     """
     m = as_matrix(field, mat)
     n_rows = m.shape[0]
@@ -133,51 +103,30 @@ def select_full_rank_rows(field: GFField, mat, target_rank: int, pad_to: int) ->
         raise ValueError(f"cannot select {pad_to} rows from {n_rows}")
     if target_rank > pad_to:
         raise ValueError("target rank exceeds requested selection size")
-    basis = _RowBasis(field, m.shape[1])
-    chosen: list[int] = []
-    for i in range(n_rows):
-        if basis.rank == target_rank:
-            break
-        if basis.try_add(m[i]):
-            chosen.append(i)
-    if basis.rank < target_rank:
-        raise ValueError(f"matrix rank {basis.rank} is below the requested {target_rank}")
+    pivots = rref(field, m.T)[1]
+    if len(pivots) < target_rank:
+        raise ValueError(f"matrix rank {len(pivots)} is below the requested {target_rank}")
+    chosen = pivots[:target_rank]
     used = set(chosen)
-    for i in range(n_rows):
-        if len(chosen) == pad_to:
-            break
-        if i not in used:
-            chosen.append(i)
-            used.add(i)
-    return sorted(chosen)
+    pad = [i for i in range(n_rows) if i not in used][: pad_to - target_rank]
+    return sorted(chosen + pad)
 
 
 class ColumnSpace:
-    """Column space of a matrix with O(rank * height) membership tests."""
+    """Column space of a matrix, tested through a parity check.
+
+    The rows of the check span the left kernel of the matrix, so a vector
+    lies in the column space exactly when the check maps it to zero.
+    """
 
     def __init__(self, field: GFField, mat):
-        m = as_matrix(field, mat)
-        self._basis = _RowBasis(field, m.shape[0])
-        for j in range(m.shape[1]):
-            self._basis.try_add(m[:, j])
-
-    @property
-    def rank(self) -> int:
-        return self._basis.rank
+        self._field = field
+        self._check = right_kernel_basis(field, as_matrix(field, mat).T)
 
     def contains(self, vec) -> bool:
         v = np.asarray(vec, dtype=np.int64).reshape(-1)
-        return not np.flatnonzero(self._basis.reduce(v)).size
-
-
-def in_column_space(field: GFField, mat, vecs) -> bool:
-    """True iff every column of `vecs` lies in the column space of `mat`."""
-    m = as_matrix(field, mat)
-    v = np.asarray(vecs, dtype=np.int64)
-    if v.ndim == 1:
-        v = v[:, None]
-    base = rank(field, m)
-    return rank(field, np.concatenate([m, v], axis=1)) == base
+        f = self._field
+        return not f.sum_arr(f.mul_arr(self._check, v[None, :]), axis=1).any()
 
 
 def right_kernel_basis(field: GFField, mat) -> np.ndarray:
@@ -187,8 +136,6 @@ def right_kernel_basis(field: GFField, mat) -> np.ndarray:
     n_cols = m.shape[1]
     free = [c for c in range(n_cols) if c not in pivots]
     out = np.zeros((len(free), n_cols), dtype=np.int64)
-    for k, fc in enumerate(free):
-        out[k, fc] = 1
-        for i, pc in enumerate(pivots):
-            out[k, pc] = field.neg(int(r[i, fc]))
+    out[np.arange(len(free)), free] = 1
+    out[:, pivots] = field.neg_arr(r[: len(pivots)][:, free]).T
     return out

@@ -1,9 +1,10 @@
 """Optional loopback socket transport for the retrieval demo.
 
-A frame is a 4-byte big-endian length followed by a JSON payload.  Field
-elements travel as little-endian base-p coefficient tuples, never as this
-library's internal integer encodings, so any implementation of the same
-field could sit on the other end.  Message kinds:
+A frame is a 4-byte big-endian length, at most `MAX_FRAME_BYTES`, followed
+by a JSON payload.  Field elements travel as little-endian base-p
+coefficient tuples of exactly n digits in 0..p-1, never as this library's
+internal integer encodings, so any implementation of the same field could
+sit on the other end.  Message kinds:
 
 - ``STORE``  ``{server, shape, elements}`` -- a server's share grid,
   replacing any previously stored grid for that server; no reply.
@@ -36,6 +37,9 @@ from hermipir.fields import GFField, field_of_order
 from hermipir.scheme import build_instance, validate_params
 
 _HEADER = struct.Struct(">I")
+# far above any demo frame (a q=7 STORE frame is a few KiB), and
+# far below the 4 GiB a bare 4-byte length would let a peer announce
+MAX_FRAME_BYTES = 16 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -44,6 +48,8 @@ _HEADER = struct.Struct(">I")
 
 def send_frame(sock: socket.socket, payload: dict) -> None:
     body = json.dumps(payload, sort_keys=True).encode("utf-8")
+    if len(body) > MAX_FRAME_BYTES:
+        raise ValueError(f"frame of {len(body)} bytes exceeds the {MAX_FRAME_BYTES}-byte cap")
     sock.sendall(_HEADER.pack(len(body)) + body)
 
 
@@ -67,6 +73,8 @@ def recv_frame(sock: socket.socket) -> dict | None:
     if header is None:
         return None
     (length,) = _HEADER.unpack(header)
+    if length > MAX_FRAME_BYTES:
+        raise ValueError(f"peer announced a {length}-byte frame; the cap is {MAX_FRAME_BYTES}")
     return json.loads(_recv_exact(sock, length).decode("utf-8"))
 
 
@@ -77,9 +85,16 @@ def encode_elements(field: GFField, values) -> list[list[int]]:
 
 
 def decode_elements(field: GFField, elements, shape=None) -> np.ndarray:
-    vals = np.array(
-        [field.from_coeffs(tuple(cs)) for cs in elements], dtype=np.int64
-    )
+    """Inverse of `encode_elements`.  Raises ValueError unless every tuple
+    has exactly n integer digits in 0..p-1."""
+    digits = np.asarray(elements)
+    if digits.shape == (0,):
+        digits = np.zeros((0, field.n), dtype=np.int64)
+    if digits.ndim != 2 or digits.shape[1] != field.n or digits.dtype.kind not in "iu":
+        raise ValueError(f"elements must be tuples of {field.n} integer digits")
+    if digits.size and (digits.min() < 0 or digits.max() >= field.p):
+        raise ValueError(f"element digits must lie in 0..{field.p - 1}")
+    vals = digits.astype(np.int64) @ (field.p ** np.arange(field.n, dtype=np.int64))
     return vals if shape is None else vals.reshape(shape)
 
 
@@ -186,12 +201,13 @@ def run_demo_over_sockets(
                     "server": s,
                     "elements": encode_elements(field, queries[s]),
                 })
-            answers = np.zeros(n, dtype=np.int64)
+            replies = []
             for s in range(n):
                 msg = recv_frame(conns[assignment[s]])
                 if msg is None or msg["kind"] != "ANSWER" or msg["server"] != s:
                     raise ConnectionError(f"bad reply for server {s}: {msg}")
-                answers[s] = field.from_coeffs(tuple(msg["element"]))
+                replies.append(msg["element"])
+            answers = decode_elements(field, replies)
             got = instance.reconstruct(answers)
             ok = bool((got == files[desired]).all())
             successes += ok

@@ -262,3 +262,18 @@ class TestEntryPoints:
         assert proc.returncode == 0
         for name in ("tables", "count-points", "pir-demo", "certify", "verify"):
             assert name in proc.stdout
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes about a second to import and only the verify suites
+    # use it, so every other command must not pay for it at start-up
+    pythonpath = [str(Path(hermipir.__file__).resolve().parents[1]),
+                  os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, hermipir.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hermipir.fields import GFField
+from hermipir.fields import GFField, field_of_order
 from hermipir.linalg import (
-    in_column_space,
+    ColumnSpace,
     rank,
     rref,
     right_kernel_basis,
@@ -138,14 +139,15 @@ def test_select_full_rank_rows_deterministic():
 def test_column_space_membership():
     rng = np.random.default_rng(8)
     m = F25.sample_arr(rng, (10, 4))
+    space = ColumnSpace(F25, m)
     coefs = F25.sample_arr(rng, (4, 3))
     inside = F25.matmul_arr(m, coefs)
-    assert in_column_space(F25, m, inside)
+    assert all(space.contains(inside[:, j]) for j in range(3))
     if rank(F25, m) < 10:
         outside_found = False
         for trial in range(50):
             v = F25.sample_arr(rng, (10, 1))
-            if not in_column_space(F25, m, v):
+            if not space.contains(v):
                 outside_found = True
                 break
         assert outside_found
@@ -159,3 +161,109 @@ def test_right_kernel():
     prod = F25.matmul_arr(m, k.T)
     assert (prod == 0).all()
     assert rank(F25, k) == k.shape[0]
+
+
+# -- reference implementations ------------------------------------------------
+
+def rref_oracle(field: GFField, mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Gauss-Jordan elimination with every row operation on full rows."""
+    r = mat.copy()
+    pivots: list[int] = []
+    for col in range(r.shape[1]):
+        row = len(pivots)
+        nz = np.flatnonzero(r[row:, col]) if row < r.shape[0] else []
+        if len(nz) == 0:
+            continue
+        r[[row, row + nz[0]]] = r[[row + nz[0], row]]
+        r[row] = field.mul_arr(r[row], field.inv(int(r[row, col])))
+        for i in range(r.shape[0]):
+            if i != row and r[i, col]:
+                r[i] = field.sub_arr(r[i], field.mul_arr(r[i, col], r[row]))
+        pivots.append(col)
+    return r, pivots
+
+
+def greedy_rows_oracle(field: GFField, mat: np.ndarray, target_rank: int) -> list[int]:
+    """Row-by-row scan: keep each row that enlarges the span of the rows
+    kept so far, until `target_rank` rows are kept."""
+    basis: list[tuple[np.ndarray, int]] = []  # (normalised row, pivot column)
+    chosen: list[int] = []
+    for i in range(mat.shape[0]):
+        if len(chosen) == target_rank:
+            break
+        v = mat[i].copy()
+        for row, col in basis:
+            c = int(v[col])
+            if c:
+                v = field.sub_arr(v, field.mul_arr(np.int64(c), row))
+        nz = np.flatnonzero(v)
+        if nz.size:
+            col = int(nz[0])
+            basis.append((field.mul_arr(v, field.inv(int(v[col]))), col))
+            chosen.append(i)
+    return chosen
+
+
+def in_span_oracle(field: GFField, mat: np.ndarray, vec: np.ndarray) -> bool:
+    """rank([mat | vec]) == rank(mat)."""
+    return rank(field, np.concatenate([mat, vec[:, None]], axis=1)) == rank(field, mat)
+
+
+@st.composite
+def low_rank_matrices(draw):
+    """A product of random n x k and k x m factors over GF(7), GF(8) or
+    GF(25), with some rows overwritten by copies of other rows."""
+    field = field_of_order(draw(st.sampled_from([7, 8, 25])))
+    n = draw(st.integers(1, 9))
+    m = draw(st.integers(1, 7))
+    k = draw(st.integers(0, 6))
+    entries = st.integers(0, field.order - 1)
+    left = np.array(draw(st.lists(entries, min_size=n * k, max_size=n * k)), dtype=np.int64)
+    right = np.array(draw(st.lists(entries, min_size=k * m, max_size=k * m)), dtype=np.int64)
+    if k:
+        mat = field.matmul_arr(left.reshape(n, k), right.reshape(k, m))
+    else:
+        mat = np.zeros((n, m), dtype=np.int64)
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3)):
+        mat[dst] = mat[src]
+    return field, mat
+
+
+@settings(max_examples=150, deadline=None)
+@given(low_rank_matrices())
+def test_rref_matches_full_row_oracle(fm):
+    field, mat = fm
+    r, pivots = rref(field, mat)
+    r_ref, pivots_ref = rref_oracle(field, mat)
+    assert pivots == pivots_ref
+    assert (r == r_ref).all()
+
+
+@settings(max_examples=150, deadline=None)
+@given(low_rank_matrices(), st.data())
+def test_select_full_rank_rows_matches_greedy_oracle(fm, data):
+    field, mat = fm
+    n_rows = mat.shape[0]
+    r = rank(field, mat)
+    target = data.draw(st.integers(0, r), label="target_rank")
+    pad_to = data.draw(st.integers(target, n_rows), label="pad_to")
+    chosen = greedy_rows_oracle(field, mat, target)
+    pad = [i for i in range(n_rows) if i not in chosen][: pad_to - target]
+    assert select_full_rank_rows(field, mat, target, pad_to) == sorted(chosen + pad)
+    if r < n_rows:
+        with pytest.raises(ValueError, match="rank"):
+            select_full_rank_rows(field, mat, r + 1, n_rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(low_rank_matrices(), st.data())
+def test_column_space_contains_matches_rank_oracle(fm, data):
+    field, mat = fm
+    space = ColumnSpace(field, mat)
+    entries = st.integers(0, field.order - 1)
+    height, width = mat.shape
+    coefs = np.array(data.draw(st.lists(entries, min_size=width, max_size=width)), dtype=np.int64)
+    inside = field.matmul_arr(mat, coefs[:, None])[:, 0]
+    assert space.contains(inside)
+    vec = np.array(data.draw(st.lists(entries, min_size=height, max_size=height)), dtype=np.int64)
+    assert space.contains(vec) == in_span_oracle(field, mat, vec)

@@ -1,6 +1,7 @@
 """Socket transport: framing, element serialization, end-to-end parity."""
 
 import socket
+import struct
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from hermipir.fields import field_of_order
 from hermipir.scheme import run_pir_demo
 from hermipir.transport import (
+    MAX_FRAME_BYTES,
     decode_elements,
     encode_elements,
     recv_frame,
@@ -35,6 +37,34 @@ def test_truncated_frame_raises():
         left.close()
         with pytest.raises(ConnectionError):
             recv_frame(right)
+
+
+def test_oversized_frame_rejected():
+    left, right = socket.socketpair()
+    with left, right:
+        # a header announcing one byte past the cap is refused before any
+        # body is read
+        left.sendall(struct.pack(">I", MAX_FRAME_BYTES + 1))
+        with pytest.raises(ValueError, match="cap"):
+            recv_frame(right)
+        with pytest.raises(ValueError, match="cap"):
+            send_frame(left, {"kind": "STORE", "elements": "x" * MAX_FRAME_BYTES})
+
+
+def test_bad_element_digits_rejected():
+    field = field_of_order(25)
+    left, right = socket.socketpair()
+    with left, right:
+        send_frame(left, {"kind": "QUERY", "server": 0, "elements": [[1, 2], [4, 5]]})
+        msg = recv_frame(right)
+    with pytest.raises(ValueError, match=r"0\.\.4"):
+        decode_elements(field, msg["elements"])
+    with pytest.raises(ValueError, match=r"0\.\.4"):
+        decode_elements(field, [[-1, 0]])
+    for bad in ([[1, 2, 0]], [[1]], [[1, 2], [3]], [[1.0, 2.0]], [1, 2]):
+        with pytest.raises(ValueError):
+            decode_elements(field, bad)
+    assert decode_elements(field, []).shape == (0,)
 
 
 def test_element_codec_round_trip():
