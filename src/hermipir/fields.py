@@ -347,6 +347,8 @@ class GFField:
     def add_arr(self, a, b) -> np.ndarray:
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
+        if self.p == 2:
+            return np.asarray(a ^ b)
         out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
         p = self.p
         for pk in self._pk:
@@ -355,6 +357,8 @@ class GFField:
 
     def neg_arr(self, a) -> np.ndarray:
         a = np.asarray(a, dtype=np.int64)
+        if self.p == 2:
+            return a.copy()
         out = np.zeros(a.shape, dtype=np.int64)
         p = self.p
         for pk in self._pk:
@@ -362,6 +366,8 @@ class GFField:
         return out
 
     def sub_arr(self, a, b) -> np.ndarray:
+        if self.p == 2:
+            return self.add_arr(a, b)
         return self.add_arr(a, self.neg_arr(b))
 
     def mul_arr(self, a, b) -> np.ndarray:
@@ -410,14 +416,41 @@ class GFField:
         return out
 
     def matmul_arr(self, a, b) -> np.ndarray:
-        """Field matrix product of 2-D encoding arrays (k inner loop)."""
+        """Field matrix product of 2-D encoding arrays.
+
+        Both operands are split into their n base-p digit planes, and all n^2
+        plane products come from one int64 matmul.  Plane i of `a` times
+        plane j of `b` is the coefficient of t^(i+j); the 2n-1 coefficient
+        planes are reduced mod p and the ones of degree n and up are folded
+        down by the reduction polynomial.  Every product entry is a sum of
+        at most inner * n * (p-1)^2, so int64 is exact without blocking.
+        """
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
+        if a.ndim != 2 or b.ndim != 2:
+            raise ValueError("expected 2-D matrices")
         if a.shape[1] != b.shape[0]:
             raise ValueError("inner dimensions differ")
-        out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-        for k in range(a.shape[1]):
-            out = self.add_arr(out, self.mul_arr(a[:, k : k + 1], b[k : k + 1, :]))
+        p, n = self.p, self.n
+        (rows, inner), cols = a.shape, b.shape[1]
+        if inner * n * (p - 1) ** 2 >= 2**63:
+            raise ValueError(f"inner dimension {inner} would overflow int64 digit-plane sums")
+        pk = np.array(self._pk, dtype=np.int64)
+        a_planes = ((a[None] // pk[:, None, None]) % p).reshape(n * rows, inner)
+        b_planes = ((b.T[None] // pk[:, None, None]) % p).reshape(n * cols, inner)
+        prods = (a_planes @ b_planes.T).reshape(n, rows, n, cols)
+        coef = np.zeros((2 * n - 1, rows, cols), dtype=np.int64)
+        for i in range(n):
+            coef[i : i + n] += prods[i].transpose(1, 0, 2)
+        coef %= p
+        for deg in range(2 * n - 2, n - 1, -1):
+            # t^n = -(m_0 + m_1 t + ... + m_{n-1} t^(n-1))
+            for j, m_j in enumerate(self.modulus[:n]):
+                if m_j:
+                    coef[deg - n + j] = (coef[deg - n + j] - m_j * coef[deg]) % p
+        out = coef[n - 1]
+        for k in range(n - 2, -1, -1):
+            out = out * p + coef[k]
         return out
 
     # -- sampling -------------------------------------------------------------

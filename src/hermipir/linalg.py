@@ -2,13 +2,20 @@
 
 Matrices are 2-D numpy int64 arrays of element encodings; every routine
 takes the field as its first argument.  `rref` is the one elimination
-routine: rank, prefix solving, kernels, greedy row selection (pivots of the
-transpose) and column-space membership (a left-kernel parity check) are all
-read off it.  Elimination pivots on the first nonzero entry in scan order,
-so all results are deterministic functions of the input.
+routine: rank, kernels, greedy row selection (pivots of the transpose) and
+column-space membership (a left-kernel parity check) are all read off it.
+`row_selection` gets four results from one rref of [M^T | E]: the greedy
+row selection, the rank, a decoder D with D @ S = [I | 0] and a parity
+check H with H @ S = 0 for the selected rows S.  Prefix solving is H @ b
+and D @ b on top of it, so a fixed system is eliminated once and then
+solved for any number of right-hand sides by two products.  Elimination
+pivots on the first nonzero entry in scan order, so all results are
+deterministic functions of the input.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,6 +63,75 @@ def rank(field: GFField, mat) -> int:
     return len(rref(field, mat)[1])
 
 
+@dataclass(frozen=True)
+class RowSelection:
+    """Rows picked from a matrix M, with the maps that decode and check the
+    picked submatrix S = M[rows].
+
+    ``decoder`` (prefix_len x len(rows)) satisfies decoder @ S = [I | 0], so
+    for b = S @ s it returns the first prefix_len coordinates of s.  It is
+    None when S leaves a prefix coordinate free; ``undetermined`` is then
+    the first such coordinate.  The rows of ``check`` ((len(rows) - rank) x
+    len(rows)) span the left kernel of S, so b lies in the column space of
+    S exactly when check @ b = 0.
+    """
+
+    rows: list[int]
+    rank: int
+    decoder: np.ndarray | None
+    check: np.ndarray
+    undetermined: int | None = None
+
+
+def row_selection(field: GFField, mat, pad_to: int, prefix_len: int = 0) -> RowSelection:
+    """Greedy row selection, rank, decoder and parity check from one rref.
+
+    Eliminates [mat.T | E], where E holds the first `prefix_len` unit
+    vectors.  The pivot columns of the mat.T block are the rows that each
+    enlarge the span of the rows before them; the selection keeps them and
+    pads with the lowest-index unused rows up to `pad_to`, as
+    `select_full_rank_rows` does.  Each pivot row's E entries are the
+    particular solution of S.T @ d = e_l on the pivot rows, which is row l of
+    the decoder, and each padding row's kernel vector of mat.T is a row of
+    the check.  A pivot in the E block means e_l is outside the row space,
+    so coordinate l is not determined.  When the rank exceeds `pad_to`, the
+    first `pad_to` pivot rows are selected and their own submatrix is
+    eliminated for the maps.
+    """
+    m = as_matrix(field, mat)
+    n_rows, n_cols = m.shape
+    if pad_to > n_rows:
+        raise ValueError(f"cannot select {pad_to} rows from {n_rows}")
+    if not 0 <= prefix_len <= n_cols:
+        raise ValueError("prefix length out of range")
+    r, pivots = rref(field, np.concatenate([m.T, np.eye(n_cols, prefix_len, dtype=np.int64)], axis=1))
+    row_pivots = [c for c in pivots if c < n_rows]
+    rank_ = len(row_pivots)
+    if rank_ > pad_to:
+        rows = row_pivots[:pad_to]
+        sub = row_selection(field, m[rows], pad_to, prefix_len)
+        return RowSelection(rows, sub.rank, sub.decoder, sub.check, sub.undetermined)
+    rows = _pad(row_pivots, n_rows, pad_to)
+    pivot_pos = np.searchsorted(rows, row_pivots)
+    padding = sorted(set(rows) - set(row_pivots))
+    check = np.zeros((len(padding), pad_to), dtype=np.int64)
+    check[np.arange(len(padding)), np.searchsorted(rows, padding)] = 1
+    check[:, pivot_pos] = field.neg_arr(r[:rank_][:, padding]).T
+    e_pivots = [c - n_rows for c in pivots if c >= n_rows]
+    if e_pivots:
+        return RowSelection(rows, rank_, None, check, e_pivots[0])
+    decoder = np.zeros((prefix_len, pad_to), dtype=np.int64)
+    decoder[:, pivot_pos] = r[:rank_, n_rows:].T
+    return RowSelection(rows, rank_, decoder, check)
+
+
+def _pad(chosen: list[int], n_rows: int, pad_to: int) -> list[int]:
+    """`chosen` plus the lowest-index other rows up to `pad_to`, sorted."""
+    used = set(chosen)
+    pad = [i for i in range(n_rows) if i not in used][: pad_to - len(chosen)]
+    return sorted(chosen + pad)
+
+
 def solve_prefix(field: GFField, mat, rhs, prefix_len: int) -> np.ndarray:
     """First `prefix_len` coordinates of the solutions of mat @ s = rhs.
 
@@ -68,24 +144,12 @@ def solve_prefix(field: GFField, mat, rhs, prefix_len: int) -> np.ndarray:
     b = np.asarray(rhs, dtype=np.int64).reshape(-1)
     if b.shape[0] != m.shape[0]:
         raise ValueError("right-hand side length does not match row count")
-    if not 0 <= prefix_len <= m.shape[1]:
-        raise ValueError("prefix length out of range")
-    aug = np.concatenate([m, b[:, None]], axis=1)
-    r, pivots = rref(field, aug)
-    n_cols = m.shape[1]
-    if n_cols in pivots:
+    sel = row_selection(field, m, m.shape[0], prefix_len)
+    if field.matmul_arr(sel.check, b[:, None]).any():
         raise ValueError("inconsistent system: no solution exists")
-    pivot_rows = {col: i for i, col in enumerate(pivots)}
-    free_cols = [c for c in range(n_cols) if c not in pivot_rows]
-    out = np.zeros(prefix_len, dtype=np.int64)
-    for j in range(prefix_len):
-        if j not in pivot_rows:
-            raise ValueError(f"prefix coordinate {j} is not determined by the system")
-        i = pivot_rows[j]
-        if any(r[i, c] != 0 for c in free_cols):
-            raise ValueError(f"prefix coordinate {j} is not unique across solutions")
-        out[j] = r[i, n_cols]
-    return out
+    if sel.undetermined is not None:
+        raise ValueError(f"prefix coordinate {sel.undetermined} is not determined by the system")
+    return field.matmul_arr(sel.decoder, b[:, None])[:, 0]
 
 
 def select_full_rank_rows(field: GFField, mat, target_rank: int, pad_to: int) -> list[int]:
@@ -106,10 +170,7 @@ def select_full_rank_rows(field: GFField, mat, target_rank: int, pad_to: int) ->
     pivots = rref(field, m.T)[1]
     if len(pivots) < target_rank:
         raise ValueError(f"matrix rank {len(pivots)} is below the requested {target_rank}")
-    chosen = pivots[:target_rank]
-    used = set(chosen)
-    pad = [i for i in range(n_rows) if i not in used][: pad_to - target_rank]
-    return sorted(chosen + pad)
+    return _pad(pivots[:target_rank], n_rows, pad_to)
 
 
 class ColumnSpace:

@@ -15,12 +15,17 @@ Hermitian curve:
 * every cross term that reaches an answer lies in the two-point space with
   pole bounds (x_sec + t_priv + 4g + q - 2) at infinity and q^2 - 1 at the
   origin, spanned by ``two_point_monomial_set``; a counting certificate
-  shows that monomial set is a full basis, which is what makes decoding by
-  prefix-solving exact.
+  shows that monomial set is a full basis, so the stacked matrix
+  S = [decoding | noise] determines the fragment coordinates of any answer
+  vector in its column space.
 
 Server points are chosen greedily from the pool of affine points outside
 the data fibers (origin excluded) until the stacked decoding + noise
-matrix reaches full column rank N - g, then padded to N points.
+matrix reaches full column rank N - g, then padded to N points.  The same
+elimination yields a decoder D (L x N) with D S = [I_L | 0] and a parity
+check H (g x N) with H S = 0, so decoding a retrieval is one product: the
+answers a are consistent exactly when the syndrome H a is zero, and the
+fragments are then D a.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import numpy as np
 from hermipir.codes import EvalCode, check_w_wise_independence, dual_distance_bound, from_matrix
 from hermipir.curve import HermitianCurve, curve_for_q, info_basis, one_point_basis, two_point_monomial_set
 from hermipir.fields import factor_prime_power, tower_for_prime_power
-from hermipir.linalg import ColumnSpace, rank, select_full_rank_rows, solve_prefix
+from hermipir.linalg import ColumnSpace, rank, row_selection
 
 
 class InfeasibleParams(ValueError):
@@ -46,7 +51,17 @@ class InfeasibleParams(ValueError):
 
 
 class DecodeError(ValueError):
-    """Raised when answers are inconsistent with every valid transcript."""
+    """Raised when answers are inconsistent with every valid transcript.
+
+    ``weight`` is the Hamming weight of the nonzero syndrome.  ``server`` is
+    the one server whose answer alone explains the syndrome, when exactly
+    one does, else None.
+    """
+
+    def __init__(self, message: str, weight: int | None = None, server: int | None = None):
+        super().__init__(message)
+        self.weight = weight
+        self.server = server
 
 
 @dataclass(frozen=True)
@@ -187,9 +202,12 @@ class SchemeInstance:
         """Select server rows and slice all per-server matrices."""
         p, field = self.params, self.field
         combined = np.concatenate([pool_info, pool_noise], axis=1)
-        pool_rank = rank(field, combined)
-        target = min(pool_rank, p.server_count)
-        selected = select_full_rank_rows(field, combined, target, p.server_count)
+        sel = row_selection(field, combined, p.server_count, p.frag_count)
+        if sel.undetermined is not None:
+            raise ValueError(f"the server points do not determine fragment {sel.undetermined}")
+        selected = sel.rows
+        # one product gives the fragments (first L rows) and the syndrome
+        self.decode_map = np.concatenate([sel.decoder, sel.check])
         self.plan = PointPlan(
             alphas=alphas,
             data_points=data,
@@ -292,12 +310,33 @@ class SchemeInstance:
         return self.field.sum_arr(prods.reshape(self.params.server_count, -1), axis=1)
 
     def reconstruct(self, answers) -> np.ndarray:
-        """Recover the L fragments of the desired file from the N answers."""
-        stacked = np.concatenate([self.b_info, self.b_noise], axis=1)
-        try:
-            return solve_prefix(self.field, stacked, answers, self.params.frag_count)
-        except ValueError as exc:
-            raise DecodeError(f"answers are inconsistent: {exc}") from exc
+        """Recover the L fragments of the desired file from the N answers.
+
+        Raises DecodeError when the syndrome is nonzero, naming its weight
+        and, when a single answer explains it, that server.
+        """
+        a = np.asarray(answers, dtype=np.int64).reshape(-1)
+        if a.shape[0] != self.params.server_count:
+            raise DecodeError(f"expected {self.params.server_count} answers, got {a.shape[0]}")
+        out = self.field.matmul_arr(self.decode_map, a[:, None])[:, 0]
+        fragments, syndrome = out[: self.params.frag_count], out[self.params.frag_count :]
+        if syndrome.any():
+            weight = int(np.count_nonzero(syndrome))
+            server = self._locate(syndrome)
+            where = "" if server is None else f"; the answer of server {server} does not fit"
+            raise DecodeError(f"answers are inconsistent: syndrome weight {weight}{where}", weight, server)
+        return fragments
+
+    def _locate(self, syndrome: np.ndarray) -> int | None:
+        """The server whose parity-check column is the only nonzero multiple
+        of the syndrome: a single wrong answer a_k + e gives syndrome e H[:, k]."""
+        field = self.field
+        check = self.decode_map[self.params.frag_count :]
+        i = int(np.flatnonzero(syndrome)[0])
+        cand = np.flatnonzero(check[i])
+        scale = field.mul_arr(syndrome[i], field.inv_arr(check[i, cand]))
+        fits = cand[(field.mul_arr(check[:, cand], scale[None, :]) == syndrome[:, None]).all(axis=0)]
+        return int(fits[0]) if fits.size == 1 else None
 
     def retrieve(self, files, desired_index: int, rng: np.random.Generator) -> np.ndarray:
         shares = self.encode_storage(files, rng)

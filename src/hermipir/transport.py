@@ -12,6 +12,12 @@ sit on the other end.  Message kinds:
   answered with one ``ANSWER`` frame.
 - ``ANSWER`` ``{server, element}`` -- the inner product of the stored grid
   and the query grid.
+- ``ERROR``  ``{message}`` -- sent by a worker instead of a reply when it
+  rejects a frame: an unknown ``kind``, a ``server`` that is not an int (or,
+  in a QUERY, one never stored), a ``shape`` that is not a list of
+  non-negative ints, or elements that do not fit.  The worker skips the
+  frame and keeps serving; the client raises ConnectionError with the
+  message.
 
 A connection that closes at a frame boundary shuts the worker down.
 
@@ -108,28 +114,56 @@ def serve_worker(listener: socket.socket, field_order: int) -> None:
     Holds only per-server share grids and the field tables; the scheme
     instance never crosses the process boundary.
     """
-    field = field_of_order(field_order)
-    stored: dict[int, np.ndarray] = {}
     conn, _ = listener.accept()
     listener.close()
     with conn:
-        while (msg := recv_frame(conn)) is not None:
-            kind = msg["kind"]
-            if kind == "STORE":
-                stored[msg["server"]] = decode_elements(
-                    field, msg["elements"], tuple(msg["shape"])
-                )
-            elif kind == "QUERY":
-                share = stored[msg["server"]]
-                query = decode_elements(field, msg["elements"], share.shape)
-                answer = int(field.sum_arr(field.mul_arr(share, query)))
-                send_frame(conn, {
-                    "kind": "ANSWER",
-                    "server": msg["server"],
-                    "element": list(field.coeffs(answer)),
-                })
-            else:
-                raise ValueError(f"unknown frame kind {kind!r}")
+        serve_connection(conn, field_of_order(field_order))
+
+
+def serve_connection(conn: socket.socket, field: GFField) -> None:
+    """Answer frames on `conn` until it closes; a rejected frame gets an
+    ERROR frame."""
+    stored: dict[int, np.ndarray] = {}
+    while (msg := recv_frame(conn)) is not None:
+        try:
+            reply = _handle_frame(field, stored, msg)
+        except ValueError as exc:
+            reply = {"kind": "ERROR", "message": str(exc)}
+        if reply is not None:
+            send_frame(conn, reply)
+
+
+def _handle_frame(field: GFField, stored: dict[int, np.ndarray], msg) -> dict | None:
+    """The reply to one frame (None for STORE); ValueError names what is wrong."""
+    kind = msg.get("kind") if isinstance(msg, dict) else None
+    if kind not in ("STORE", "QUERY"):
+        raise ValueError(f"unknown frame kind {kind!r}")
+    server = msg.get("server")
+    if type(server) is not int:
+        raise ValueError(f"{kind} server must be an int, got {server!r}")
+    if kind == "STORE":
+        shape = msg.get("shape")
+        if not isinstance(shape, list) or any(type(d) is not int or d < 0 for d in shape):
+            raise ValueError(f"STORE shape must be a list of non-negative ints, got {shape!r}")
+        stored[server] = decode_elements(field, msg.get("elements"), tuple(shape))
+        return None
+    if server not in stored:
+        raise ValueError(f"QUERY for server {server}, which has no stored shares")
+    share = stored[server]
+    query = decode_elements(field, msg.get("elements"), share.shape)
+    answer = int(field.sum_arr(field.mul_arr(share, query)))
+    return {"kind": "ANSWER", "server": server, "element": list(field.coeffs(answer))}
+
+
+def read_answer(conn: socket.socket, server: int) -> list[int]:
+    """The coefficient tuple of `server`'s ANSWER, the next frame on `conn`.
+    Raises ConnectionError on an ERROR frame or any other reply."""
+    msg = recv_frame(conn)
+    if isinstance(msg, dict) and msg.get("kind") == "ERROR":
+        raise ConnectionError(f"worker error: {msg.get('message')}")
+    if not isinstance(msg, dict) or msg.get("kind") != "ANSWER" or msg.get("server") != server:
+        raise ConnectionError(f"bad reply for server {server}: {msg}")
+    return msg["element"]
 
 
 # ---------------------------------------------------------------------------
@@ -201,12 +235,7 @@ def run_demo_over_sockets(
                     "server": s,
                     "elements": encode_elements(field, queries[s]),
                 })
-            replies = []
-            for s in range(n):
-                msg = recv_frame(conns[assignment[s]])
-                if msg is None or msg["kind"] != "ANSWER" or msg["server"] != s:
-                    raise ConnectionError(f"bad reply for server {s}: {msg}")
-                replies.append(msg["element"])
+            replies = [read_answer(conns[assignment[s]], s) for s in range(n)]
             answers = decode_elements(field, replies)
             got = instance.reconstruct(answers)
             ok = bool((got == files[desired]).all())

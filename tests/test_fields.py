@@ -8,6 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
 from hermipir.fields import (
     GFField,
@@ -147,6 +148,96 @@ def test_matmul_against_naive():
             for k in range(4):
                 acc = f.add(acc, f.mul(int(a[i, k]), int(b[k, j])))
             assert acc == int(c[i, j])
+
+
+# -- reference implementations ------------------------------------------------
+
+def matmul_oracle(f: GFField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Field matmul as a loop over the inner index: one elementwise product
+    and one field add per k."""
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    for k in range(a.shape[1]):
+        out = f.add_arr(out, f.mul_arr(a[:, k : k + 1], b[k : k + 1, :]))
+    return out
+
+
+def digitwise_add(f: GFField, a, b) -> np.ndarray:
+    """Sum of two encoding arrays, one base-p digit at a time."""
+    return sum((((a // pk) + (b // pk)) % f.p) * pk for pk in f._pk)
+
+
+def digitwise_neg(f: GFField, a) -> np.ndarray:
+    return sum(((f.p - (a // pk) % f.p) % f.p) * pk for pk in f._pk)
+
+
+# GF(3^11) has no log tables, so its products take the scalar fallback
+MATMUL_ORDERS = [7, 8, 25, 49, 3**11]
+
+
+def _matrix(draw, order: int, rows: int, cols: int) -> np.ndarray:
+    flat = draw(st.lists(st.integers(0, order - 1), min_size=rows * cols, max_size=rows * cols))
+    return np.array(flat, dtype=np.int64).reshape(rows, cols)
+
+
+@st.composite
+def matmul_operands(draw):
+    f = field_of_order(draw(st.sampled_from(MATMUL_ORDERS)))
+    rows, inner, cols = draw(st.integers(1, 6)), draw(st.integers(0, 6)), draw(st.integers(1, 6))
+    return f, _matrix(draw, f.order, rows, inner), _matrix(draw, f.order, inner, cols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matmul_operands())
+def test_matmul_matches_k_loop_oracle(operands):
+    f, a, b = operands
+    assert (f.matmul_arr(a, b) == matmul_oracle(f, a, b)).all()
+
+
+@pytest.mark.parametrize("order", MATMUL_ORDERS)
+@pytest.mark.parametrize("inner", [0, 1])
+def test_matmul_thin_inner_dimension(order, inner):
+    f = field_of_order(order)
+    rng = np.random.default_rng(order + inner)
+    a = f.sample_arr(rng, (4, inner))
+    b = f.sample_arr(rng, (inner, 3))
+    got = f.matmul_arr(a, b)
+    assert got.shape == (4, 3) and got.dtype == np.int64
+    assert (got == matmul_oracle(f, a, b)).all()
+    with pytest.raises(ValueError, match="inner"):
+        f.matmul_arr(a, f.sample_arr(rng, (inner + 1, 3)))
+
+
+def test_matmul_refuses_inner_dimension_past_int64_bound():
+    f = GFField(1048573, 1)  # the largest prime below 2**20
+    limit = (2**63 - 1) // (f.p - 1) ** 2
+    ones = np.broadcast_to(np.int64(1), (1, limit + 1))  # no memory behind it
+    with pytest.raises(ValueError, match="overflow"):
+        f.matmul_arr(ones, ones.T)
+
+
+@st.composite
+def char2_operands(draw):
+    f = field_of_order(draw(st.sampled_from([2, 8, 64])))
+    shape = draw(st.sampled_from([(), (5,), (3, 4)]))
+    size = int(np.prod(shape))
+    a, b = (np.array(draw(st.lists(st.integers(0, f.order - 1), min_size=size, max_size=size)),
+                     dtype=np.int64).reshape(shape) for _ in range(2))
+    return f, a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(char2_operands())
+def test_char2_add_sub_neg_match_digitwise(operands):
+    f, a, b = operands
+    total = digitwise_add(f, a, b)
+    assert (f.add_arr(a, b) == total).all()
+    assert (f.sub_arr(a, b) == digitwise_add(f, a, digitwise_neg(f, b))).all()
+    neg = f.neg_arr(a)
+    assert (neg == digitwise_neg(f, a)).all() and (neg == a).all()
+    assert f.add_arr(a, b).shape == np.shape(total)
+    # a copy: callers may write into the result
+    if a.ndim:
+        assert not np.shares_memory(neg, a)
 
 
 def test_slow_path_field_matches_table_field_on_prime_subfield():

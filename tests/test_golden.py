@@ -1,8 +1,9 @@
 """Byte-level goldens: CLI stdout and instance manifests pinned by sha256.
 
 The digests were recorded before the row-selection and column-space code
-moved onto `rref`; a refactor of the linear algebra must leave them as they
-are.  The manifests pin the selected server points.  q = 4 is absent: at
+moved onto `rref`, and the q = 7 demo's before decoding became a
+precomputed linear map; a refactor of the linear algebra must leave them as
+they are.  The manifests pin the selected server points.  q = 4 is absent: at
 x_sec = t_priv = 1 no fiber count satisfies its point supply.
 """
 
@@ -23,6 +24,8 @@ CLI_GOLDENS = {
         "8baacdd774b2d3cae9a30649d0c2c9e1ae40a4e90be27b4f85a3a9a055f7b562",
     ("pir-demo", "--q", "5", "--trials", "5", "--format", "json"):
         "db6f4df96cce87cb105df5cc6b6cd3328b2a7cc17f92c59744471cc44f7d2046",
+    ("pir-demo", "--q", "7", "--trials", "3", "--format", "json"):
+        "1b9ee13475332f71c506e46d3caf74b59b0af95bf0c848dd5b156671edc71846",
     ("pir-demo", "--q", "5", "--trials", "5", "--format", "json",
      "--transport", "socket"):
         "1f011f147231b47728d0a69aa4acd810f5ea5280b8682f2a9ed41e8c38c8dbbe",

@@ -10,6 +10,7 @@ from hermipir.fields import GFField, field_of_order
 from hermipir.linalg import (
     ColumnSpace,
     rank,
+    row_selection,
     rref,
     right_kernel_basis,
     select_full_rank_rows,
@@ -209,6 +210,23 @@ def in_span_oracle(field: GFField, mat: np.ndarray, vec: np.ndarray) -> bool:
     return rank(field, np.concatenate([mat, vec[:, None]], axis=1)) == rank(field, mat)
 
 
+def solve_prefix_oracle(field: GFField, mat: np.ndarray, rhs: np.ndarray, prefix_len: int) -> np.ndarray:
+    """rref of [mat | rhs]: inconsistent when the last column is a pivot;
+    coordinate j is unique when it is a pivot column whose row has no
+    entry in a free column."""
+    n_cols = mat.shape[1]
+    r, pivots = rref_oracle(field, np.concatenate([mat, rhs[:, None]], axis=1))
+    if n_cols in pivots:
+        raise ValueError("inconsistent system: no solution exists")
+    free = [c for c in range(n_cols) if c not in pivots]
+    out = np.zeros(prefix_len, dtype=np.int64)
+    for j in range(prefix_len):
+        if j not in pivots or r[pivots.index(j), free].any():
+            raise ValueError(f"prefix coordinate {j} is not determined by the system")
+        out[j] = r[pivots.index(j), n_cols]
+    return out
+
+
 @st.composite
 def low_rank_matrices(draw):
     """A product of random n x k and k x m factors over GF(7), GF(8) or
@@ -267,3 +285,77 @@ def test_column_space_contains_matches_rank_oracle(fm, data):
     assert space.contains(inside)
     vec = np.array(data.draw(st.lists(entries, min_size=height, max_size=height)), dtype=np.int64)
     assert space.contains(vec) == in_span_oracle(field, mat, vec)
+
+
+@st.composite
+def linear_systems(draw):
+    """A low-rank matrix or its transpose (duplicated rows become
+    duplicated columns), a right-hand side that is either its product with
+    a random vector (consistent) or random (often inconsistent), and a
+    prefix length."""
+    field, mat = draw(low_rank_matrices())
+    if draw(st.booleans()):
+        mat = mat.T.copy()
+    n_rows, n_cols = mat.shape
+    entries = st.integers(0, field.order - 1)
+    if draw(st.booleans()):
+        s = np.array(draw(st.lists(entries, min_size=n_cols, max_size=n_cols)), dtype=np.int64)
+        rhs = field.matmul_arr(mat, s[:, None])[:, 0]
+    else:
+        rhs = np.array(draw(st.lists(entries, min_size=n_rows, max_size=n_rows)), dtype=np.int64)
+    return field, mat, rhs, draw(st.integers(0, n_cols))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args).tolist()
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(linear_systems())
+def test_solve_prefix_matches_rref_oracle(system):
+    field, mat, rhs, prefix_len = system
+    assert _outcome(solve_prefix, field, mat, rhs, prefix_len) == _outcome(
+        solve_prefix_oracle, field, mat, rhs, prefix_len
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(linear_systems(), st.data())
+def test_row_selection_decoder_and_check(system, data):
+    """One elimination gives the greedy rows, the rank, a decoder with
+    D S = [I | 0] and a check whose rows span the left kernel of S; on the
+    selected rows, H b = 0 and D b agree with the rref oracle."""
+    field, mat, rhs, prefix_len = system
+    n_rows, n_cols = mat.shape
+    pad_to = data.draw(st.integers(0, n_rows), label="pad_to")
+    sel = row_selection(field, mat, pad_to, prefix_len)
+    full_rank = rank(field, mat)
+    target = min(full_rank, pad_to)
+    chosen = greedy_rows_oracle(field, mat, target)
+    assert sel.rows == sorted(chosen + [i for i in range(n_rows) if i not in chosen][: pad_to - target])
+    sub = mat[sel.rows]
+    assert sel.rank == rank(field, sub) == target
+    assert sel.check.shape == (pad_to - target, pad_to)
+    assert not field.matmul_arr(sel.check, sub).any()
+    assert rank(field, sel.check) == pad_to - target
+    units = np.eye(n_cols, dtype=np.int64)
+    free = [j for j in range(prefix_len) if not in_span_oracle(field, sub.T, units[j])]
+    assert sel.undetermined == (free[0] if free else None)
+    if sel.decoder is not None:
+        assert (field.matmul_arr(sel.decoder, sub) == units[:prefix_len]).all()
+    b = rhs[sel.rows]
+    consistent = not field.matmul_arr(sel.check, b[:, None]).any()
+    assert consistent == in_span_oracle(field, sub, b)
+    if consistent and sel.decoder is not None:
+        assert (field.matmul_arr(sel.decoder, b[:, None])[:, 0] == solve_prefix_oracle(field, sub, b, prefix_len)).all()
+
+
+def test_row_selection_rejects_bad_sizes():
+    m = np.array([[1, 0], [0, 1], [1, 1]], dtype=np.int64)
+    with pytest.raises(ValueError, match="cannot select"):
+        row_selection(F7, m, 4)
+    with pytest.raises(ValueError, match="prefix length"):
+        row_selection(F7, m, 3, 3)

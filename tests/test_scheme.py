@@ -168,6 +168,35 @@ def test_tampered_answers_differ_or_error(inst_11):
     assert outcomes["diff"] + outcomes["error"] == 25
 
 
+def test_single_wrong_answer_is_located(inst_11):
+    """A wrong answer at server k adds delta * H[:, k] to the syndrome; at
+    q = 5 that column is a multiple of no other, so every server is named."""
+    p, f = inst_11.params, inst_11.field
+    rng = np.random.default_rng(41)
+    files = f.sample_arr(rng, (p.num_files, p.frag_count))
+    shares = inst_11.encode_storage(files, rng)
+    answers = inst_11.all_answers(shares, inst_11.make_queries(2, rng))
+    assert (inst_11.reconstruct(answers) == files[2]).all()
+    check = inst_11.decode_map[p.frag_count :]
+    assert check.shape == (p.genus, p.server_count)
+    for k in range(p.server_count):
+        delta = int(rng.integers(1, f.order))
+        tampered = answers.copy()
+        tampered[k] = f.add(int(tampered[k]), delta)
+        with pytest.raises(DecodeError, match=f"server {k} does not fit") as err:
+            inst_11.reconstruct(tampered)
+        assert err.value.server == k
+        assert err.value.weight == np.count_nonzero(check[:, k]) > 0
+    # two wrong answers: still rejected, but no single server explains it
+    tampered = answers.copy()
+    tampered[[0, 1]] = f.add_arr(tampered[[0, 1]], 1)
+    with pytest.raises(DecodeError, match="syndrome weight") as err:
+        inst_11.reconstruct(tampered)
+    assert err.value.server is None and err.value.weight > 0
+    with pytest.raises(DecodeError, match="expected 85 answers"):
+        inst_11.reconstruct(answers[:-1])
+
+
 def test_file_shape_validation(inst_11):
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="shape"):

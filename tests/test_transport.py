@@ -2,6 +2,7 @@
 
 import socket
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -12,9 +13,11 @@ from hermipir.transport import (
     MAX_FRAME_BYTES,
     decode_elements,
     encode_elements,
+    read_answer,
     recv_frame,
     run_demo_over_sockets,
     send_frame,
+    serve_connection,
 )
 
 
@@ -96,3 +99,55 @@ def test_worker_pool_is_smaller_than_server_count():
     assert transcript["workers"] == 4
     assert transcript["params"]["server_count"] == 85
     assert transcript["successes"] == 1
+
+
+F25 = field_of_order(25)
+GOOD_STORE = {"kind": "STORE", "server": 4, "shape": [1, 2], "elements": [[1, 0], [0, 1]]}
+
+
+def _serve_in_thread():
+    """A worker loop on one end of a socketpair; returns (client end, thread)."""
+    client, worker = socket.socketpair()
+    client.settimeout(10)  # a worker that died fails the test instead of hanging it
+    thread = threading.Thread(target=lambda: (serve_connection(worker, F25), worker.close()))
+    thread.start()
+    return client, thread
+
+
+@pytest.mark.parametrize("frame, message", [
+    ({"kind": "FETCH", "server": 4}, "unknown frame kind 'FETCH'"),
+    ({"server": 4, "elements": []}, "unknown frame kind None"),
+    (["STORE", 4], "unknown frame kind None"),
+    ({"kind": "QUERY", "server": "4", "elements": [[1, 0], [0, 1]]}, "server must be an int"),
+    ({"kind": "QUERY", "server": True, "elements": [[1, 0], [0, 1]]}, "server must be an int"),
+    ({"kind": "STORE", "server": 4.0, "shape": [1, 2], "elements": [[1, 0], [0, 1]]}, "server must be an int"),
+    ({"kind": "QUERY", "server": 5, "elements": [[1, 0], [0, 1]]}, "server 5, which has no stored shares"),
+    ({"kind": "STORE", "server": 6, "shape": "1x2", "elements": [[1, 0], [0, 1]]}, "shape must be a list"),
+    ({"kind": "STORE", "server": 6, "shape": [2, -1], "elements": [[1, 0], [0, 1]]}, "shape must be a list"),
+    ({"kind": "STORE", "server": 6, "shape": [1.0, 2], "elements": [[1, 0], [0, 1]]}, "shape must be a list"),
+    ({"kind": "STORE", "server": 6, "shape": [3], "elements": [[1, 0], [0, 1]]}, "reshape"),
+])
+def test_worker_answers_bad_frame_with_error(frame, message):
+    """A rejected frame gets an ERROR frame, the worker keeps serving, and
+    the client's answer reader raises ConnectionError with the message."""
+    client, thread = _serve_in_thread()
+    with client:
+        send_frame(client, GOOD_STORE)
+        send_frame(client, frame)
+        with pytest.raises(ConnectionError, match=message):
+            read_answer(client, 4)
+        # the stored grid survives: the next query is answered
+        send_frame(client, {"kind": "QUERY", "server": 4, "elements": [[1, 0], [1, 0]]})
+        assert decode_elements(F25, [read_answer(client, 4)])[0] == F25.add(1, 5)
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_read_answer_rejects_reply_for_another_server():
+    client, thread = _serve_in_thread()
+    with client:
+        send_frame(client, GOOD_STORE)
+        send_frame(client, {"kind": "QUERY", "server": 4, "elements": [[1, 0], [0, 1]]})
+        with pytest.raises(ConnectionError, match="bad reply for server 3"):
+            read_answer(client, 3)
+    thread.join(timeout=10)
