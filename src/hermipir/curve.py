@@ -26,7 +26,6 @@ The module builds four function families used by the retrieval scheme:
 
 from __future__ import annotations
 
-import io
 from functools import lru_cache
 
 import numpy as np
@@ -372,33 +371,6 @@ def info_basis(curve: HermitianCurve, m: int, alphas) -> list[CurveFunction]:
             den = curve.poly_mul(den, curve.linear_factor(alphas[idx]))
         out.append(CurveFunction(curve, {(0, z - 1): 1}, den))
     return out
-
-
-# -- serialization ---------------------------------------------------------------
-
-
-def points_csv(curve: HermitianCurve) -> str:
-    """CSV of all points: coefficient vectors of x and y, infinity last."""
-    buf = io.StringIO()
-    f = curve.field
-    buf.write("x,y\n")
-    for p in curve.enumerate_points():
-        if p == INFINITY:
-            buf.write("infinity,infinity\n")
-        else:
-            buf.write(f'"{f.element_str(p[0])}","{f.element_str(p[1])}"\n')
-    return buf.getvalue()
-
-
-def basis_csv(curve: HermitianCurve, m: int, alphas) -> str:
-    """CSV of the decoding-side basis: label (z, i) plus numerator and
-    denominator in textual polynomial form."""
-    buf = io.StringIO()
-    buf.write("z,i,numerator,denominator\n")
-    labels = interpolation_labels(curve.q, m)
-    for (z, i), fn in zip(labels, info_basis(curve, m, alphas)):
-        buf.write(f'{z},{i},"{curve.poly_str(fn.num)}","{curve.poly_str(fn.den)}"\n')
-    return buf.getvalue()
 
 
 @lru_cache(maxsize=None)

@@ -366,9 +366,15 @@ class GFField:
         return out
 
     def sub_arr(self, a, b) -> np.ndarray:
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
         if self.p == 2:
-            return self.add_arr(a, b)
-        return self.add_arr(a, self.neg_arr(b))
+            return np.asarray(a ^ b)
+        out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
+        p = self.p
+        for pk in self._pk:
+            out += (((a // pk) - (b // pk)) % p) * pk
+        return out
 
     def mul_arr(self, a, b) -> np.ndarray:
         a = np.asarray(a, dtype=np.int64)
@@ -519,22 +525,13 @@ class FieldTower:
     def frobenius(self, a: int) -> int:
         return self.field.pow(a, self.q)
 
-    def frobenius_arr(self, a) -> np.ndarray:
-        return self.field.pow_arr(a, self.q)
-
     def subfield_norm(self, a: int) -> int:
         """a**(q+1); maps onto F_q."""
         return self.field.mul(a, self.frobenius(a))
 
-    def subfield_norm_arr(self, a) -> np.ndarray:
-        return self.field.mul_arr(a, self.frobenius_arr(a))
-
     def subfield_trace(self, a: int) -> int:
         """a**q + a; maps onto F_q with fibers of size q."""
         return self.field.add(a, self.frobenius(a))
-
-    def subfield_trace_arr(self, a) -> np.ndarray:
-        return self.field.add_arr(a, self.frobenius_arr(a))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"FieldTower(p={self.p}, h={self.h}; q={self.q})"

@@ -338,11 +338,13 @@ class SchemeInstance:
         fits = cand[(field.mul_arr(check[:, cand], scale[None, :]) == syndrome[:, None]).all(axis=0)]
         return int(fits[0]) if fits.size == 1 else None
 
-    def retrieve(self, files, desired_index: int, rng: np.random.Generator) -> np.ndarray:
+    def retrieve(self, files, desired_index: int, rng: np.random.Generator, answer=None) -> np.ndarray:
+        """One retrieval: encode storage, query, answer, decode.  `answer`
+        maps (shares, queries) to the N answers; default `all_answers`."""
+        answer = self.all_answers if answer is None else answer
         shares = self.encode_storage(files, rng)
         queries = self.make_queries(desired_index, rng)
-        answers = self.all_answers(shares, queries)
-        return self.reconstruct(answers)
+        return self.reconstruct(answer(shares, queries))
 
     # -- marginals for statistical tests ----------------------------------------
 
@@ -522,6 +524,43 @@ def certify_instance(
     )
 
 
+def run_trials(instance: SchemeInstance, seed: int, trials: int, answer) -> dict:
+    """Seeded retrieval trials on `instance` whose answers come from
+    `answer(shares, queries)`; returns a JSON-compatible transcript."""
+    p, field = instance.params, instance.field
+    rng = np.random.default_rng(seed)
+    results = []
+    for t in range(trials):
+        files = field.sample_arr(rng, (p.num_files, p.frag_count))
+        desired = int(rng.integers(0, p.num_files))
+        got = instance.retrieve(files, desired, rng, answer)
+        results.append(
+            {
+                "trial": t,
+                "desired": desired,
+                "ok": bool((got == files[desired]).all()),
+                "fragment_checksum": int(field.sum_arr(got)),
+            }
+        )
+    manifest = instance.manifest()
+    return {
+        "config": {
+            "q": p.q,
+            "x_sec": p.x_sec,
+            "t_priv": p.t_priv,
+            "num_files": p.num_files,
+            "seed": seed,
+            "trials": trials,
+            "fiber_count": p.fiber_count,
+        },
+        "params": manifest["params"],
+        "rate": manifest["rate"],
+        "successes": sum(r["ok"] for r in results),
+        "trials": trials,
+        "results": results,
+    }
+
+
 def run_pir_demo(
     q: int,
     x_sec: int,
@@ -531,43 +570,10 @@ def run_pir_demo(
     trials: int = 100,
     fiber_count: int | None = None,
 ) -> dict:
-    """End-to-end seeded retrieval trials; returns a JSON-compatible transcript."""
+    """End-to-end seeded retrieval trials with in-process answers."""
     params = validate_params(q, x_sec, t_priv, fiber_count=fiber_count, num_files=num_files)
     instance = build_instance(params)
-    field = instance.field
-    rng = np.random.default_rng(seed)
-    results = []
-    successes = 0
-    for t in range(trials):
-        files = field.sample_arr(rng, (params.num_files, params.frag_count))
-        desired = int(rng.integers(0, params.num_files))
-        got = instance.retrieve(files, desired, rng)
-        ok = bool((got == files[desired]).all())
-        successes += ok
-        results.append(
-            {
-                "trial": t,
-                "desired": desired,
-                "ok": ok,
-                "fragment_checksum": int(field.sum_arr(got)),
-            }
-        )
-    return {
-        "config": {
-            "q": q,
-            "x_sec": x_sec,
-            "t_priv": t_priv,
-            "num_files": num_files,
-            "seed": seed,
-            "trials": trials,
-            "fiber_count": params.fiber_count,
-        },
-        "params": instance.manifest()["params"],
-        "rate": instance.manifest()["rate"],
-        "successes": successes,
-        "trials": trials,
-        "results": results,
-    }
+    return run_trials(instance, seed, trials, instance.all_answers)
 
 
 def chi_square_uniform_stat(values, order: int) -> float:

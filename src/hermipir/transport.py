@@ -13,13 +13,15 @@ sit on the other end.  Message kinds:
 - ``ANSWER`` ``{server, element}`` -- the inner product of the stored grid
   and the query grid.
 - ``ERROR``  ``{message}`` -- sent by a worker instead of a reply when it
-  rejects a frame: an unknown ``kind``, a ``server`` that is not an int (or,
-  in a QUERY, one never stored), a ``shape`` that is not a list of
-  non-negative ints, or elements that do not fit.  The worker skips the
-  frame and keeps serving; the client raises ConnectionError with the
-  message.
+  rejects a frame: a body that is not UTF-8 JSON, an unknown ``kind``, a
+  ``server`` that is not an int (or, in a QUERY, one never stored), a
+  ``shape`` that is not a list of non-negative ints, or elements that do
+  not fit.  The worker skips the frame and keeps serving; the client raises
+  ConnectionError with the message.
 
-A connection that closes at a frame boundary shuts the worker down.
+A connection that closes at a frame boundary shuts the worker down, and so
+does a header announcing more than `MAX_FRAME_BYTES`, since the frame
+boundary is then lost.
 
 Workers are separate processes, each hosting a disjoint slice of the
 logical servers (one process per logical server would be wasteful at
@@ -27,7 +29,10 @@ N = 85 and up); a worker keeps per-server state and only ever sees the
 shares and queries addressed to its own slice, so the single-server view
 the privacy and security arguments rely on is preserved per logical
 server.  Answers arrive in per-connection FIFO order, which the client
-exploits to collect them without sequence numbers.
+exploits to collect them without sequence numbers.  `WorkerPool` is the
+client: an answer backend for `scheme.run_trials`, whose connections time
+out after `REPLY_TIMEOUT_S` so that a hung worker raises instead of
+blocking the client forever.
 """
 
 from __future__ import annotations
@@ -40,12 +45,14 @@ import struct
 import numpy as np
 
 from hermipir.fields import GFField, field_of_order
-from hermipir.scheme import build_instance, validate_params
+from hermipir.scheme import build_instance, run_trials, validate_params
 
 _HEADER = struct.Struct(">I")
 # far above any demo frame (a q=7 STORE frame is a few KiB), and
 # far below the 4 GiB a bare 4-byte length would let a peer announce
 MAX_FRAME_BYTES = 16 * 2**20
+# far above any demo reply wait (a q=7 retrieval's answers take milliseconds)
+REPLY_TIMEOUT_S = 60.0
 
 
 # ---------------------------------------------------------------------------
@@ -73,15 +80,36 @@ def _recv_exact(sock: socket.socket, size: int, allow_eof: bool = False):
     return b"".join(chunks)
 
 
-def recv_frame(sock: socket.socket) -> dict | None:
-    """The next frame, or None when the peer closed at a frame boundary."""
+def _recv_body(sock: socket.socket) -> bytes | None:
+    """The next frame's body, or None when the peer closed at a frame
+    boundary.  Raises ValueError for a header past the cap."""
     header = _recv_exact(sock, _HEADER.size, allow_eof=True)
     if header is None:
         return None
     (length,) = _HEADER.unpack(header)
     if length > MAX_FRAME_BYTES:
         raise ValueError(f"peer announced a {length}-byte frame; the cap is {MAX_FRAME_BYTES}")
-    return json.loads(_recv_exact(sock, length).decode("utf-8"))
+    return _recv_exact(sock, length)
+
+
+def _parse_body(body: bytes):
+    """The JSON value of a frame body; ValueError unless it is UTF-8 JSON."""
+    try:
+        return json.loads(body.decode("utf-8"))
+    except RecursionError:
+        raise ValueError("frame body nests too deeply") from None
+
+
+def recv_frame(sock: socket.socket) -> dict | None:
+    """The next frame, or None when the peer closed at a frame boundary.
+    Raises ValueError for a body that is not a UTF-8 JSON object."""
+    body = _recv_body(sock)
+    if body is None:
+        return None
+    msg = _parse_body(body)
+    if not isinstance(msg, dict):
+        raise ValueError(f"frame body must be a JSON object, got {type(msg).__name__}")
+    return msg
 
 
 def encode_elements(field: GFField, values) -> list[list[int]]:
@@ -121,12 +149,12 @@ def serve_worker(listener: socket.socket, field_order: int) -> None:
 
 
 def serve_connection(conn: socket.socket, field: GFField) -> None:
-    """Answer frames on `conn` until it closes; a rejected frame gets an
-    ERROR frame."""
+    """Answer frames on `conn` until it closes; a rejected frame, an
+    unparsable body included, gets an ERROR frame."""
     stored: dict[int, np.ndarray] = {}
-    while (msg := recv_frame(conn)) is not None:
+    while (body := _recv_body(conn)) is not None:
         try:
-            reply = _handle_frame(field, stored, msg)
+            reply = _handle_frame(field, stored, _parse_body(body))
         except ValueError as exc:
             reply = {"kind": "ERROR", "message": str(exc)}
         if reply is not None:
@@ -159,9 +187,9 @@ def read_answer(conn: socket.socket, server: int) -> list[int]:
     """The coefficient tuple of `server`'s ANSWER, the next frame on `conn`.
     Raises ConnectionError on an ERROR frame or any other reply."""
     msg = recv_frame(conn)
-    if isinstance(msg, dict) and msg.get("kind") == "ERROR":
+    if msg is not None and msg.get("kind") == "ERROR":
         raise ConnectionError(f"worker error: {msg.get('message')}")
-    if not isinstance(msg, dict) or msg.get("kind") != "ANSWER" or msg.get("server") != server:
+    if msg is None or msg.get("kind") != "ANSWER" or msg.get("server") != server:
         raise ConnectionError(f"bad reply for server {server}: {msg}")
     return msg["element"]
 
@@ -169,6 +197,72 @@ def read_answer(conn: socket.socket, server: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # client
 # ---------------------------------------------------------------------------
+
+class WorkerPool:
+    """Worker processes answering for `server_count` logical servers, server
+    s on worker s mod size: an answer backend for `scheme.run_trials`.
+
+    Entering forks the workers and connects to each; exiting closes the
+    connections and joins the workers, terminating any still running after
+    10 s, or at once when the block raised.
+    """
+
+    def __init__(self, field: GFField, server_count: int, workers: int):
+        self.field, self.server_count = field, server_count
+        self.size = max(1, min(workers, server_count))
+        self.procs: list[mp.Process] = []
+        self.conns: list[socket.socket] = []
+
+    def __enter__(self) -> WorkerPool:
+        ctx = mp.get_context("fork")
+        listeners: list[socket.socket] = []
+        try:
+            # fork every worker before any connection exists, so that no
+            # worker inherits another's client socket
+            for _ in range(self.size):
+                listeners.append(socket.create_server(("127.0.0.1", 0)))
+                proc = ctx.Process(target=serve_worker, args=(listeners[-1], self.field.order), daemon=True)
+                proc.start()
+                self.procs.append(proc)
+            for listener in listeners:
+                self.conns.append(socket.create_connection(listener.getsockname(), timeout=REPLY_TIMEOUT_S))
+        except BaseException as exc:
+            self.__exit__(type(exc), exc, None)
+            raise
+        finally:
+            for listener in listeners:
+                listener.close()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        for conn in self.conns:
+            conn.close()
+        for proc in self.procs:
+            # a worker ends once its connection closes; after an error it may be hung
+            proc.join(timeout=10 if exc_type is None else 0)
+            if proc.is_alive():
+                proc.terminate()
+                proc.join(timeout=10)
+
+    def answers(self, shares, queries) -> np.ndarray:
+        """The N answers: each server's STORE then QUERY frame, in server
+        order, then the replies in server order."""
+        field = self.field
+        conns = [self.conns[s % self.size] for s in range(self.server_count)]
+        for s, conn in enumerate(conns):
+            send_frame(conn, {
+                "kind": "STORE",
+                "server": s,
+                "shape": list(shares[s].shape),
+                "elements": encode_elements(field, shares[s]),
+            })
+            send_frame(conn, {
+                "kind": "QUERY",
+                "server": s,
+                "elements": encode_elements(field, queries[s]),
+            })
+        return decode_elements(field, [read_answer(conn, s) for s, conn in enumerate(conns)])
+
 
 def run_demo_over_sockets(
     q: int,
@@ -180,97 +274,13 @@ def run_demo_over_sockets(
     fiber_count: int | None = None,
     workers: int = 8,
 ) -> dict:
-    """The seeded demo transcript with answers computed by worker processes.
-
-    Consumes randomness in exactly the order of the in-process demo, so the
-    transcript (files, desired indices, checksums, successes) matches it
-    value for value; only the inner products travel over loopback sockets.
-    """
+    """`scheme.run_pir_demo`'s transcript, value for value, with the answers
+    computed by worker processes over loopback sockets; plus ``workers``."""
     params = validate_params(
         q, x_sec, t_priv, fiber_count=fiber_count, num_files=num_files
     )
     instance = build_instance(params)
-    field = instance.field
-    n = params.server_count
-    worker_count = max(1, min(workers, n))
-    assignment = [s % worker_count for s in range(n)]
-
-    ctx = mp.get_context("fork")
-    listeners: list[socket.socket] = []
-    procs: list[mp.Process] = []
-    conns: list[socket.socket] = []
-    try:
-        for _ in range(worker_count):
-            listener = socket.create_server(("127.0.0.1", 0))
-            proc = ctx.Process(
-                target=serve_worker, args=(listener, field.order), daemon=True
-            )
-            proc.start()
-            listeners.append(listener)
-            procs.append(proc)
-        for listener in listeners:
-            port = listener.getsockname()[1]
-            conns.append(socket.create_connection(("127.0.0.1", port)))
-            listener.close()
-        listeners.clear()
-
-        rng = np.random.default_rng(seed)
-        results = []
-        successes = 0
-        for t in range(trials):
-            files = field.sample_arr(rng, (params.num_files, params.frag_count))
-            desired = int(rng.integers(0, params.num_files))
-            shares = instance.encode_storage(files, rng)
-            queries = instance.make_queries(desired, rng)
-            for s in range(n):
-                conn = conns[assignment[s]]
-                send_frame(conn, {
-                    "kind": "STORE",
-                    "server": s,
-                    "shape": list(shares[s].shape),
-                    "elements": encode_elements(field, shares[s]),
-                })
-                send_frame(conn, {
-                    "kind": "QUERY",
-                    "server": s,
-                    "elements": encode_elements(field, queries[s]),
-                })
-            replies = [read_answer(conns[assignment[s]], s) for s in range(n)]
-            answers = decode_elements(field, replies)
-            got = instance.reconstruct(answers)
-            ok = bool((got == files[desired]).all())
-            successes += ok
-            results.append({
-                "trial": t,
-                "desired": desired,
-                "ok": ok,
-                "fragment_checksum": int(field.sum_arr(got)),
-            })
-    finally:
-        for conn in conns:
-            conn.close()
-        for listener in listeners:
-            listener.close()
-        for proc in procs:
-            proc.join(timeout=10)
-            if proc.is_alive():  # pragma: no cover - cleanup of stuck worker
-                proc.terminate()
-                proc.join(timeout=10)
-
-    return {
-        "config": {
-            "q": q,
-            "x_sec": x_sec,
-            "t_priv": t_priv,
-            "num_files": num_files,
-            "seed": seed,
-            "trials": trials,
-            "fiber_count": params.fiber_count,
-        },
-        "params": instance.manifest()["params"],
-        "rate": instance.manifest()["rate"],
-        "successes": successes,
-        "trials": trials,
-        "results": results,
-        "workers": worker_count,
-    }
+    with WorkerPool(instance.field, params.server_count, workers) as pool:
+        transcript = run_trials(instance, seed, trials, pool.answers)
+    transcript["workers"] = pool.size
+    return transcript

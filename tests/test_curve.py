@@ -10,7 +10,6 @@ import pytest
 from hermipir.curve import (
     INFINITY,
     CurveFunction,
-    basis_csv,
     build_h,
     curve_for_q,
     info_basis,
@@ -18,7 +17,6 @@ from hermipir.curve import (
     interpolation_labels,
     one_point_basis,
     one_point_monomials,
-    points_csv,
     two_point_monomial_set,
     two_point_monomials,
 )
@@ -279,28 +277,3 @@ def test_info_basis_shape_and_valuations():
         alpha_set = set(alphas)
         good = [p for p in c.affine_points() if p[0] not in alpha_set]
         fn.evaluate_many(good)
-
-
-def test_points_csv_round_trip():
-    import csv
-    import io
-
-    c = curve_for_q(3)
-    text = points_csv(c)
-    rows = list(csv.reader(io.StringIO(text)))
-    assert rows[0] == ["x", "y"]
-    assert len(rows) == 3**3 + 2
-    assert rows[-1] == ["infinity", "infinity"]
-    f = c.field
-    parsed = [(f.element_from_str(r[0]), f.element_from_str(r[1])) for r in rows[1:-1]]
-    assert parsed == c.affine_points()
-
-
-def test_basis_csv_layout():
-    c = curve_for_q(5)
-    text = basis_csv(c, 5, [1, 2, 3, 4, 5])
-    lines = text.strip().split("\n")
-    assert lines[0] == "z,i,numerator,denominator"
-    assert len(lines) == 16
-    assert lines[1].startswith("1,1,")
-    assert "y" in lines[-1]  # z = 5 row carries y^4 upstairs

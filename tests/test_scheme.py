@@ -131,6 +131,30 @@ def test_round_trip_many_seeds(inst_11):
         assert (got == files[desired]).all()
 
 
+def test_retrieve_answers_through_the_backend(inst_11):
+    """`retrieve` takes its N answers from the backend it is given."""
+    p, f = inst_11.params, inst_11.field
+    rng = np.random.default_rng(5)
+    files = f.sample_arr(rng, (p.num_files, p.frag_count))
+    calls = []
+
+    def backend(shares, queries):
+        calls.append((shares.shape, queries.shape))
+        return inst_11.all_answers(shares, queries)
+
+    assert (inst_11.retrieve(files, 1, rng, backend) == files[1]).all()
+    assert calls == [((p.server_count, p.num_files, p.frag_count),) * 2]
+
+    def one_wrong(shares, queries):
+        answers = inst_11.all_answers(shares, queries)
+        answers[3] = f.add(int(answers[3]), 1)
+        return answers
+
+    with pytest.raises(DecodeError) as err:
+        inst_11.retrieve(files, 1, rng, one_wrong)
+    assert err.value.server == 3
+
+
 def test_round_trip_second_config(inst_22):
     p = inst_22.params
     f = inst_22.field

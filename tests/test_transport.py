@@ -1,16 +1,21 @@
 """Socket transport: framing, element serialization, end-to-end parity."""
 
+import json
 import socket
 import struct
 import threading
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hermipir import scheme, transport
 from hermipir.fields import field_of_order
 from hermipir.scheme import run_pir_demo
 from hermipir.transport import (
     MAX_FRAME_BYTES,
+    WorkerPool,
     decode_elements,
     encode_elements,
     read_answer,
@@ -101,6 +106,14 @@ def test_worker_pool_is_smaller_than_server_count():
     assert transcript["successes"] == 1
 
 
+def test_socket_demo_answers_only_over_sockets(monkeypatch):
+    def in_process(*args):
+        raise AssertionError("answered in process")
+
+    monkeypatch.setattr(scheme.SchemeInstance, "all_answers", in_process)
+    assert run_demo_over_sockets(5, 1, 1, 1, seed=2, trials=2, workers=2)["successes"] == 2
+
+
 F25 = field_of_order(25)
 GOOD_STORE = {"kind": "STORE", "server": 4, "shape": [1, 2], "elements": [[1, 0], [0, 1]]}
 
@@ -151,3 +164,111 @@ def test_read_answer_rejects_reply_for_another_server():
         with pytest.raises(ConnectionError, match="bad reply for server 3"):
             read_answer(client, 3)
     thread.join(timeout=10)
+
+
+@pytest.mark.parametrize("body, message", [
+    (b"{bad}", "Expecting property name"),
+    (b"\xff\xfe{}", "utf-8"),
+    (b"", "Expecting value"),
+    (b"[" * 100_000, "nests too deeply"),
+])
+def test_worker_answers_unparsable_body_with_error(body, message):
+    """A well-framed body that is not UTF-8 JSON gets an ERROR frame, and
+    the worker keeps serving."""
+    client, thread = _serve_in_thread()
+    with client:
+        send_frame(client, GOOD_STORE)
+        client.sendall(struct.pack(">I", len(body)) + body)
+        with pytest.raises(ConnectionError, match=message):
+            read_answer(client, 4)
+        send_frame(client, {"kind": "QUERY", "server": 4, "elements": [[1, 0], [1, 0]]})
+        assert decode_elements(F25, [read_answer(client, 4)])[0] == F25.add(1, 5)
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_worker_stops_on_oversized_header():
+    """Past the cap the frame boundary is lost: the worker loop ends with
+    ValueError and sends nothing back."""
+    client, worker = socket.socketpair()
+    with client, worker:
+        client.settimeout(10)
+        client.sendall(struct.pack(">I", MAX_FRAME_BYTES + 1))
+        with pytest.raises(ValueError, match="cap"):
+            serve_connection(worker, F25)
+        worker.close()
+        assert client.recv(16) == b""
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=12,
+)
+frame_bodies = st.one_of(
+    st.binary(max_size=40),
+    json_values.map(lambda v: json.dumps(v).encode("utf-8")),
+    st.fixed_dictionaries({"kind": st.sampled_from(["STORE", "QUERY", "ANSWER"]), "server": json_values})
+    .map(lambda v: json.dumps(v).encode("utf-8")),
+)
+wire_pieces = st.one_of(
+    frame_bodies.map(lambda body: struct.pack(">I", len(body)) + body),  # well framed
+    st.binary(max_size=12),                                              # anything at all
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(wire_pieces, max_size=4))
+def test_recv_frame_fuzz(pieces):
+    """Whatever a peer sends, recv_frame returns dicts until None, or raises
+    ConnectionError or ValueError."""
+    left, right = socket.socketpair()
+    with left, right:
+        right.settimeout(10)
+        left.sendall(b"".join(pieces))
+        left.close()
+        try:
+            while (msg := recv_frame(right)) is not None:
+                assert isinstance(msg, dict)
+        except (ConnectionError, ValueError):
+            pass
+
+
+nested_lists = st.recursive(
+    st.integers() | st.booleans() | st.floats() | st.text(max_size=3) | st.none(),
+    lambda inner: st.lists(inner, max_size=4),
+    max_leaves=16,
+)
+
+
+digit_rows = st.lists(st.lists(st.integers(-2, 8) | st.floats(0, 8) | st.booleans(), max_size=4), max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([7, 25, 27]), nested_lists | digit_rows)
+def test_decode_elements_fuzz(order, elements):
+    """Any nested list decodes to valid encodings or raises ValueError."""
+    field = field_of_order(order)
+    try:
+        vals = decode_elements(field, elements)
+    except ValueError:
+        return
+    # only tuples of n integer digits in 0..p-1 decode, to the value they spell
+    for e in elements:
+        assert len(e) == field.n and all(isinstance(d, int) and 0 <= d < field.p for d in e)
+    assert vals.dtype == np.int64
+    assert vals.tolist() == [sum(int(d) * field.p**k for k, d in enumerate(e)) for e in elements]
+
+
+def test_pool_times_out_on_hung_worker(monkeypatch):
+    """A worker that never replies makes the pool raise after the reply
+    timeout instead of blocking; exiting still ends the worker."""
+    monkeypatch.setattr(transport, "_handle_frame", lambda *args: time.sleep(600))
+    monkeypatch.setattr(transport, "REPLY_TIMEOUT_S", 0.5)
+    grid = np.zeros((2, 1, 1), dtype=np.int64)
+    start = time.perf_counter()
+    with pytest.raises(TimeoutError):
+        with WorkerPool(F25, 2, 1) as pool:
+            pool.answers(grid, grid)
+    assert time.perf_counter() - start < 30
+    assert pool.procs and not any(proc.is_alive() for proc in pool.procs)
