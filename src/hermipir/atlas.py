@@ -21,6 +21,12 @@ the server count ``N`` and the download rate ``L / N``:
 The module also provides the exhaustive / normalized searches over
 odd-degree hyperelliptic models used to tabulate best rates per field, and
 closed-form cross-family comparisons with machine-checkable conditions.
+The searches rest on a histogram identity: models that differ only in the
+constant term ``a_0`` share the values ``u(x)`` of the rest of the
+polynomial, so one value histogram of ``u`` gives the point profiles of all
+``q`` such models (see :func:`achievable_profiles`): ``q`` evaluations
+serve ``q`` models, where evaluating each model at every ``x`` takes
+``q * q``.
 """
 
 from __future__ import annotations
@@ -36,7 +42,9 @@ from .fields import field_of_order
 # Hard cap on the number of candidate models a single search may enumerate.
 SEARCH_BUDGET = 30_000_000
 
-_CHUNK = 1 << 21
+# Cells (prefixes times points) of one chunk of the curve search's value
+# array; a chunk holds at least one prefix.
+_CHUNK_CELLS = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +393,21 @@ def uncovered_x_count(field_order: int, point_count: int, gamma: int) -> int:
     return size
 
 
+def _power_sums(f, xs: np.ndarray, exponents) -> np.ndarray:
+    """Values at ``xs`` of ``sum_t c_t x^exponents[t]`` for every digit vector.
+
+    Row ``i`` holds the polynomial whose coefficient ``c_t`` is the ``t``-th
+    base-``len(xs)`` digit of ``i``, the first exponent least significant.
+    With no exponents there is one row, of zeros.
+    """
+    q = len(xs)
+    sums = np.zeros((1, q), dtype=np.int64)
+    for k in reversed(exponents):
+        term = f.mul_arr(xs[:, None], f.pow_arr(xs, k)[None, :])  # c * x^k
+        sums = f.add_arr(sums[:, None, :], term[None, :, :]).reshape(-1, q)
+    return sums
+
+
 @lru_cache(maxsize=None)
 def achievable_profiles(field_order: int, genus: int,
                         reduced: bool = False) -> tuple:
@@ -401,6 +424,19 @@ def achievable_profiles(field_order: int, genus: int,
     points fixing the profile, and can reach ``a_{2g} = 0`` exactly when the
     characteristic does not divide ``2g + 1``; requesting the reduced space
     otherwise raises.  Witnesses are then reported in normalized form.
+
+    The search never evaluates a whole model.  Write the right-hand side as
+    ``u + a_0``, where the prefix ``u`` holds ``x^(2g+1)`` and
+    ``a_1 .. a_{2g}`` (``a_{2g} = 0`` in the reduced space).  Each prefix is
+    evaluated once at all ``q`` points, giving its value histogram
+    ``h[v] = #{x : u(x) = v}``.  Then for all ``q`` choices of ``a_0`` at
+    once, ``point_count = 1 + sum_v h[v] * w[v + a_0]`` (``w`` counts the
+    square roots), one product with a ``q x q`` matrix read off the field's
+    addition table, and ``gamma = h[-a_0]``.  A model's enumeration index is
+    ``prefix * q + a_0``, so the row-major order of the per-model keys is
+    the enumeration order.  Prefixes are processed in chunks of consecutive
+    indices; the lowest prefix digits vary inside a chunk and are evaluated
+    once for all chunks.
     """
     f = field_of_order(field_order)
     if f.p == 2:
@@ -417,34 +453,36 @@ def achievable_profiles(field_order: int, genus: int,
     if total > SEARCH_BUDGET:
         raise ValueError(
             f"search space of {total} models exceeds budget {SEARCH_BUDGET}")
-    weights = _square_weights(field_order)
-    all_elems = np.arange(field_order, dtype=np.int64)
-    mul_rows = f.mul_arr(all_elems[:, None], all_elems[None, :])
+    elems = np.arange(field_order, dtype=np.int64)
+    add_table = f.add_arr(elems[:, None], elems[None, :])
+    # root_counts[v, a0] = #{y : y^2 = v + a0}; float32 products of these
+    # small integers are exact, and run on BLAS
+    root_counts = _square_weights(field_order)[add_table].astype(np.float32)
+    neg = f.neg_arr(elems)
+    # keys pack count * 64 + gamma; a 16-bit key sorts by radix in np.unique
+    key_dtype = np.min_scalar_type(64 * (2 * field_order + 2))
+    # prefix digits a_1 .. a_{n_free-1}: the lowest `low` of them vary inside
+    # a chunk, the others (with x^degree) pick the chunk's `high` values
+    low = 0
+    while low < n_free - 1 and field_order ** (low + 2) <= _CHUNK_CELLS:
+        low += 1
+    low_values = _power_sums(f, elems, range(1, low + 1))
+    high_values = f.add_arr(_power_sums(f, elems, range(low + 1, n_free)),
+                            f.pow_arr(elems, degree))
+    rows = len(low_values)
+    span = rows * field_order
+    bins = np.arange(0, span, field_order)[:, None]
     first_seen: dict[int, int] = {}
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        digits = []
-        rem = idx
-        for _ in range(n_free):
-            digits.append(rem % field_order)
-            rem = rem // field_order
-        counts = np.ones(stop - start, dtype=np.int64)
-        gammas = np.zeros(stop - start, dtype=np.int64)
-        for x in range(field_order):
-            by_x = mul_rows[x]
-            acc = np.ones(stop - start, dtype=np.int64)
-            for k in range(degree - 1, -1, -1):
-                acc = by_x[acc]
-                if k < n_free:
-                    acc = f.add_arr(acc, digits[k])
-            counts += weights[acc]
-            gammas += acc == 0
-        keys = counts * 64 + gammas
-        uniq, first = np.unique(keys, return_index=True)
+    for chunk, high in enumerate(high_values):
+        values = add_table[low_values, high]
+        hist = np.bincount((bins + values).ravel(), minlength=span)
+        hist = hist.reshape(rows, field_order)
+        counts = 1 + (hist.astype(np.float32) @ root_counts).astype(key_dtype)
+        keys = counts * 64 + hist[:, neg].astype(key_dtype)
+        uniq, first = np.unique(keys.ravel(), return_index=True)
         for key, local in zip(uniq.tolist(), first.tolist()):
             if key not in first_seen:
-                first_seen[key] = start + local
+                first_seen[key] = chunk * span + local
     profiles = []
     for key, windex in first_seen.items():
         coeffs = []

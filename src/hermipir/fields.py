@@ -266,10 +266,6 @@ class GFField:
         """Textual form, e.g. ``[2,3]`` for 2 + 3t."""
         return "[" + ",".join(str(c) for c in self.coeffs(a)) + "]"
 
-    def element_from_str(self, s: str) -> int:
-        body = s.strip().lstrip("[").rstrip("]")
-        return self.from_coeffs(int(c) for c in body.split(",") if c.strip() != "")
-
     def elements(self) -> range:
         """All elements in a fixed deterministic order; the first is 0."""
         return range(self.order)

@@ -120,12 +120,20 @@ def encode_elements(field: GFField, values) -> list[list[int]]:
 
 def decode_elements(field: GFField, elements, shape=None) -> np.ndarray:
     """Inverse of `encode_elements`.  Raises ValueError unless every tuple
-    has exactly n integer digits in 0..p-1."""
+    has exactly n int digits in 0..p-1; a bool is not a digit."""
+    malformed = f"elements must be tuples of {field.n} integer digits"
+    try:
+        # checked before numpy, which reads the True in [True, 1] as 1
+        ints = all(type(d) is int for e in elements for d in e)
+    except TypeError:  # an element that is not a sequence
+        ints = False
+    if not ints:
+        raise ValueError(malformed)
     digits = np.asarray(elements)
     if digits.shape == (0,):
         digits = np.zeros((0, field.n), dtype=np.int64)
     if digits.ndim != 2 or digits.shape[1] != field.n or digits.dtype.kind not in "iu":
-        raise ValueError(f"elements must be tuples of {field.n} integer digits")
+        raise ValueError(malformed)
     if digits.size and (digits.min() < 0 or digits.max() >= field.p):
         raise ValueError(f"element digits must lie in 0..{field.p - 1}")
     vals = digits.astype(np.int64) @ (field.p ** np.arange(field.n, dtype=np.int64))

@@ -2,8 +2,10 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from hermipir import atlas
 from hermipir.atlas import (
     ComparisonReport,
     achievable_profiles,
@@ -29,6 +31,45 @@ from hermipir.atlas import (
     sample_covered_genus_one_inputs,
     uncovered_x_count,
 )
+from hermipir.fields import field_of_order
+
+
+def achievable_profiles_oracle(field_order, genus, reduced=False):
+    """Slow reference for `achievable_profiles`: Horner's rule for every
+    model at every x, and the first witness of each profile by index."""
+    f = field_of_order(field_order)
+    degree = 2 * genus + 1
+    n_free = degree - 1 if reduced else degree
+    index = np.arange(field_order ** n_free, dtype=np.int64)
+    digits = [(index // field_order ** k) % field_order for k in range(n_free)]
+    elems = np.arange(field_order)
+    roots = np.bincount(f.mul_arr(elems, elems), minlength=field_order)
+    counts = np.ones(len(index), dtype=np.int64)
+    gammas = np.zeros(len(index), dtype=np.int64)
+    for x in range(field_order):
+        acc = np.ones(len(index), dtype=np.int64)
+        for k in range(degree - 1, -1, -1):
+            acc = f.mul_arr(acc, x)
+            if k < n_free:
+                acc = f.add_arr(acc, digits[k])
+        counts += roots[acc]
+        gammas += acc == 0
+    first = {}
+    for i, profile in enumerate(zip(counts.tolist(), gammas.tolist())):
+        first.setdefault(profile, i)
+    return tuple(
+        (count, gamma,
+         tuple(int(d[i]) for d in digits) + ((0,) if reduced else ()))
+        for (count, gamma), i in sorted(first.items()))
+
+
+ORACLE_CASES = [
+    (order, genus, reduced)
+    for order, genus in [(5, 1), (7, 1), (9, 1), (11, 1), (25, 1), (27, 1),
+                         (5, 2), (7, 2), (9, 2)]
+    for reduced in (False, True)
+    if not reduced or (2 * genus + 1) % field_of_order(order).p != 0
+]
 
 
 def test_format_rate_significant_digits():
@@ -216,6 +257,22 @@ def test_reduced_space_reaches_every_profile(field_order, genus):
     full = {(c, g) for c, g, _ in achievable_profiles(field_order, genus)}
     red = {(c, g) for c, g, _ in achievable_profiles(field_order, genus, True)}
     assert full == red
+
+
+@pytest.mark.parametrize("field_order,genus,reduced", ORACLE_CASES)
+def test_achievable_profiles_match_oracle(field_order, genus, reduced):
+    assert achievable_profiles(field_order, genus, reduced) == \
+        achievable_profiles_oracle(field_order, genus, reduced)
+
+
+@pytest.mark.parametrize("chunk_cells", [1, 100])
+def test_first_witnesses_merge_across_chunks(monkeypatch, chunk_cells):
+    # one prefix per chunk, then a few (q^2 <= 100 cells: q prefixes)
+    monkeypatch.setattr(atlas, "_CHUNK_CELLS", chunk_cells)
+    for field_order, genus, reduced in [(5, 2, False), (9, 1, False),
+                                        (7, 2, True)]:
+        assert achievable_profiles.__wrapped__(field_order, genus, reduced) \
+            == achievable_profiles_oracle(field_order, genus, reduced)
 
 
 def test_reduced_space_rejected_when_degenerate():

@@ -3,8 +3,12 @@
 The digests were recorded before the row-selection and column-space code
 moved onto `rref`, and the q = 7 demo's before decoding became a
 precomputed linear map; a refactor of the linear algebra must leave them as
-they are.  The manifests pin the selected server points.  q = 4 is absent: at
-x_sec = t_priv = 1 no fiber count satisfies its point supply.
+they are.  The catalog and point-count digests were recorded before the
+curve search moved from per-model Horner evaluation to value histograms;
+catalog 1 pins every searched cell and its first witness.  The three
+catalog-1 formats share the process-wide search cache, so only the first
+one searches.  The manifests pin the selected server points.  q = 4 is
+absent: at x_sec = t_priv = 1 no fiber count satisfies its point supply.
 """
 
 from __future__ import annotations
@@ -29,6 +33,29 @@ CLI_GOLDENS = {
     ("pir-demo", "--q", "5", "--trials", "5", "--format", "json",
      "--transport", "socket"):
         "1f011f147231b47728d0a69aa4acd810f5ea5280b8682f2a9ed41e8c38c8dbbe",
+    ("tables", "--which", "1", "--format", "md"):
+        "22aa8fdc73d8a768938b04e2cded92db5e6ab9be8abd021ad7e19a6d73a07c1d",
+    ("tables", "--which", "1", "--format", "csv"):
+        "4e8f577d59a3857c98b909d0ac7650d4fad60ef7f65110463f025cdf4e524e85",
+    ("tables", "--which", "1", "--format", "json"):
+        "6a303596fe48a7ac89905ff395b99c88e2324d49d1387ed70705df6a7499f160",
+    ("tables", "--which", "2", "--format", "md"):
+        "df501ff391fd6132150e280a8a81fe8e3b552d71decdd57da8669ec6f40fdbeb",
+    ("tables", "--which", "2", "--format", "csv"):
+        "1672641041e53b213f916d5c13488f4e478be0875c3374656af1fd8ebd918191",
+    ("tables", "--which", "2", "--format", "json"):
+        "8dacb73709992800182f99134d8a8fc40fe9ba873589e41d5814d4fa0d71acfa",
+    ("tables", "--which", "3", "--format", "md"):
+        "508e52cd6e13d2a518597e52cb137b003e3f93a1902a5f57faa6b7ae7d3bac74",
+    ("tables", "--which", "3", "--format", "csv"):
+        "76f47173fff557aacd9b42f10cbbeb604d7e524a357a438a8ade169cbe8b42a7",
+    ("tables", "--which", "3", "--format", "json"):
+        "c5237b8e7b9e7bde444486658f27272aaec2d90b3a5da2a924e9fe1b2a60411d",
+    ("count-points", "--curve", "hermitian", "--q", "5"):
+        "9ebbdb0c3dbbad1cf5e2aaad4464684ec52c66e5d27ae61217218f60d95759ed",
+    ("count-points", "--curve", "hyperelliptic",
+     "--q", "841", "--coeffs", "1,0,0,0,0"):
+        "21bbfe971c4e7571695003ae963a7376e3e75053caf0447259189b9bdba358fd",
 }
 
 MANIFEST_GOLDENS = {

@@ -69,7 +69,8 @@ def test_bad_element_digits_rejected():
         decode_elements(field, msg["elements"])
     with pytest.raises(ValueError, match=r"0\.\.4"):
         decode_elements(field, [[-1, 0]])
-    for bad in ([[1, 2, 0]], [[1]], [[1, 2], [3]], [[1.0, 2.0]], [1, 2]):
+    for bad in ([[1, 2, 0]], [[1]], [[1, 2], [3]], [[1.0, 2.0]], [1, 2],
+                [[True, 1]], [[1, 2], [0, False]]):
         with pytest.raises(ValueError):
             decode_elements(field, bad)
     assert decode_elements(field, []).shape == (0,)
@@ -243,9 +244,14 @@ nested_lists = st.recursive(
 
 digit_rows = st.lists(st.lists(st.integers(-2, 8) | st.floats(0, 8) | st.booleans(), max_size=4), max_size=4)
 
+# in-range digits of every field's length, some of them bools, which numpy
+# would promote to 0 and 1 alongside the ints
+bool_int_rows = st.integers(1, 3).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, 2) | st.booleans(), min_size=n, max_size=n), min_size=1, max_size=4))
+
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from([7, 25, 27]), nested_lists | digit_rows)
+@given(st.sampled_from([7, 25, 27]), nested_lists | digit_rows | bool_int_rows)
 def test_decode_elements_fuzz(order, elements):
     """Any nested list decodes to valid encodings or raises ValueError."""
     field = field_of_order(order)
@@ -255,7 +261,7 @@ def test_decode_elements_fuzz(order, elements):
         return
     # only tuples of n integer digits in 0..p-1 decode, to the value they spell
     for e in elements:
-        assert len(e) == field.n and all(isinstance(d, int) and 0 <= d < field.p for d in e)
+        assert len(e) == field.n and all(type(d) is int and 0 <= d < field.p for d in e)
     assert vals.dtype == np.int64
     assert vals.tolist() == [sum(int(d) * field.p**k for k, d in enumerate(e)) for e in elements]
 
