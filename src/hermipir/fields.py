@@ -14,6 +14,12 @@ smallest in the integer encoding, so a field is reproducible from (p, n)
 alone.  Multiplication uses discrete-log tables whenever the order is at most
 2**16 and falls back to schoolbook polynomial arithmetic above that (orders
 up to 2**20 are accepted).
+
+Matrix products rest on one identity: multiplication by x is F_p-linear on
+the digits, with matrix columns the digits of x * t^s (s = 0..n-1), so a
+field matmul is one matmul over F_p of digit matrices.  It runs as float64
+BLAS products, which are exact while every partial sum stays at or below
+2**53; inner dimensions whose sums could pass that are cut into blocks.
 """
 
 from __future__ import annotations
@@ -27,6 +33,13 @@ import numpy as np
 
 MAX_ORDER = 2**20
 _TABLE_LIMIT = 2**16
+_F64_EXACT = 2**53    # every integer up to here is a float64
+# The largest float64 product handed to BLAS in one call.  OpenBLAS runs a
+# product of under about 10**6 multiply-adds on the calling thread; above
+# that it wakes its thread pool, which on a 2-core host took about 10 ms per
+# call against 0.2 ms for a whole q = 7 query product, and whose threads
+# then spin on the second core.  Row bands keep every call single-threaded.
+_BLAS_CALL_MACS = 2**19
 
 
 def is_prime(n: int) -> bool:
@@ -420,12 +433,18 @@ class GFField:
     def matmul_arr(self, a, b) -> np.ndarray:
         """Field matrix product of 2-D encoding arrays.
 
-        Both operands are split into their n base-p digit planes, and all n^2
-        plane products come from one int64 matmul.  Plane i of `a` times
-        plane j of `b` is the coefficient of t^(i+j); the 2n-1 coefficient
-        planes are reduced mod p and the ones of degree n and up are folded
-        down by the reduction polynomial.  Every product entry is a sum of
-        at most inner * n * (p-1)^2, so int64 is exact without blocking.
+        Multiplying by a field element x is an F_p-linear map on the n
+        digits: digit d of x*y is sum_s digit_d(x * t^s) * digit_s(y).  So the
+        operand with fewer entries is expanded into the digits of x * t^s for
+        s = 0..n-1, the other is split into its digits, and the output digits
+        come from one float64 product over F_p, one reduction mod p and one
+        recomposition by p^k.  Every partial sum of that product is an
+        integer of at most inner * n * (p-1)^2, exact in float64 while it
+        stays at or below 2**53; longer inner dimensions are cut into blocks
+        within that bound, each reduced mod p and accumulated in int64.
+        BLAS computes it in row bands small enough to stay on the calling
+        thread.  Inner dimensions whose exact digit sums would reach 2**63
+        are refused.
         """
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
@@ -436,23 +455,62 @@ class GFField:
         p, n = self.p, self.n
         (rows, inner), cols = a.shape, b.shape[1]
         if inner * n * (p - 1) ** 2 >= 2**63:
-            raise ValueError(f"inner dimension {inner} would overflow int64 digit-plane sums")
-        pk = np.array(self._pk, dtype=np.int64)
-        a_planes = ((a[None] // pk[:, None, None]) % p).reshape(n * rows, inner)
-        b_planes = ((b.T[None] // pk[:, None, None]) % p).reshape(n * cols, inner)
-        prods = (a_planes @ b_planes.T).reshape(n, rows, n, cols)
-        coef = np.zeros((2 * n - 1, rows, cols), dtype=np.int64)
-        for i in range(n):
-            coef[i : i + n] += prods[i].transpose(1, 0, 2)
-        coef %= p
-        for deg in range(2 * n - 2, n - 1, -1):
-            # t^n = -(m_0 + m_1 t + ... + m_{n-1} t^(n-1))
-            for j, m_j in enumerate(self.modulus[:n]):
-                if m_j:
-                    coef[deg - n + j] = (coef[deg - n + j] - m_j * coef[deg]) % p
-        out = coef[n - 1]
+            raise ValueError(f"inner dimension {inner} would overflow int64 digit sums")
+        if a.size <= b.size:
+            # rows (d, i), inner (k, s): digit d of a[i, k] * t^s times digit s of b[k, j]
+            left = np.empty((n, rows, inner, n))
+            self._times_powers(a, left.transpose(3, 0, 1, 2))
+            right = np.empty((inner, n, cols))
+            self._split_digits(b, right.transpose(1, 0, 2))
+            digits = self._dot_mod_p(left.reshape(n * rows, inner * n), right.reshape(inner * n, cols))
+            digits = digits.reshape(n, rows, cols)
+        else:
+            # inner (k, s), columns (d, j): digit s of a[i, k] times digit d of t^s * b[k, j]
+            left = np.empty((rows, inner, n))
+            self._split_digits(a, left.transpose(2, 0, 1))
+            right = np.empty((inner, n, n, cols))
+            self._times_powers(b, right.transpose(1, 2, 0, 3))
+            digits = self._dot_mod_p(left.reshape(rows, inner * n), right.reshape(inner * n, n * cols))
+            digits = digits.reshape(rows, n, cols).transpose(1, 0, 2)
+        out = digits[n - 1]
         for k in range(n - 2, -1, -1):
-            out = out * p + coef[k]
+            out = out * p + digits[k]
+        return out
+
+    def _split_digits(self, a: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write the base-p digits of `a`, little-endian, into out[0..n-1]."""
+        for k in range(self.n):
+            a, out[k] = np.divmod(a, self.p)
+        return out
+
+    def _times_powers(self, a: np.ndarray, out: np.ndarray) -> None:
+        """Write the digits of a * t^s into out[s] (indexed [s, digit, ...])
+        for s = 0..n-1: each step shifts the digits up one place and folds
+        t^n back by the modulus."""
+        p, n = self.p, self.n
+        fold = np.array(self.modulus[:n], dtype=np.int64).reshape((n,) + (1,) * a.ndim)
+        cur = self._split_digits(a, np.empty((n,) + a.shape, dtype=np.int64))
+        out[0] = cur
+        for s in range(1, n):
+            # t^n = -(m_0 + m_1 t + ... + m_{n-1} t^(n-1))
+            cur = np.concatenate([np.zeros_like(cur[:1]), cur[:-1]]) - cur[n - 1] * fold
+            cur %= p
+            out[s] = cur
+
+    def _dot_mod_p(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """left @ right mod p for float64 matrices of digits in 0..p-1, as
+        products over blocks of at most 2**53 // (p-1)^2 inner terms, each
+        cut into row bands of at most _BLAS_CALL_MACS multiply-adds."""
+        p = self.p
+        (rows, inner), cols = left.shape, right.shape[1]
+        k_step = _F64_EXACT // (p - 1) ** 2
+        r_step = max(1, _BLAS_CALL_MACS // max(1, min(inner, k_step) * cols))
+        out = np.zeros((rows, cols), dtype=np.int64)
+        for k in range(0, inner, k_step):
+            for r in range(0, rows, r_step):
+                band = out[r : r + r_step]
+                band += (left[r : r + r_step, k : k + k_step] @ right[k : k + k_step]).astype(np.int64)
+                band -= band // p * p
         return out
 
     # -- sampling -------------------------------------------------------------

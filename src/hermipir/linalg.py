@@ -185,9 +185,11 @@ class ColumnSpace:
         self._check = right_kernel_basis(field, as_matrix(field, mat).T)
 
     def contains(self, vec) -> bool:
-        v = np.asarray(vec, dtype=np.int64).reshape(-1)
-        f = self._field
-        return not f.sum_arr(f.mul_arr(self._check, v[None, :]), axis=1).any()
+        return self.contains_all(np.reshape(vec, (-1, 1)))
+
+    def contains_all(self, cols) -> bool:
+        """Whether every column of `cols` lies in the space: one product."""
+        return not self._field.matmul_arr(self._check, as_matrix(self._field, cols)).any()
 
 
 def right_kernel_basis(field: GFField, mat) -> np.ndarray:

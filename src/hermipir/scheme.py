@@ -9,7 +9,10 @@ Hermitian curve:
 * each fragment slot l has a decoding function h_l (``info_basis``) whose
   evaluations at the server points form the decoding matrix,
 * storage noise for slot l lives in h_l^(-1) times the one-point space with
-  pole bound x_sec + 2g - 1 (dimension x_sec + g),
+  pole bound x_sec + 2g - 1 (dimension x_sec + g); at the servers that is
+  ``inv_info[:, l]`` times the evaluations ``secbase``, so the noise of every
+  slot comes from one product ``secbase @ [C_0 | ... | C_{L-1}]`` and one
+  elementwise scale,
 * query noise lives in the one-point space with pole bound t_priv + 2g - 1
   (dimension t_priv + g),
 * every cross term that reaches an answer lies in the two-point space with
@@ -25,7 +28,8 @@ matrix reaches full column rank N - g, then padded to N points.  The same
 elimination yields a decoder D (L x N) with D S = [I_L | 0] and a parity
 check H (g x N) with H S = 0, so decoding a retrieval is one product: the
 answers a are consistent exactly when the syndrome H a is zero, and the
-fragments are then D a.
+fragments are then D a.  Answers that are not field element encodings are
+rejected before that product.
 """
 
 from __future__ import annotations
@@ -54,8 +58,8 @@ class DecodeError(ValueError):
     """Raised when answers are inconsistent with every valid transcript.
 
     ``weight`` is the Hamming weight of the nonzero syndrome.  ``server`` is
-    the one server whose answer alone explains the syndrome, when exactly
-    one does, else None.
+    the one server whose answer alone explains the syndrome, or whose answer
+    alone is not a field element, when exactly one does or is, else None.
     """
 
     def __init__(self, message: str, weight: int | None = None, server: int | None = None):
@@ -218,13 +222,11 @@ class SchemeInstance:
         self.b_info = pool_info[selected]
         self.b_noise = pool_noise[selected]
         self.noise_count = self.b_noise.shape[1]
-        # decoding functions never vanish off their data fibers, so the
-        # per-slot storage spaces h_l^(-1) * (one-point space) evaluate via
-        # an elementwise inverse of the decoding matrix
-        inv_info = field.inv_arr(self.b_info)
-        self.sec_eval = [
-            field.mul_arr(inv_info[:, l : l + 1], pool_secbase[selected]) for l in range(p.frag_count)
-        ]
+        # decoding functions never vanish off their data fibers, so slot l's
+        # storage space h_l^(-1) * (one-point space) evaluates as column l of
+        # the elementwise inverse of the decoding matrix times `secbase`
+        self.secbase = pool_secbase[selected]
+        self.inv_info = field.inv_arr(self.b_info)
         self.priv_eval = pool_priv[selected]
 
     def _fallback_noise_columns(self, pool, pool_info, pool_secbase, pool_priv, pool_noise) -> np.ndarray:
@@ -242,45 +244,56 @@ class SchemeInstance:
         return np.concatenate(cols, axis=1)
 
     def _noise_containment_ok(self, rng: np.random.Generator, per_family: int) -> bool:
-        """Sampled check that cross terms land in the noise column space."""
-        field = self.field
+        """Sampled check that cross terms land in the noise column space.
+
+        Each sample draws a slot l, storage coefficients and query
+        coefficients, in that order.  Each family is then formed for all
+        samples at once and tested with one product by the noise space's
+        check; one product over all three families would hold three times
+        the temporaries for no measurable gain.
+        """
+        p, field = self.params, self.field
+        count = max(per_family, 0)
+        slots = np.empty(count, dtype=np.int64)
+        sec = np.empty((self.sec_dim, count), dtype=np.int64)
+        priv = np.empty((self.priv_dim, count), dtype=np.int64)
+        for i in range(count):
+            slots[i] = rng.integers(0, p.frag_count)
+            sec[:, i] = field.sample_arr(rng, self.sec_dim)
+            priv[:, i] = field.sample_arr(rng, self.priv_dim)
+        z = field.mul_arr(self.inv_info[:, slots], field.matmul_arr(self.secbase, sec))
+        r = field.matmul_arr(self.priv_eval, priv)
+        families = [
+            field.mul_arr(z, self.b_info[:, slots]),  # storage noise times decoding function
+            r,  # query noise alone (reaches the answer scaled by file fragments)
+            field.mul_arr(z, r),  # storage noise times query noise
+        ]
         space = ColumnSpace(field, self.b_noise)
-        n = self.b_info.shape[0]
-        for _ in range(per_family):
-            l = int(rng.integers(0, self.params.frag_count))
-            # storage noise times decoding function
-            z = field.matmul_arr(self.sec_eval[l], field.sample_arr(rng, (self.sec_dim, 1)))[:, 0]
-            if not space.contains(field.mul_arr(z, self.b_info[:, l])):
-                return False
-            # query noise alone (reaches the answer scaled by file fragments)
-            r = field.matmul_arr(self.priv_eval, field.sample_arr(rng, (self.priv_dim, 1)))[:, 0]
-            if not space.contains(r):
-                return False
-            # storage noise times query noise
-            if not space.contains(field.mul_arr(z, r)):
-                return False
-        return True
+        return all(space.contains_all(family) for family in families)
 
     # -- protocol --------------------------------------------------------------
 
     def encode_storage(self, files, rng: np.random.Generator, zero_noise: bool = False) -> np.ndarray:
         """Shares of shape (N, M, L): files[mu][l] masked per-slot by storage
-        noise drawn in slot order l = 0..L-1."""
+        noise, with coefficients drawn slot by slot in order l = 0..L-1.
+        Slot l's noise is inv_info[:, l] times secbase @ coefficients, so all
+        slots come from one product and one elementwise scale."""
         p, field = self.params, self.field
         files = np.asarray(files, dtype=np.int64)
         if files.shape != (p.num_files, p.frag_count):
             raise ValueError(f"files must have shape {(p.num_files, p.frag_count)}")
         if files.size and (files.min() < 0 or files.max() >= field.order):
             raise ValueError("file fragments must be field element encodings")
-        shares = np.zeros((p.server_count, p.num_files, p.frag_count), dtype=np.int64)
-        for l in range(p.frag_count):
-            if zero_noise:
-                z = np.zeros((p.server_count, p.num_files), dtype=np.int64)
-            else:
-                coeffs = field.sample_arr(rng, (self.sec_dim, p.num_files))
-                z = field.matmul_arr(self.sec_eval[l], coeffs)
-            shares[:, :, l] = field.add_arr(files[None, :, l], z)
-        return shares
+        if zero_noise:
+            noise = np.zeros((p.server_count, p.num_files, p.frag_count), dtype=np.int64)
+        else:
+            # one draw per slot: a single large draw would change the stream
+            coeffs = np.concatenate(
+                [field.sample_arr(rng, (self.sec_dim, p.num_files)) for _ in range(p.frag_count)], axis=1
+            )
+            z = field.matmul_arr(self.secbase, coeffs).reshape(p.server_count, p.frag_count, p.num_files)
+            noise = field.mul_arr(self.inv_info[:, :, None], z).transpose(0, 2, 1)
+        return field.add_arr(files[None], noise)
 
     def make_queries(
         self, desired_index: int, rng: np.random.Generator, zero_noise: bool = False
@@ -312,12 +325,19 @@ class SchemeInstance:
     def reconstruct(self, answers) -> np.ndarray:
         """Recover the L fragments of the desired file from the N answers.
 
-        Raises DecodeError when the syndrome is nonzero, naming its weight
-        and, when a single answer explains it, that server.
+        Raises DecodeError when an answer is not a field element encoding,
+        naming the servers, and when the syndrome is nonzero, naming its
+        weight and, when a single answer explains it, that server.
         """
         a = np.asarray(answers, dtype=np.int64).reshape(-1)
         if a.shape[0] != self.params.server_count:
             raise DecodeError(f"expected {self.params.server_count} answers, got {a.shape[0]}")
+        bad = np.flatnonzero((a < 0) | (a >= self.field.order))
+        if bad.size:
+            raise DecodeError(
+                f"answers of servers {bad.tolist()} are not field elements 0..{self.field.order - 1}",
+                server=int(bad[0]) if bad.size == 1 else None,
+            )
         out = self.field.matmul_arr(self.decode_map, a[:, None])[:, 0]
         fragments, syndrome = out[: self.params.frag_count], out[self.params.frag_count :]
         if syndrome.any():
@@ -367,17 +387,17 @@ class SchemeInstance:
         field = self.field
         rng = np.random.default_rng(seed)
         coeffs = field.sample_arr(rng, (trials, self.sec_dim))
-        vals = field.sum_arr(
-            field.mul_arr(coeffs, self.sec_eval[frag_index][server][None, :]), axis=1
-        )
+        row = field.mul_arr(self.inv_info[server, frag_index], self.secbase[server])
+        vals = field.sum_arr(field.mul_arr(coeffs, row[None, :]), axis=1)
         return field.add_arr(vals, np.int64(fragment_value))
 
     # -- certificates ------------------------------------------------------------
 
     def storage_code(self, frag_index: int) -> EvalCode:
+        sec_eval = self.field.mul_arr(self.inv_info[:, frag_index : frag_index + 1], self.secbase)
         return from_matrix(
             self.field,
-            self.sec_eval[frag_index].T,
+            sec_eval.T,
             self.params.genus,
             self.params.x_sec + 2 * self.params.genus - 1,
         )

@@ -10,6 +10,7 @@ import pytest
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
+from hermipir import fields
 from hermipir.fields import (
     GFField,
     create_tower,
@@ -169,8 +170,9 @@ def digitwise_neg(f: GFField, a) -> np.ndarray:
     return sum(((f.p - (a // pk) % f.p) % f.p) * pk for pk in f._pk)
 
 
-# GF(3^11) has no log tables, so its products take the scalar fallback
-MATMUL_ORDERS = [7, 8, 25, 49, 3**11]
+# GF(3^11) and GF(1048573) have no log tables, so the oracle's products take
+# the scalar fallback; (1048573 - 1)^2 is about 2^40
+MATMUL_ORDERS = [7, 8, 25, 49, 64, 3**11, 1048573]
 
 
 def _matrix(draw, order: int, rows: int, cols: int) -> np.ndarray:
@@ -212,6 +214,62 @@ def test_matmul_refuses_inner_dimension_past_int64_bound():
     ones = np.broadcast_to(np.int64(1), (1, limit + 1))  # no memory behind it
     with pytest.raises(ValueError, match="overflow"):
         f.matmul_arr(ones, ones.T)
+
+
+@pytest.mark.parametrize("band_macs", [1, 7, 100])
+def test_matmul_row_bands_match_oracle(band_macs, monkeypatch):
+    """Products cut into many row bands, one BLAS call each, still match the
+    oracle, in both expansion branches and with partial last bands."""
+    monkeypatch.setattr(fields, "_BLAS_CALL_MACS", band_macs)
+    rng = np.random.default_rng(band_macs)
+    for order in MATMUL_ORDERS:
+        f = field_of_order(order)
+        for rows, inner, cols in [(7, 3, 5), (5, 3, 7), (9, 1, 2), (1, 4, 6), (6, 0, 2)]:
+            a = f.sample_arr(rng, (rows, inner))
+            b = f.sample_arr(rng, (inner, cols))
+            assert (f.matmul_arr(a, b) == matmul_oracle(f, a, b)).all()
+
+
+@pytest.mark.parametrize("fill", [1, 2])
+@pytest.mark.parametrize("extra", [0, 1])
+@pytest.mark.parametrize("shapes", [((2, 3), "left"), ((3, 2), "right")])
+def test_matmul_exact_at_float64_block_boundary(shapes, extra, fill):
+    """Every entry p - fill at the longest inner dimension whose digit sums
+    fit one float64 block (at most 2**53), and at one past it (two blocks).
+    (p - 1)^2 is divisible by 16, so only the odd (p - 2)^2 would show a
+    sum that float64 rounded."""
+    f = GFField(1048573, 1)
+    (rows, cols), _ = shapes
+    one_block = 2**53 // (f.n * (f.p - 1) ** 2)
+    inner = one_block + extra
+    v = f.p - fill
+    a = np.full((rows, inner), v, dtype=np.int64)
+    b = np.full((inner, cols), v, dtype=np.int64)
+    got = f.matmul_arr(a, b)
+    assert got.shape == (rows, cols)
+    assert (got == inner * v * v % f.p).all()
+
+
+@pytest.mark.parametrize("order", [49, 64, 3**5])
+@pytest.mark.parametrize("shape", [(2, 5, 7), (7, 5, 2), (1, 4, 1), (3, 3, 3)])
+def test_matmul_expands_the_smaller_operand(order, shape, monkeypatch):
+    """The operand with fewer entries (the left one on a tie) is the one
+    expanded into the digits of x * t^s; both branches match the oracle."""
+    f = field_of_order(order)
+    rows, inner, cols = shape
+    rng = np.random.default_rng(order + rows)
+    a = f.sample_arr(rng, (rows, inner))
+    b = f.sample_arr(rng, (inner, cols))
+    expanded = []
+    real = GFField._times_powers
+
+    def spy(self, x, out):
+        expanded.append(x.shape)
+        return real(self, x, out)
+
+    monkeypatch.setattr(GFField, "_times_powers", spy)
+    assert (f.matmul_arr(a, b) == matmul_oracle(f, a, b)).all()
+    assert expanded == [a.shape if a.size <= b.size else b.shape]
 
 
 @st.composite

@@ -9,6 +9,7 @@ import pytest
 import scipy.stats
 
 import hermipir.scheme as scheme_mod
+from hermipir.linalg import ColumnSpace
 from hermipir.scheme import (
     DecodeError,
     InfeasibleParams,
@@ -91,7 +92,10 @@ def test_noise_space_counts(inst_11, inst_22):
 def test_noise_dimension_dims(inst_11, inst_22):
     assert inst_11.sec_dim == 11 and inst_11.priv_dim == 11
     assert inst_22.sec_dim == 12 and inst_22.priv_dim == 12
-    assert all(m.shape == (85, 11) for m in inst_11.sec_eval)
+    assert inst_11.secbase.shape == (85, 11)
+    assert inst_11.inv_info.shape == (85, 15)
+    f = inst_11.field
+    assert (f.mul_arr(inst_11.inv_info, inst_11.b_info) == 1).all()
     assert inst_11.priv_eval.shape == (85, 11)
 
 
@@ -219,6 +223,105 @@ def test_single_wrong_answer_is_located(inst_11):
     assert err.value.server is None and err.value.weight > 0
     with pytest.raises(DecodeError, match="expected 85 answers"):
         inst_11.reconstruct(answers[:-1])
+
+
+def test_out_of_range_answers_rejected(inst_11):
+    """An answer outside 0..order-1 is not a field element, even when it is
+    congruent to the right one: v + order must not decode as v."""
+    p, f = inst_11.params, inst_11.field
+    rng = np.random.default_rng(43)
+    files = f.sample_arr(rng, (p.num_files, p.frag_count))
+    answers = inst_11.all_answers(inst_11.encode_storage(files, rng), inst_11.make_queries(0, rng))
+    assert (inst_11.reconstruct(answers) == files[0]).all()
+    for k, bad in [(4, int(answers[4]) + f.order), (0, -1), (84, 2**40)]:
+        tampered = answers.copy()
+        tampered[k] = bad
+        with pytest.raises(DecodeError, match=rf"servers \[{k}\] are not field elements 0..24") as err:
+            inst_11.reconstruct(tampered)
+        assert err.value.server == k and err.value.weight is None
+    def shifted(shares, queries):
+        return inst_11.all_answers(shares, queries) + f.order
+
+    with pytest.raises(DecodeError, match="not field elements") as err:
+        inst_11.retrieve(files, 0, rng, shifted)
+    assert err.value.server is None
+
+
+def encode_storage_oracle(inst, files, rng) -> np.ndarray:
+    """The per-slot encoder: slot l draws its coefficients, then its shares
+    are files[:, l] plus (inv_info[:, l] * secbase) @ coefficients."""
+    p, f = inst.params, inst.field
+    shares = np.zeros((p.server_count, p.num_files, p.frag_count), dtype=np.int64)
+    for l in range(p.frag_count):
+        coeffs = f.sample_arr(rng, (inst.sec_dim, p.num_files))
+        sec_eval = f.mul_arr(inst.inv_info[:, l : l + 1], inst.secbase)
+        shares[:, :, l] = f.add_arr(files[None, :, l], f.matmul_arr(sec_eval, coeffs))
+    return shares
+
+
+@pytest.mark.parametrize("q", [5, 7])
+@pytest.mark.parametrize("num_files", [1, 3])
+def test_encode_storage_matches_per_slot_oracle(q, num_files):
+    inst = build_instance(validate_params(q, 1, 1, num_files=num_files))
+    p, f = inst.params, inst.field
+    for seed in range(3):
+        files = f.sample_arr(np.random.default_rng(seed), (p.num_files, p.frag_count))
+        rng, rng_oracle = np.random.default_rng(seed + 10), np.random.default_rng(seed + 10)
+        got = inst.encode_storage(files, rng)
+        want = encode_storage_oracle(inst, files, rng_oracle)
+        assert got.shape == (p.server_count, p.num_files, p.frag_count) and got.dtype == np.int64
+        assert (got == want).all()
+        # the same stream was consumed: the next draw agrees
+        assert rng.integers(0, 2**62) == rng_oracle.integers(0, 2**62)
+
+
+def noise_containment_oracle(inst, rng, per_family: int) -> bool:
+    """The per-sample containment check: each sample's slot and coefficients
+    drawn in turn, each vector tested on its own."""
+    f = inst.field
+    space = ColumnSpace(f, inst.b_noise)
+    for _ in range(per_family):
+        l = int(rng.integers(0, inst.params.frag_count))
+        sec_eval = f.mul_arr(inst.inv_info[:, l : l + 1], inst.secbase)
+        z = f.matmul_arr(sec_eval, f.sample_arr(rng, (inst.sec_dim, 1)))[:, 0]
+        r = f.matmul_arr(inst.priv_eval, f.sample_arr(rng, (inst.priv_dim, 1)))[:, 0]
+        if not all(space.contains(v) for v in (f.mul_arr(z, inst.b_info[:, l]), r, f.mul_arr(z, r))):
+            return False
+    return True
+
+
+def test_noise_containment_matches_per_sample_oracle(monkeypatch):
+    # x_sec != t_priv, so storage and query coefficients differ in count
+    inst = build_instance(validate_params(5, 1, 2, num_files=1))
+    assert inst.sec_dim != inst.priv_dim
+    tested = []
+    real = ColumnSpace.contains_all
+
+    def spy(self, cols):
+        tested.append(np.asarray(cols))
+        return real(self, cols)
+
+    monkeypatch.setattr(ColumnSpace, "contains_all", spy)
+    assert inst._noise_containment_ok(np.random.default_rng(3), 40)
+    batched = np.concatenate(tested, axis=1)
+    tested.clear()
+    assert noise_containment_oracle(inst, np.random.default_rng(3), 40)
+    per_sample = np.concatenate(tested, axis=1)
+    # the same vectors: the batch holds family 1, 2, then 3 of all samples
+    n = inst.params.server_count
+    assert (batched.reshape(n, 3, 40).transpose(0, 2, 1).reshape(n, 120) == per_sample).all()
+    monkeypatch.undo()
+    # a noise space short of columns: some families leave it, and both agree
+    full = inst.b_noise
+    verdicts = []
+    for drop in (1, 5, 20):
+        monkeypatch.setattr(inst, "b_noise", full[:, :-drop])
+        for seed, count in [(0, 1), (1, 3), (2, 30)]:
+            got = inst._noise_containment_ok(np.random.default_rng(seed), count)
+            assert got == noise_containment_oracle(inst, np.random.default_rng(seed), count)
+            verdicts.append(got)
+    assert any(verdicts) and not all(verdicts)
+    assert inst._noise_containment_ok(np.random.default_rng(0), 0)
 
 
 def test_file_shape_validation(inst_11):
