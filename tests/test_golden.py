@@ -7,7 +7,11 @@ they are.  The catalog and point-count digests were recorded before the
 curve search moved from per-model Horner evaluation to value histograms;
 catalog 1 pins every searched cell and its first witness.  The three
 catalog-1 formats share the process-wide search cache, so only the first
-one searches.  The manifests pin the selected server points.  q = 4 is
+one searches.  The md `certify`, the characteristic-2 `certify --q 8` and
+the `verify --suite noise` digests were recorded before the sampled
+noise-containment check gave way to an exact valuation certificate; the md
+report prints the containment line and would print any fallback note.
+The manifests pin the selected server points.  q = 4 is
 absent: at x_sec = t_priv = 1 no fiber count satisfies its point supply.
 """
 
@@ -26,6 +30,12 @@ CLI_GOLDENS = {
         "30de6fe66e7f43d1b735a2e37dc29bd00466afd7cd3aa50152570b7168bf3564",
     ("certify", "--q", "7", "--format", "json"):
         "8baacdd774b2d3cae9a30649d0c2c9e1ae40a4e90be27b4f85a3a9a055f7b562",
+    ("certify", "--q", "5"):
+        "209b6d70d3ecd59def7597f0b4ba460a29bb30a89f6bcdd5644f4fe45c5328d6",
+    ("certify", "--q", "8", "--format", "json"):
+        "dc2c943d2a213d9622f9fecd53c57a825922dd214b5cb9b526c2692b04526760",
+    ("verify", "--suite", "noise", "--format", "json"):
+        "e122848dd8cfb5daaa1750b707363926e7f8a5e13b96dcc909a1a0e4613d8d7c",
     ("pir-demo", "--q", "5", "--trials", "5", "--format", "json"):
         "db6f4df96cce87cb105df5cc6b6cd3328b2a7cc17f92c59744471cc44f7d2046",
     ("pir-demo", "--q", "7", "--trials", "3", "--format", "json"):
