@@ -332,9 +332,6 @@ class GFField:
             return int(self._exp[(self.order - 1) - self._log[a]])
         return self.pow(a, self.order - 2)
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             return self.pow(self.inv(a), -e)
@@ -514,9 +511,6 @@ class GFField:
         return out
 
     # -- sampling -------------------------------------------------------------
-
-    def sample_uniform(self, rng: np.random.Generator) -> int:
-        return int(rng.integers(0, self.order))
 
     def sample_arr(self, rng: np.random.Generator, shape) -> np.ndarray:
         return rng.integers(0, self.order, size=shape, dtype=np.int64)

@@ -15,12 +15,28 @@ Hermitian curve:
   elementwise scale,
 * query noise lives in the one-point space with pole bound t_priv + 2g - 1
   (dimension t_priv + g),
-* every cross term that reaches an answer lies in the two-point space with
-  pole bounds (x_sec + t_priv + 4g + q - 2) at infinity and q^2 - 1 at the
-  origin, spanned by ``two_point_monomial_set``; a counting certificate
-  shows that monomial set is a full basis, so the stacked matrix
-  S = [decoding | noise] determines the fragment coordinates of any answer
-  vector in its column space.
+* every cross term that reaches an answer lies in the noise space, the
+  two-point space L(a P_inf + b P_0) with a = x_sec + t_priv + 4g + q - 2
+  and b = q^2 - 1, spanned by ``two_point_monomial_set``; a counting
+  certificate shows that monomial set is a full basis, so the stacked
+  matrix S = [decoding | noise] determines the fragment coordinates of any
+  answer vector in its column space.
+
+Containment is certified exactly, from pole orders alone, for the three
+families of cross terms:
+
+1. storage noise times its decoding function lies in the one-point space
+   with pole bound x_sec + 2g - 1, so it needs x_sec + 2g - 1 <= a;
+2. query noise (scaled by file fragments) needs t_priv + 2g - 1 <= a;
+3. storage noise times query noise lies in h_l^(-1) times the one-point
+   space with pole bound x_sec + t_priv + 4g - 2, so for every h_l: its
+   numerator vanishes at no affine point but the origin,
+   (x_sec + t_priv + 4g - 2) - v_inf(1/h_l) <= a and -v_0(1/h_l) <= b.
+
+Both bounds are tight: the slot with one denominator factor meets the first
+with equality, and the slots with q of them meet the second.  The build
+raises ValueError when the monomial set is incomplete or the certificate
+fails; there is no fallback noise set.
 
 Server points are chosen greedily from the pool of affine points outside
 the data fibers (origin excluded) until the stacked decoding + noise
@@ -34,16 +50,15 @@ rejected before that product.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from hermipir.codes import EvalCode, check_w_wise_independence, dual_distance_bound, from_matrix
-from hermipir.curve import HermitianCurve, curve_for_q, info_basis, one_point_basis, two_point_monomial_set
+from hermipir.curve import CurveFunction, curve_for_q, info_basis, one_point_basis, two_point_monomial_set
 from hermipir.fields import factor_prime_power, tower_for_prime_power
-from hermipir.linalg import ColumnSpace, rank, row_selection
+from hermipir.linalg import rank, row_selection
 
 
 class InfeasibleParams(ValueError):
@@ -150,9 +165,8 @@ class PointPlan:
 class SchemeInstance:
     """All deterministic state of one scheme instantiation."""
 
-    def __init__(self, params: SchemeParams, check_seed: int = 0):
+    def __init__(self, params: SchemeParams):
         self.params = params
-        self.check_seed = check_seed
         self.tower = tower_for_prime_power(params.q)
         self.curve = curve_for_q(params.q)
         self.field = self.tower.field
@@ -172,41 +186,25 @@ class SchemeInstance:
         )
 
         self.info_fns = info_basis(curve, p.fiber_count, alphas)
-        noise_fns, noise_complete = two_point_monomial_set(
-            curve, p.x_sec + p.t_priv + 4 * genus + q - 2, q**2 - 1
-        )
-        self.noise_complete = noise_complete
-        sec_fns = one_point_basis(curve, p.x_sec + 2 * genus - 1)
-        priv_fns = one_point_basis(curve, p.t_priv + 2 * genus - 1)
+        self.sec_pole = p.x_sec + 2 * genus - 1
+        self.priv_pole = p.t_priv + 2 * genus - 1
+        # pole bounds (a, b) at infinity and at the origin of the noise space
+        self.noise_bounds = (p.x_sec + p.t_priv + 4 * genus + q - 2, q**2 - 1)
+        noise_fns, complete = two_point_monomial_set(curve, *self.noise_bounds)
+        if not complete:
+            raise ValueError("the two-point monomials do not span the noise space")
+        if not self._noise_containment_ok():
+            raise ValueError("answer cross terms are not certified to lie in the noise space")
+        sec_fns = one_point_basis(curve, self.sec_pole)
+        priv_fns = one_point_basis(curve, self.priv_pole)
         self.sec_dim = len(sec_fns)    # x_sec + g
         self.priv_dim = len(priv_fns)  # t_priv + g
 
-        pool_info = np.stack([fn.evaluate_many(pool) for fn in self.info_fns], axis=1)
-        pool_noise = np.stack([fn.evaluate_many(pool) for fn in noise_fns], axis=1)
-        pool_priv = np.stack([fn.evaluate_many(pool) for fn in priv_fns], axis=1)
-        pool_secbase = np.stack([fn.evaluate_many(pool) for fn in sec_fns], axis=1)
+        def evaluations(fns, points) -> np.ndarray:
+            return np.stack([fn.evaluate_many(points) for fn in fns], axis=1)
 
-        self.fallback_used = False
-        if not noise_complete:
-            pool_noise = self._fallback_noise_columns(pool, pool_info, pool_secbase, pool_priv, pool_noise)
-            self.fallback_used = True
-
-        self._assemble(alphas, data, pool, pool_info, pool_noise, pool_priv, pool_secbase)
-
-        if not self._noise_containment_ok(np.random.default_rng(self.check_seed), 30):
-            # the counting certificate should make this unreachable; fall back
-            # to the explicit spanning set and rebuild once
-            pool_noise = self._fallback_noise_columns(pool, pool_info, pool_secbase, pool_priv, pool_noise)
-            self.fallback_used = True
-            self._assemble(alphas, data, pool, pool_info, pool_noise, pool_priv, pool_secbase)
-            if not self._noise_containment_ok(np.random.default_rng(self.check_seed), 30):
-                raise AssertionError("noise space fails containment even after fallback")
-
-    def _assemble(self, alphas, data, pool, pool_info, pool_noise, pool_priv, pool_secbase) -> None:
-        """Select server rows and slice all per-server matrices."""
-        p, field = self.params, self.field
-        combined = np.concatenate([pool_info, pool_noise], axis=1)
-        sel = row_selection(field, combined, p.server_count, p.frag_count)
+        pool_info, pool_noise = evaluations(self.info_fns, pool), evaluations(noise_fns, pool)
+        sel = row_selection(field, np.concatenate([pool_info, pool_noise], axis=1), p.server_count, p.frag_count)
         if sel.undetermined is not None:
             raise ValueError(f"the server points do not determine fragment {sel.undetermined}")
         selected = sel.rows
@@ -225,51 +223,37 @@ class SchemeInstance:
         # decoding functions never vanish off their data fibers, so slot l's
         # storage space h_l^(-1) * (one-point space) evaluates as column l of
         # the elementwise inverse of the decoding matrix times `secbase`
-        self.secbase = pool_secbase[selected]
+        self.secbase = evaluations(sec_fns, self.plan.server_points)
         self.inv_info = field.inv_arr(self.b_info)
-        self.priv_eval = pool_priv[selected]
+        self.priv_eval = evaluations(priv_fns, self.plan.server_points)
 
-    def _fallback_noise_columns(self, pool, pool_info, pool_secbase, pool_priv, pool_noise) -> np.ndarray:
-        """Explicit spanning set for every answer cross term: all elementwise
-        products of a storage-noise column with a query-noise column, plus the
-        one-point space with pole bound max(x_sec, t_priv) + 2g - 1."""
-        field, p = self.field, self.params
-        big = one_point_basis(self.curve, max(p.x_sec, p.t_priv) + 2 * p.genus - 1)
-        cols = [pool_noise, np.stack([fn.evaluate_many(pool) for fn in big], axis=1)]
-        inv_info = field.inv_arr(pool_info)
-        for l in range(p.frag_count):
-            sec_l = field.mul_arr(inv_info[:, l : l + 1], pool_secbase)
-            for k in range(sec_l.shape[1]):
-                cols.append(field.mul_arr(sec_l[:, k : k + 1], pool_priv))
-        return np.concatenate(cols, axis=1)
+    def _noise_containment_ok(self) -> bool:
+        """Exact certificate that every answer cross term lies in the noise
+        space L(a P_inf + b P_0), (a, b) = ``noise_bounds``, read off pole
+        orders; no evaluation at the servers is involved.
 
-    def _noise_containment_ok(self, rng: np.random.Generator, per_family: int) -> bool:
-        """Sampled check that cross terms land in the noise column space.
-
-        Each sample draws a slot l, storage coefficients and query
-        coefficients, in that order.  Each family is then formed for all
-        samples at once and tested with one product by the noise space's
-        check; one product over all three families would hold three times
-        the temporaries for no measurable gain.
+        Storage noise times its decoding function lies in the one-point
+        space with pole bound ``sec_pole``, query noise in the one with bound
+        ``priv_pole``, and storage noise times query noise in
+        h_l^(-1) * L((sec_pole + priv_pole) P_inf) for each decoding function
+        h_l.  1/h_l has no affine pole but the origin when the numerator of
+        h_l vanishes at no other affine point.
         """
-        p, field = self.params, self.field
-        count = max(per_family, 0)
-        slots = np.empty(count, dtype=np.int64)
-        sec = np.empty((self.sec_dim, count), dtype=np.int64)
-        priv = np.empty((self.priv_dim, count), dtype=np.int64)
-        for i in range(count):
-            slots[i] = rng.integers(0, p.frag_count)
-            sec[:, i] = field.sample_arr(rng, self.sec_dim)
-            priv[:, i] = field.sample_arr(rng, self.priv_dim)
-        z = field.mul_arr(self.inv_info[:, slots], field.matmul_arr(self.secbase, sec))
-        r = field.matmul_arr(self.priv_eval, priv)
-        families = [
-            field.mul_arr(z, self.b_info[:, slots]),  # storage noise times decoding function
-            r,  # query noise alone (reaches the answer scaled by file fragments)
-            field.mul_arr(z, r),  # storage noise times query noise
-        ]
-        space = ColumnSpace(field, self.b_noise)
-        return all(space.contains_all(family) for family in families)
+        a, b = self.noise_bounds
+        if max(self.sec_pole, self.priv_pole) > a:
+            return False
+        curve = self.curve
+        xs, ys = np.array([pt for pt in curve.affine_points() if pt != (0, 0)]).T
+        numerators = {frozenset(h.num.items()): h.num for h in self.info_fns}
+        if not all(curve.poly_eval_arr(num, xs, ys).all() for num in numerators.values()):
+            return False
+        for h in self.info_fns:
+            inv = CurveFunction(curve, h.den, h.num)
+            if self.sec_pole + self.priv_pole - inv.valuation_at_infinity() > a:
+                return False
+            if -inv.valuation_at_origin() > b:
+                return False
+        return True
 
     # -- protocol --------------------------------------------------------------
 
@@ -395,20 +379,10 @@ class SchemeInstance:
 
     def storage_code(self, frag_index: int) -> EvalCode:
         sec_eval = self.field.mul_arr(self.inv_info[:, frag_index : frag_index + 1], self.secbase)
-        return from_matrix(
-            self.field,
-            sec_eval.T,
-            self.params.genus,
-            self.params.x_sec + 2 * self.params.genus - 1,
-        )
+        return from_matrix(self.field, sec_eval.T, self.params.genus, self.sec_pole)
 
     def query_code(self) -> EvalCode:
-        return from_matrix(
-            self.field,
-            self.priv_eval.T,
-            self.params.genus,
-            self.params.t_priv + 2 * self.params.genus - 1,
-        )
+        return from_matrix(self.field, self.priv_eval.T, self.params.genus, self.priv_pole)
 
     def manifest(self) -> dict:
         p = self.params
@@ -430,15 +404,18 @@ class SchemeInstance:
             "pool_size": len(self.plan.pool_points),
             "noise": {
                 "count": int(self.noise_count),
-                "complete": bool(self.noise_complete),
-                "fallback_used": bool(self.fallback_used),
+                # kept for byte-identical manifests: an incomplete set fails the build
+                "complete": True,
+                # kept for byte-identical manifests: there is no fallback noise set
+                "fallback_used": False,
             },
-            "seeds": {"check_seed": self.check_seed},
+            # kept for byte-identical manifests: the containment certificate draws nothing
+            "seeds": {"check_seed": 0},
         }
 
 
-def build_instance(params: SchemeParams, check_seed: int = 0) -> SchemeInstance:
-    return SchemeInstance(params, check_seed=check_seed)
+def build_instance(params: SchemeParams) -> SchemeInstance:
+    return SchemeInstance(params)
 
 
 @dataclass
@@ -454,7 +431,6 @@ class CertificationReport:
     total_rank: int
     rank_certificate: int
     prefix_unique: bool
-    fallback_used: bool
 
     @property
     def all_ok(self) -> bool:
@@ -488,14 +464,12 @@ class CertificationReport:
             "total_rank": int(self.total_rank),
             "rank_certificate": int(self.rank_certificate),
             "prefix_unique": bool(self.prefix_unique),
-            "fallback_used": bool(self.fallback_used),
+            "fallback_used": False,  # kept for byte-identical reports: there is no fallback
             "all_ok": bool(self.all_ok),
         }
 
 
-def certify_instance(
-    instance: SchemeInstance, seed: int = 0, products_per_family: int = 100
-) -> CertificationReport:
+def certify_instance(instance: SchemeInstance) -> CertificationReport:
     """Re-derive the instance's correctness, security and privacy evidence."""
     p = instance.params
     field = instance.field
@@ -503,24 +477,12 @@ def certify_instance(
     storage_bounds = [dual_distance_bound(instance.storage_code(l)) for l in range(p.frag_count)]
     query_bound = dual_distance_bound(instance.query_code())
 
-    def independence(code: EvalCode, w_max: int) -> list[tuple[int, bool]]:
-        out = []
-        for w in range(1, w_max + 1):
-            if w <= 2:
-                ok, _ = check_w_wise_independence(code, w, mode="exhaustive")
-            else:
-                ok, _ = check_w_wise_independence(code, w, mode="sampled", count=200, seed=seed + w)
-            out.append((w, ok))
-        return out
+    def independence(code: EvalCode, threshold: int) -> list[tuple[int, bool]]:
+        """Exhaustive w-wise independence for w up to min(threshold, 2)."""
+        return [(w, check_w_wise_independence(code, w)[0]) for w in range(1, min(threshold, 2) + 1)]
 
-    storage_ind = []
-    for l in range(p.frag_count):
-        for w, ok in independence(instance.storage_code(l), min(p.x_sec, 2)):
-            storage_ind.append((w, ok))
-    query_ind = independence(instance.query_code(), min(p.t_priv, 2))
-
-    rng = np.random.default_rng(seed)
-    containment = instance._noise_containment_ok(rng, products_per_family)
+    storage_ind = [pair for l in range(p.frag_count) for pair in independence(instance.storage_code(l), p.x_sec)]
+    query_ind = independence(instance.query_code(), p.t_priv)
 
     noise_rank = rank(field, instance.b_noise)
     stacked = np.concatenate([instance.b_info, instance.b_noise], axis=1)
@@ -535,12 +497,11 @@ def certify_instance(
         query_dual_bound=query_bound,
         storage_independence=storage_ind,
         query_independence=query_ind,
-        noise_containment=containment,
+        noise_containment=instance._noise_containment_ok(),
         noise_rank=noise_rank,
         total_rank=total,
         rank_certificate=certificate,
         prefix_unique=prefix_unique,
-        fallback_used=instance.fallback_used,
     )
 
 

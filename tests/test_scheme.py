@@ -9,6 +9,7 @@ import pytest
 import scipy.stats
 
 import hermipir.scheme as scheme_mod
+from hermipir.curve import CurveFunction, one_point_basis
 from hermipir.linalg import ColumnSpace
 from hermipir.scheme import (
     DecodeError,
@@ -84,9 +85,8 @@ def test_point_allocation_disjoint_and_sized(inst_11, inst_22):
 
 
 def test_noise_space_counts(inst_11, inst_22):
-    assert inst_11.noise_count == 60 and inst_11.noise_complete
-    assert inst_22.noise_count == 62 and inst_22.noise_complete
-    assert not inst_11.fallback_used and not inst_22.fallback_used
+    assert inst_11.noise_count == 60
+    assert inst_22.noise_count == 62
 
 
 def test_noise_dimension_dims(inst_11, inst_22):
@@ -294,34 +294,59 @@ def test_noise_containment_matches_per_sample_oracle(monkeypatch):
     # x_sec != t_priv, so storage and query coefficients differ in count
     inst = build_instance(validate_params(5, 1, 2, num_files=1))
     assert inst.sec_dim != inst.priv_dim
-    tested = []
-    real = ColumnSpace.contains_all
-
-    def spy(self, cols):
-        tested.append(np.asarray(cols))
-        return real(self, cols)
-
-    monkeypatch.setattr(ColumnSpace, "contains_all", spy)
-    assert inst._noise_containment_ok(np.random.default_rng(3), 40)
-    batched = np.concatenate(tested, axis=1)
-    tested.clear()
-    assert noise_containment_oracle(inst, np.random.default_rng(3), 40)
-    per_sample = np.concatenate(tested, axis=1)
-    # the same vectors: the batch holds family 1, 2, then 3 of all samples
-    n = inst.params.server_count
-    assert (batched.reshape(n, 3, 40).transpose(0, 2, 1).reshape(n, 120) == per_sample).all()
-    monkeypatch.undo()
-    # a noise space short of columns: some families leave it, and both agree
+    for built in (inst, build_instance(validate_params(5, 2, 2, num_files=1))):
+        assert built._noise_containment_ok()
+        assert noise_containment_oracle(built, np.random.default_rng(3), 40)
+    # the oracle has teeth: a noise space short of columns loses some samples
     full = inst.b_noise
     verdicts = []
     for drop in (1, 5, 20):
         monkeypatch.setattr(inst, "b_noise", full[:, :-drop])
-        for seed, count in [(0, 1), (1, 3), (2, 30)]:
-            got = inst._noise_containment_ok(np.random.default_rng(seed), count)
-            assert got == noise_containment_oracle(inst, np.random.default_rng(seed), count)
-            verdicts.append(got)
+        verdicts += [noise_containment_oracle(inst, np.random.default_rng(seed), 3) for seed in range(3)]
     assert any(verdicts) and not all(verdicts)
-    assert inst._noise_containment_ok(np.random.default_rng(0), 0)
+
+
+def _server_eval(inst, fns) -> np.ndarray:
+    return np.stack([fn.evaluate_many(inst.plan.server_points) for fn in fns], axis=1)
+
+
+@pytest.mark.parametrize("q, x_sec, t_priv", [(5, 1, 1), (5, 2, 2), (5, 1, 2), (7, 1, 1)])
+def test_decode_map_annihilates_every_cross_term(q, x_sec, t_priv):
+    """The exact property the certificate vouches for: decoder and parity
+    check vanish on spanning sets of all three cross-term families."""
+    inst = build_instance(validate_params(q, x_sec, t_priv, num_files=1))
+    f = inst.field
+    products = _server_eval(inst, one_point_basis(inst.curve, inst.sec_pole + inst.priv_pole))
+    family_3 = f.mul_arr(inst.inv_info[:, :, None], products[:, None, :]).reshape(inst.params.server_count, -1)
+    cross = np.concatenate([inst.secbase, inst.priv_eval, family_3], axis=1)
+    assert family_3.shape[1] == inst.params.frag_count * (x_sec + t_priv + 3 * inst.params.genus - 1)
+    assert not f.matmul_arr(inst.decode_map, cross).any()
+
+
+def test_noise_containment_certificate_mutations(inst_11, monkeypatch):
+    assert inst_11._noise_containment_ok()
+    a, b = inst_11.noise_bounds
+    # both bounds are tight
+    for bounds in [(a - 1, b), (a, b - 1)]:
+        monkeypatch.setattr(inst_11, "noise_bounds", bounds)
+        assert not inst_11._noise_containment_ok()
+    monkeypatch.undo()
+    # the first decoding function given an extra affine zero off the origin:
+    # the same valuations at infinity and the origin, a new pole of 1/h_0
+    curve = inst_11.curve
+    h = inst_11.info_fns[0]
+    c = next(x for x, _ in inst_11.plan.server_points if x)
+    mutated = CurveFunction(
+        curve,
+        curve.poly_mul(h.num, curve.linear_factor(c)),
+        curve.poly_mul(h.den, curve.linear_factor(inst_11.plan.alphas[0])),
+    )
+    assert mutated.valuation_at_infinity() == h.valuation_at_infinity()
+    assert mutated.valuation_at_origin() == h.valuation_at_origin()
+    monkeypatch.setattr(inst_11, "info_fns", [mutated] + inst_11.info_fns[1:])
+    assert not inst_11._noise_containment_ok()
+    monkeypatch.undo()
+    assert inst_11._noise_containment_ok()
 
 
 def test_file_shape_validation(inst_11):
@@ -335,22 +360,22 @@ def test_file_shape_validation(inst_11):
 
 
 def test_certify_instance_bounds_and_ranks(inst_11, inst_22):
-    rep = certify_instance(inst_11, seed=0, products_per_family=30)
+    rep = certify_instance(inst_11)
     assert rep.all_ok
     assert set(rep.storage_dual_bounds) == {2}
     assert rep.query_dual_bound == 2
     assert rep.noise_rank == 60
     assert rep.total_rank == 75 == rep.rank_certificate
-    assert rep.prefix_unique and not rep.fallback_used
+    assert rep.prefix_unique and rep.noise_containment
     assert float(rep.rate) == pytest.approx(15 / 85)
-    rep2 = certify_instance(inst_22, seed=0, products_per_family=30)
+    rep2 = certify_instance(inst_22)
     assert rep2.all_ok
     assert set(rep2.storage_dual_bounds) == {3}
     assert rep2.query_dual_bound == 3
     assert rep2.total_rank == 77 == rep2.rank_certificate
     d = rep2.to_dict()
     json.dumps(d)
-    assert d["all_ok"] is True
+    assert d["all_ok"] is True and d["fallback_used"] is False
 
 
 def test_query_marginal_uniform_chi_square(inst_11):
@@ -396,9 +421,9 @@ def test_demo_transcript_deterministic():
     assert a["successes"] == 5
 
 
-def test_fallback_noise_path(monkeypatch):
-    # force an incomplete monomial set: the explicit product spanning set
-    # must kick in and keep retrieval exact
+def test_incomplete_noise_set_fails_build(monkeypatch):
+    # a monomial set short of the Riemann-Roch dimension is a hard error:
+    # there is no fallback noise set
     real = scheme_mod.two_point_monomial_set
 
     def truncated(curve, infty_bound, origin_bound):
@@ -406,16 +431,14 @@ def test_fallback_noise_path(monkeypatch):
         return fns[:-4], False
 
     monkeypatch.setattr(scheme_mod, "two_point_monomial_set", truncated)
-    inst = build_instance(validate_params(5, 1, 1, num_files=2))
-    assert inst.fallback_used and not inst.noise_complete
-    assert inst.noise_count > 60
-    f = inst.field
-    rng = np.random.default_rng(3)
-    files = f.sample_arr(rng, (2, 15))
-    got = inst.retrieve(files, 1, rng)
-    assert (got == files[1]).all()
-    rep = certify_instance(inst, seed=1, products_per_family=20)
-    assert rep.noise_containment and rep.prefix_unique
+    with pytest.raises(ValueError, match="do not span the noise space"):
+        build_instance(validate_params(5, 1, 1, num_files=2))
+
+
+def test_failed_certificate_fails_build(monkeypatch):
+    monkeypatch.setattr(scheme_mod.SchemeInstance, "_noise_containment_ok", lambda self: False)
+    with pytest.raises(ValueError, match="not certified"):
+        build_instance(validate_params(5, 1, 1, num_files=2))
 
 
 def test_build_deterministic(inst_11):
