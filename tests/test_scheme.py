@@ -306,17 +306,16 @@ def test_noise_containment_matches_per_sample_oracle(monkeypatch):
     assert any(verdicts) and not all(verdicts)
 
 
-def _server_eval(inst, fns) -> np.ndarray:
-    return np.stack([fn.evaluate_many(inst.plan.server_points) for fn in fns], axis=1)
-
-
 @pytest.mark.parametrize("q, x_sec, t_priv", [(5, 1, 1), (5, 2, 2), (5, 1, 2), (7, 1, 1)])
 def test_decode_map_annihilates_every_cross_term(q, x_sec, t_priv):
     """The exact property the certificate vouches for: decoder and parity
     check vanish on spanning sets of all three cross-term families."""
     inst = build_instance(validate_params(q, x_sec, t_priv, num_files=1))
     f = inst.field
-    products = _server_eval(inst, one_point_basis(inst.curve, inst.sec_pole + inst.priv_pole))
+    products = np.stack(
+        [fn.evaluate_many(inst.plan.server_points) for fn in one_point_basis(inst.curve, inst.sec_pole + inst.priv_pole)],
+        axis=1,
+    )
     family_3 = f.mul_arr(inst.inv_info[:, :, None], products[:, None, :]).reshape(inst.params.server_count, -1)
     cross = np.concatenate([inst.secbase, inst.priv_eval, family_3], axis=1)
     assert family_3.shape[1] == inst.params.frag_count * (x_sec + t_priv + 3 * inst.params.genus - 1)
