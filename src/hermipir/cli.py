@@ -10,9 +10,8 @@ performs succeed, 1 when a retrieval trial, certification, or verification
 check fails, and 2 for malformed flags or infeasible parameters (the
 violated constraint is named on stderr).
 
-Environment: ``TABLE1_FULL=1`` switches the curve-search catalog to
-exhaustive enumeration for every field order; the ``--full-search`` flag
-does the same for a single invocation.
+The ``--full-search`` flag switches the curve-search catalog to exhaustive
+enumeration for every field order.
 """
 
 from __future__ import annotations
@@ -90,9 +89,8 @@ def _flag_error(message: str) -> int:
 def cmd_tables(args: argparse.Namespace) -> int:
     if args.which != 1 and (args.fields is not None or args.full_search):
         return _flag_error("--fields and --full-search only apply to --which 1")
-    full = True if args.full_search else None
     structure = tables.build_table(
-        args.which, full_search=full, field_orders=args.fields
+        args.which, full_search=args.full_search, field_orders=args.fields
     )
     _echo_config({
         "command": "tables",
@@ -463,9 +461,7 @@ def _suite_privacy(seed: int) -> list[dict]:
     instance = build_instance(validate_params(5, 1, 1, num_files=3))
     order = instance.field.order
     bound = dual_distance_bound(instance.query_code())
-    independent, _ = check_w_wise_independence(
-        instance.query_code(), 1, mode="exhaustive"
-    )
+    independent, _ = check_w_wise_independence(instance.query_code(), 1)
     desired_ok, desired_stats = True, []
     for d in range(3):
         ok, stat = _uniform(instance.query_marginal_samples(
@@ -504,8 +500,7 @@ def _suite_security(seed: int) -> list[dict]:
     bounds = [dual_distance_bound(instance.storage_code(l))
               for l in range(frag_count)]
     independent = all(
-        check_w_wise_independence(instance.storage_code(l), 1,
-                                  mode="exhaustive")[0]
+        check_w_wise_independence(instance.storage_code(l), 1)[0]
         for l in range(frag_count)
     )
     share_ok, share_stats = True, []

@@ -73,27 +73,20 @@ def dual_distance_bound(code: EvalCode) -> int:
     return code.degG - 2 * code.genus + 2
 
 
-def check_w_wise_independence(
-    code: EvalCode,
-    w: int,
-    mode: str = "exhaustive",
-    count: int | None = None,
-    seed: int | None = None,
-) -> tuple[bool, tuple[int, ...] | None]:
+def check_w_wise_independence(code: EvalCode, w: int) -> tuple[bool, tuple[int, ...] | None]:
     """Certify that every w columns of the generator are independent.
 
-    mode="exhaustive" walks all column subsets of size w (refused above 10^6
-    subsets); mode="sampled" draws `count` random subsets with `seed`.
+    Walks all column subsets of size w (refused above 10^6 subsets).
     Returns (ok, None) or (False, offending column index tuple).
     """
     if w < 1:
         raise ValueError("w must be >= 1")
     gen = code.gen
     n = code.n
-    if mode == "exhaustive" and math.comb(n, w) > _EXHAUSTIVE_SUBSET_LIMIT:
+    if math.comb(n, w) > _EXHAUSTIVE_SUBSET_LIMIT:
         raise ValueError(
             f"{math.comb(n, w)} subsets exceed the exhaustive limit "
-            f"{_EXHAUSTIVE_SUBSET_LIMIT}; use sampled mode"
+            f"{_EXHAUSTIVE_SUBSET_LIMIT}"
         )
     if w > code.k:
         # more columns than the ambient dimension: never independent
@@ -117,17 +110,7 @@ def check_w_wise_independence(
             return not (canon[:, a] == canon[:, b]).all()
         return rank(f, gen[:, list(subset)]) == w
 
-    if mode == "exhaustive":
-        subsets = combinations(range(n), w)
-    elif mode == "sampled":
-        if count is None:
-            raise ValueError("sampled mode needs a subset count")
-        rng = np.random.default_rng(seed)
-        subsets = (tuple(sorted(rng.choice(n, size=w, replace=False).tolist())) for _ in range(count))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-
-    for subset in subsets:
+    for subset in combinations(range(n), w):
         if not subset_ok(subset):
             return False, tuple(subset)
     return True, None

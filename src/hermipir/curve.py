@@ -43,13 +43,10 @@ class HermitianCurve:
         self.field = tower.field
         self.q = tower.q
         self.genus = tower.q * (tower.q - 1) // 2
-        self._trace_fibers: dict[int, tuple[int, ...]] = {}
+        fibers: dict[int, list[int]] = {}
         for y in self.field.elements():
-            self._trace_fibers.setdefault(tower.subfield_trace(y), tuple())
-        fibers: dict[int, list[int]] = {t: [] for t in self._trace_fibers}
-        for y in self.field.elements():
-            fibers[tower.subfield_trace(y)].append(y)
-        self._trace_fibers = {t: tuple(sorted(v)) for t, v in fibers.items()}
+            fibers.setdefault(tower.subfield_trace(y), []).append(y)
+        self._trace_fibers = {t: tuple(v) for t, v in fibers.items()}
 
     def fiber_of_x(self, x: int) -> tuple[int, ...]:
         """The q affine points over x, as their y-values in ascending order."""

@@ -11,9 +11,8 @@ curve searches fast.
 The reduction polynomial is not an input: for every (p, n) we pick the monic
 irreducible polynomial of degree n whose constant-first coefficient vector is
 smallest in the integer encoding, so a field is reproducible from (p, n)
-alone.  Multiplication uses discrete-log tables whenever the order is at most
-2**16 and falls back to schoolbook polynomial arithmetic above that (orders
-up to 2**20 are accepted).
+alone.  Multiplication, inversion and powers use discrete-log tables, built
+for every accepted order (up to 2**20) from the smallest primitive element.
 
 Matrix products rest on one identity: multiplication by x is F_p-linear on
 the digits, with matrix columns the digits of x * t^s (s = 0..n-1), so a
@@ -24,7 +23,6 @@ BLAS products, which are exact while every partial sum stays at or below
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -32,7 +30,6 @@ import numpy as np
 
 
 MAX_ORDER = 2**20
-_TABLE_LIMIT = 2**16
 _F64_EXACT = 2**53    # every integer up to here is a float64
 # The largest float64 product handed to BLAS in one call.  OpenBLAS runs a
 # product of under about 10**6 multiply-adds on the calling thread; above
@@ -119,10 +116,10 @@ def _poly_modred(a: list[int], mod: Sequence[int], p: int) -> list[int]:
     return _poly_trim(a[:d] if len(a) > d else a)
 
 
-def _poly_powmod_x(e: int, mod: Sequence[int], p: int) -> list[int]:
-    """x**e reduced mod the monic polynomial `mod`, square-and-multiply."""
+def _poly_powmod(base: Sequence[int], e: int, mod: Sequence[int], p: int) -> list[int]:
+    """base**e reduced mod the monic polynomial `mod`, square-and-multiply."""
     result = [1]
-    base = _poly_modred([0, 1], mod, p)
+    base = _poly_modred(list(base), mod, p)
     while e:
         if e & 1:
             result = _poly_mulmod(result, base, mod, p)
@@ -144,11 +141,11 @@ def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
 def _is_irreducible(f: Sequence[int], p: int, n: int) -> bool:
     """Degree-n monic f over F_p: x**(p**n) == x mod f, and for every prime
     r | n the polynomial x**(p**(n//r)) - x is coprime to f."""
-    xq = _poly_powmod_x(p**n, f, p)
+    xq = _poly_powmod([0, 1], p**n, f, p)
     if _poly_trim(list(xq)) != [0, 1]:
         return False
     for r in prime_factors(n):
-        xe = _poly_powmod_x(p ** (n // r), f, p)
+        xe = _poly_powmod([0, 1], p ** (n // r), f, p)
         diff = list(xe) + [0] * max(0, 2 - len(xe))
         diff[1] = (diff[1] - 1) % p
         g = _poly_gcd(list(f), _poly_trim(diff), p)
@@ -174,36 +171,6 @@ def _lowest_irreducible(p: int, n: int) -> tuple[int, ...]:
     raise AssertionError("no irreducible polynomial found")  # pragma: no cover
 
 
-def _prime_kernel_basis(mat: list[list[int]], p: int) -> list[list[int]]:
-    """Kernel basis of a small matrix over F_p (row-reduced, pure python)."""
-    rows = [list(r) for r in mat]
-    n_rows, n_cols = len(rows), len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        lead = next((i for i in range(r, n_rows) if rows[i][c] % p), None)
-        if lead is None:
-            continue
-        rows[r], rows[lead] = rows[lead], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [(v * inv) % p for v in rows[r]]
-        for i in range(n_rows):
-            if i != r and rows[i][c] % p:
-                f = rows[i][c]
-                rows[i] = [(vi - f * vr) % p for vi, vr in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(n_cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [0] * n_cols
-        vec[fc] = 1
-        for i, pc in enumerate(pivots):
-            vec[pc] = (-rows[i][fc]) % p
-        basis.append(vec)
-    return basis
-
-
 class GFField:
     """The finite field GF(p^n) with int-encoded elements.
 
@@ -225,43 +192,46 @@ class GFField:
         self.order = order
         self.modulus = _lowest_irreducible(p, n)
         self._pk = tuple(p**k for k in range(n))
-        self._exp: np.ndarray | None = None
-        self._log: np.ndarray | None = None
-        self.generator: int | None = None
-        if order <= _TABLE_LIMIT:
-            self._build_tables()
+        self._build_tables()
 
     # -- construction helpers ------------------------------------------------
 
     def _build_tables(self) -> None:
-        """Discrete-log tables.  A candidate is primitive iff walking its
-        powers returns to 1 only after order-1 steps, which builds the exp
-        table as a side effect."""
-        order = self.order
-        if order == 2:
-            self.generator = 1
-            self._exp = np.array([1, 1], dtype=np.int64)
-            self._log = np.array([0, 0], dtype=np.int64)
-            return
-        for cand in range(2, order):
-            exp = np.zeros(2 * (order - 1), dtype=np.int64)
-            v = 1
-            k = 0
-            while True:
-                exp[k] = v
-                v = self._mul_slow(v, cand)
-                k += 1
-                if v == 1:
-                    break
-            if k == order - 1:
-                exp[order - 1 : 2 * (order - 1)] = exp[: order - 1]
-                log = np.zeros(order, dtype=np.int64)
-                log[exp[: order - 1]] = np.arange(order - 1)
-                self.generator = cand
-                self._exp = exp
-                self._log = log
-                return
-        raise AssertionError("no generator found")  # pragma: no cover
+        """Discrete-log tables from the smallest primitive element g: g is
+        primitive iff g**((order-1)/r) != 1 for every prime r | order-1,
+        tested on the bootstrap polynomial arithmetic.  The exp table doubles
+        at each step, exp[k:2k] = g**k * exp[:k]; multiplication by g**k is
+        F_p-linear on the digits, with matrix rows the digits of g**k * t**s,
+        so each step is one float64 product over F_p, run in row chunks of at
+        most _BLAS_CALL_MACS multiply-adds.  Its sums stay below
+        n * p**2 <= 2**40, so they are exact."""
+        p, n, order, mod = self.p, self.n, self.order, self.modulus
+        cofactors = [(order - 1) // r for r in prime_factors(order - 1)]
+        g = next(g for g in range(1, order)
+                 if all(_poly_powmod(self.coeffs(g), e, mod, p) != [1] for e in cofactors))
+        exp = np.empty(2 * (order - 1), dtype=np.int64)
+        exp[0] = 1
+        pk = np.array(self._pk, dtype=np.float64)
+        chunk = max(1, _BLAS_CALL_MACS // (n * n))
+        gk = list(self.coeffs(g))  # g**k as a polynomial
+        k = 1
+        while k < order - 1:
+            step = np.zeros((n, n))
+            for s in range(n):
+                row = _poly_mulmod(gk, [0] * s + [1], mod, p)
+                step[s, : len(row)] = row
+            for lo in range(0, min(k, order - 1 - k), chunk):
+                src = exp[lo : min(lo + chunk, k, order - 1 - k)]
+                digits = self._split_digits(src, np.empty((n, src.size))).T
+                exp[k + lo : k + lo + src.size] = (digits @ step % p) @ pk
+            gk = _poly_mulmod(gk, gk, mod, p)
+            k *= 2
+        exp[order - 1 :] = exp[: order - 1]
+        log = np.zeros(order, dtype=np.int64)
+        log[exp[: order - 1]] = np.arange(order - 1)
+        self.generator = g
+        self._exp = exp
+        self._log = log
 
     # -- encoding ------------------------------------------------------------
 
@@ -302,51 +272,22 @@ class GFField:
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
-    def _mul_slow(self, a: int, b: int) -> int:
-        ca = [(a // pk) % self.p for pk in self._pk]
-        cb = [(b // pk) % self.p for pk in self._pk]
-        prod = _poly_modred(
-            [
-                sum(ca[i] * cb[k - i] for i in range(max(0, k - self.n + 1), min(k, self.n - 1) + 1)) % self.p
-                for k in range(2 * self.n - 1)
-            ],
-            self.modulus,
-            self.p,
-        )
-        out = 0
-        for k, c in enumerate(prod):
-            out += c * self._pk[k]
-        return out
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        if self._exp is not None:
-            return int(self._exp[self._log[a] + self._log[b]])
-        return self._mul_slow(a, b)
+        return int(self._exp[self._log[a] + self._log[b]])
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        if self._exp is not None:
-            return int(self._exp[(self.order - 1) - self._log[a]])
-        return self.pow(a, self.order - 2)
+        return int(self._exp[(self.order - 1) - self._log[a]])
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             return self.pow(self.inv(a), -e)
         if a == 0:
             return 1 if e == 0 else 0
-        if self._exp is not None:
-            return int(self._exp[(int(self._log[a]) * e) % (self.order - 1)])
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self._mul_slow(result, base)
-            base = self._mul_slow(base, base)
-            e >>= 1
-        return result
+        return int(self._exp[(int(self._log[a]) * e) % (self.order - 1)])
 
     # -- bulk arithmetic on encoding arrays -----------------------------------
 
@@ -385,9 +326,6 @@ class GFField:
     def mul_arr(self, a, b) -> np.ndarray:
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
-        if self._exp is None:
-            broad = np.broadcast(a, b)
-            return np.array([self.mul(int(x), int(y)) for x, y in broad], dtype=np.int64).reshape(broad.shape)
         out = self._exp[self._log[a] + self._log[b]]
         zero = (a == 0) | (b == 0)
         if out.ndim == 0:
@@ -399,8 +337,6 @@ class GFField:
         a = np.asarray(a, dtype=np.int64)
         if np.any(a == 0):
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        if self._exp is None:
-            return np.array([self.inv(int(x)) for x in a.ravel()], dtype=np.int64).reshape(a.shape)
         return self._exp[(self.order - 1) - self._log[a]]
 
     def pow_arr(self, a, e: int) -> np.ndarray:
@@ -409,8 +345,6 @@ class GFField:
             return np.ones(a.shape, dtype=np.int64)
         if e < 0:
             return self.pow_arr(self.inv_arr(a), -e)
-        if self._exp is None:
-            return np.array([self.pow(int(x), e) for x in a.ravel()], dtype=np.int64).reshape(a.shape)
         out = self._exp[(self._log[a] * e) % (self.order - 1)]
         if out.ndim == 0:
             return np.int64(0) if a == 0 else out
@@ -537,38 +471,12 @@ class FieldTower:
         self.h = h
         self.q = p**h
         self.q2 = self.q**2
-        self.field = GFField(p, 2 * h)
+        self.field = field_of_order(self.q2)
         self.subfield_elements = self._enumerate_subfield()
 
     def _enumerate_subfield(self) -> tuple[int, ...]:
-        """Fixed points of a -> a**q, found as the kernel of the F_p-linear
-        map a -> a**q - a on the coefficient space (avoids a full-field scan)."""
-        f = self.field
-        n = f.n
-        # columns of the map on the monomial basis 1, t, t^2, ...
-        cols = []
-        for k in range(n):
-            e_k = f._pk[k]
-            cols.append(f.coeffs(f.sub(f.pow(e_k, self.q), e_k)))
-        mat = [[cols[k][row] for k in range(n)] for row in range(n)]
-        kernel = _prime_kernel_basis(mat, self.p)
-        if len(kernel) != self.h:
-            raise AssertionError("subfield enumeration failed")  # pragma: no cover
-        kernel_els = [f.from_coeffs(vec) for vec in kernel]
-        subf = []
-        for combo in range(self.p ** len(kernel)):
-            acc = 0
-            rem = combo
-            for el in kernel_els:
-                c = rem % self.p
-                rem //= self.p
-                if c:
-                    acc = f.add(acc, f.mul(el, c))
-            subf.append(acc)
-        subf.sort()
-        if len(set(subf)) != self.q:
-            raise AssertionError("subfield enumeration failed")  # pragma: no cover
-        return tuple(subf)
+        """0 and the powers g**(k(q+1)), which generate F_q*."""
+        return tuple(sorted([0] + self.field._exp[: self.q2 - 1 : self.q + 1].tolist()))
 
     def frobenius(self, a: int) -> int:
         return self.field.pow(a, self.q)

@@ -32,7 +32,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 
 from .atlas import (
     RateRecord,
@@ -133,11 +132,6 @@ REFERENCE_TABLE3 = {
 }
 
 
-def _full_search_from_env() -> bool:
-    return os.environ.get("TABLE1_FULL", "").strip().lower() in (
-        "1", "true", "yes", "on")
-
-
 def _reference_relation(record: RateRecord, reference: str | None) -> str | None:
     """Order a computed record against a reference string.
 
@@ -194,18 +188,15 @@ def _finish_row(row: dict, extra_flags: tuple[str, ...] = ()) -> dict:
     return row
 
 
-def build_table1(field_orders=None, full_search: bool | None = None) -> dict:
+def build_table1(field_orders=None, full_search: bool = False) -> dict:
     """Searched best rates for genus 1 and 2 models over small odd fields.
 
     ``full_search=True`` enumerates every coefficient vector for every
-    field; the default (also reachable through the TABLE1_FULL environment
-    variable) enumerates exhaustively up to order 19 and uses the
+    field; the default enumerates exhaustively up to order 19 and uses the
     translation-normalized space beyond, falling back to exhaustive where
     the normalization degenerates.  The searched profile sets coincide
     either way, so the cells do too.
     """
-    if full_search is None:
-        full_search = _full_search_from_env()
     if field_orders is None:
         field_orders = TABLE1_FIELD_ORDERS
     mode = "exhaustive" if full_search else "auto"
@@ -354,7 +345,7 @@ def build_table3() -> dict:
     }
 
 
-def build_table(which: int, full_search: bool | None = None,
+def build_table(which: int, full_search: bool = False,
                 field_orders=None) -> dict:
     if which == 1:
         return build_table1(field_orders=field_orders,
@@ -470,7 +461,7 @@ def render_markdown(structure: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_table(which: int, fmt: str = "md", full_search: bool | None = None,
+def emit_table(which: int, fmt: str = "md", full_search: bool = False,
                field_orders=None) -> str:
     structure = build_table(which, full_search=full_search,
                             field_orders=field_orders)

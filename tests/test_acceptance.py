@@ -266,12 +266,12 @@ def test_criterion_5_shadows():
             code = instance.storage_code(l)
             assert dual_distance_bound(code) >= x_t + 1
             for w in range(1, min(x_t, 2) + 1):
-                ok, _ = check_w_wise_independence(code, w, mode="exhaustive")
+                ok, _ = check_w_wise_independence(code, w)
                 assert ok, (x_t, l, w)
         query = instance.query_code()
         assert dual_distance_bound(query) >= x_t + 1
         for w in range(1, min(x_t, 2) + 1):
-            ok, _ = check_w_wise_independence(query, w, mode="exhaustive")
+            ok, _ = check_w_wise_independence(query, w)
             assert ok, (x_t, w)
         for server, desired in ((7, 0), (40, 1), (84, 1)):
             samples = instance.query_marginal_samples(

@@ -94,16 +94,6 @@ def test_w_wise_independence_w_exceeding_dimension():
     assert not ok
 
 
-def test_w_wise_independence_sampled_mode():
-    code = _one_point_code(3, 7)
-    ok, _ = check_w_wise_independence(code, 3, mode="sampled", count=150, seed=9)
-    assert ok
-    with pytest.raises(ValueError, match="count"):
-        check_w_wise_independence(code, 3, mode="sampled")
-    with pytest.raises(ValueError, match="unknown mode"):
-        check_w_wise_independence(code, 2, mode="montecarlo")
-
-
 def test_w_wise_independence_matches_dual_bound():
     # dual distance >= degG - 2g + 2 means all (degG - 2g + 1)-subsets of
     # columns are independent; verify on a small Hermitian code
@@ -119,7 +109,7 @@ def test_exhaustive_guard_refuses_large_subset_spaces():
     gen = np.ones((3, 300), dtype=np.int64)
     code = from_matrix(f, gen, genus=0, degG=1)
     with pytest.raises(ValueError, match="exceed"):
-        check_w_wise_independence(code, 5, mode="exhaustive")
+        check_w_wise_independence(code, 5)
 
 
 def test_bruteforce_guard():

@@ -170,8 +170,8 @@ def digitwise_neg(f: GFField, a) -> np.ndarray:
     return sum(((f.p - (a // pk) % f.p) % f.p) * pk for pk in f._pk)
 
 
-# GF(3^11) and GF(1048573) have no log tables, so the oracle's products take
-# the scalar fallback; (1048573 - 1)^2 is about 2^40
+# GF(3^11) and GF(1048573) are the largest odd-characteristic orders: the
+# oracle's products run on their log tables, and (1048573 - 1)^2 is about 2^40
 MATMUL_ORDERS = [7, 8, 25, 49, 64, 3**11, 1048573]
 
 
@@ -319,9 +319,8 @@ def test_sub_arr_matches_scalar_sub(operands):
 
 
 def test_slow_path_field_matches_table_field_on_prime_subfield():
-    # GF(17^4) = 83521 > 2^16 exercises the table-free multiplication path.
+    # GF(17^4) = 83521 restricted to its prime subfield is GF(17).
     big = GFField(17, 4)
-    assert big._exp is None
     small = GFField(17, 1)
     for a in range(1, 17):
         for b in range(1, 17):
@@ -331,6 +330,71 @@ def test_slow_path_field_matches_table_field_on_prime_subfield():
     arr = np.arange(1, 17)
     assert (big.mul_arr(arr, arr) == small.mul_arr(arr, arr)).all()
     assert (big.inv_arr(arr) == np.array([big.inv(int(x)) for x in arr])).all()
+
+
+# The smallest primitive element of every order the package and its tests
+# build (catalogs, verify suites, count-points up to the Hermitian q = 256);
+# the generator fixes the whole exp table.
+GENERATORS = {
+    2: 1, 3: 2, 4: 2, 5: 2, 7: 3, 8: 2, 9: 4, 11: 2, 13: 2, 16: 2, 17: 3, 19: 2,
+    23: 5, 25: 6, 27: 3, 29: 2, 49: 9, 64: 2, 81: 3, 121: 15, 243: 3, 256: 3,
+    311: 17, 841: 30, 63001: 256, 65536: 3,
+}
+
+
+@pytest.mark.parametrize("order,generator", sorted(GENERATORS.items()))
+def test_generator_is_pinned(order, generator):
+    f = field_of_order(order)
+    assert f.generator == generator
+    assert int(f._exp[0]) == 1 and int(f._exp[1]) == generator
+
+
+def schoolbook_mul(f: GFField, a: int, b: int) -> int:
+    """Product of two encodings by polynomial multiplication mod the modulus."""
+    return f.from_coeffs(fields._poly_mulmod(list(f.coeffs(a)), list(f.coeffs(b)), f.modulus, f.p))
+
+
+def schoolbook_pow(f: GFField, a: int, e: int) -> int:
+    out = 1
+    while e:
+        if e & 1:
+            out = schoolbook_mul(f, out, a)
+        a = schoolbook_mul(f, a, a)
+        e >>= 1
+    return out
+
+
+@pytest.mark.parametrize("order", [17**4, 3**11, 1048573, 2**20])
+def test_table_arithmetic_matches_schoolbook(order):
+    """mul, inv, pow and their array forms agree with polynomial arithmetic
+    on random operands at the largest orders the field accepts."""
+    f = field_of_order(order)
+    rng = np.random.default_rng(order)
+    a, b = f.sample_arr(rng, (2, 300))
+    want = [schoolbook_mul(f, int(x), int(y)) for x, y in zip(a, b)]
+    assert [f.mul(int(x), int(y)) for x, y in zip(a, b)] == want
+    assert f.mul_arr(a, b).tolist() == want
+    nz = a[a != 0][:60]
+    inverses = f.inv_arr(nz).tolist()
+    assert inverses == [f.inv(int(x)) for x in nz]
+    assert all(schoolbook_mul(f, int(x), y) == 1 for x, y in zip(nz, inverses))
+    for e in (0, 1, 2, order - 2, int(rng.integers(3, 10**6))):
+        want = [schoolbook_pow(f, int(x), e) for x in a[:20]]
+        assert [f.pow(int(x), e) for x in a[:20]] == want
+        assert f.pow_arr(a[:20], e).tolist() == want
+
+
+def test_table_builder_uses_no_array_methods(monkeypatch):
+    """The builder stays off the array methods: they are the oracle for
+    matmul_arr, and their calls are counted per layer."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the table builder called an array method")
+
+    for attr in ("add_arr", "neg_arr", "sub_arr", "mul_arr", "inv_arr", "pow_arr", "sum_arr", "matmul_arr"):
+        monkeypatch.setattr(GFField, attr, refuse)
+    for p, n in [(2, 1), (3, 5), (2, 12), (1048573, 1)]:
+        f = GFField(p, n)
+        assert sorted(f._exp[: f.order - 1].tolist()) == list(range(1, f.order))
 
 
 @pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (11, 1)])
@@ -394,3 +458,4 @@ def test_enumeration_and_tower_cache_deterministic():
     t1 = create_tower(3, 1)
     t2 = tower_for_prime_power(3)
     assert t1 is t2
+    assert tower_for_prime_power(7).field is f1

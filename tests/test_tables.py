@@ -257,15 +257,11 @@ class TestTable1:
             else:
                 assert row["search_mode"] == "search-reduced", row["label"]
 
-    def test_full_search_flag_and_env(self, monkeypatch):
+    def test_full_search_flag_and_env(self):
         forced = build_table1(field_orders=(11,), full_search=True)
         assert forced["config"]["full_search"] is True
         assert all(r["search_mode"] == "search-exhaustive"
                    for r in forced["rows"])
-        monkeypatch.setenv("TABLE1_FULL", "true")
-        via_env = build_table1(field_orders=(11,))
-        assert via_env["config"]["full_search"] is True
-        monkeypatch.setenv("TABLE1_FULL", "0")
         assert build_table1(field_orders=(11,))["config"]["full_search"] is False
 
     def test_subset_build(self):
