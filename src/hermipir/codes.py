@@ -84,10 +84,7 @@ def check_w_wise_independence(code: EvalCode, w: int) -> tuple[bool, tuple[int, 
     gen = code.gen
     n = code.n
     if math.comb(n, w) > _EXHAUSTIVE_SUBSET_LIMIT:
-        raise ValueError(
-            f"{math.comb(n, w)} subsets exceed the exhaustive limit "
-            f"{_EXHAUSTIVE_SUBSET_LIMIT}"
-        )
+        raise ValueError(f"{math.comb(n, w)} subsets exceed the exhaustive limit {_EXHAUSTIVE_SUBSET_LIMIT}")
     if w > code.k:
         # more columns than the ambient dimension: never independent
         return False, tuple(range(w))
