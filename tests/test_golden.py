@@ -36,6 +36,16 @@ CLI_GOLDENS = {
         "dc2c943d2a213d9622f9fecd53c57a825922dd214b5cb9b526c2692b04526760",
     ("verify", "--suite", "noise", "--format", "json"):
         "e122848dd8cfb5daaa1750b707363926e7f8a5e13b96dcc909a1a0e4613d8d7c",
+    ("verify", "--suite", "fields", "--format", "json"):
+        "67caf27c2c5a4fc403a5ebd5849b036e9118ae4d3925f40f55d1922a6abb6c06",
+    ("verify", "--suite", "bases", "--format", "json"):
+        "d5ef91b52499d9f98e92fae9f74f0fc4be11b73236de0cf6f51f1211c22322fb",
+    ("verify", "--suite", "privacy", "--format", "json"):
+        "4a02a40f4efe6d4b9f14e9175757fa1e0a38af7165be8c2c24239e6e9a1265ea",
+    ("verify", "--suite", "security", "--format", "json"):
+        "0c058ad1ff5a50f0fc1f9cdd9797346b47c556ce2b2647b58b4ce7a915dc8501",
+    ("verify", "--suite", "codes", "--format", "json"):
+        "499955298edf7bdbee11d04d082135ceec78d6860844cc0093a0f0249e541642",
     ("pir-demo", "--q", "5", "--trials", "5", "--format", "json"):
         "db6f4df96cce87cb105df5cc6b6cd3328b2a7cc17f92c59744471cc44f7d2046",
     ("pir-demo", "--q", "7", "--trials", "3", "--format", "json"):
@@ -63,6 +73,10 @@ CLI_GOLDENS = {
         "c5237b8e7b9e7bde444486658f27272aaec2d90b3a5da2a924e9fe1b2a60411d",
     ("count-points", "--curve", "hermitian", "--q", "5"):
         "9ebbdb0c3dbbad1cf5e2aaad4464684ec52c66e5d27ae61217218f60d95759ed",
+    ("count-points", "--curve", "hermitian", "--q", "16"):
+        "e2e131e912e3990fbffbfd138c90638a355975cc5bce50ac190649da72b3a67d",
+    ("count-points", "--curve", "hermitian", "--q", "16", "--format", "json"):
+        "c7977653090afd146dfdfbebb96d5e74af6d5e4729838be422d6913699d30a07",
     ("count-points", "--curve", "hyperelliptic",
      "--q", "841", "--coeffs", "1,0,0,0,0"):
         "21bbfe971c4e7571695003ae963a7376e3e75053caf0447259189b9bdba358fd",
