@@ -773,24 +773,3 @@ def genus_one_formulas_agree(field_order: int, point_count: int, gamma: int,
         "agree": agree,
         "uncovered": uncovered_x_count(field_order, point_count, gamma),
     }
-
-
-def sample_covered_genus_one_inputs(n_samples: int, seed: int) -> list[tuple]:
-    """Sample (field_order, point_count, gamma, x_sec, t_priv) tuples with
-    full x-coverage, i.e. ``point_count = 2q + 1 - gamma``.
-
-    These feed :func:`genus_one_formulas_agree`; such profiles satisfy the
-    pairing parity automatically.
-    """
-    rng = np.random.default_rng(seed)
-    orders = (5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37, 41,
-              43, 47, 49, 53, 59, 61, 67, 71, 73, 79, 81, 83, 89, 97)
-    out = []
-    for _ in range(n_samples):
-        q = int(rng.choice(orders))
-        gamma = int(rng.integers(0, 4))
-        point_count = 2 * q + 1 - gamma
-        x_sec = int(rng.integers(1, 9))
-        t_priv = int(rng.integers(1, 9))
-        out.append((q, point_count, gamma, x_sec, t_priv))
-    return out

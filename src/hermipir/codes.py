@@ -37,8 +37,6 @@ class EvalCode:
     gen: np.ndarray
     genus: int
     degG: int
-    points: tuple | None = None
-    functions: tuple | None = None
 
     @property
     def k(self) -> int:
@@ -53,8 +51,7 @@ def generator_matrix(field: GFField, functions, points, genus: int, degG: int) -
     """Evaluate `functions` (rows) at `points` (columns).  Raises if any
     function has a pole at any of the points."""
     gen = np.stack([fn.evaluate_many(points) for fn in functions], axis=0)
-    return EvalCode(field=field, gen=gen, genus=genus, degG=degG,
-                    points=tuple(points), functions=tuple(functions))
+    return EvalCode(field=field, gen=gen, genus=genus, degG=degG)
 
 
 def from_matrix(field: GFField, gen, genus: int, degG: int) -> EvalCode:
@@ -145,10 +142,3 @@ def dual_min_distance_bruteforce(code: EvalCode) -> int:
     """Exact minimum distance of the dual code (guarded)."""
     kernel = right_kernel_basis(code.field, code.gen)
     return _enumerate_codeword_weights(code.field, kernel)
-
-
-def dimension_from_pole_degree(degG: int, genus: int) -> int:
-    """Riemann-Roch dimension degG - genus + 1, valid for degG > 2*genus - 2."""
-    if degG <= 2 * genus - 2:
-        raise ValueError("dimension formula needs degG > 2*genus - 2")
-    return degG - genus + 1

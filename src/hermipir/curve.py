@@ -1,10 +1,9 @@
 """The Hermitian curve x^(q+1) = y^q + y over F_{q^2} and its function spaces.
 
-Points: q^3 affine points plus one point at infinity (the ``INFINITY``
-sentinel).  The affine fiber over an x-value consists of the q solutions of
-y^q + y = x^(q+1), i.e. the trace fiber over the norm of x.  The origin
-(0, 0) is the only affine point where y vanishes, and the curve has genus
-q(q-1)/2.
+Points: q^3 affine points plus one point at infinity.  The affine fiber
+over an x-value consists of the q solutions of y^q + y = x^(q+1), i.e. the
+trace fiber over the norm of x.  The origin (0, 0) is the only affine point
+where y vanishes, and the curve has genus q(q-1)/2.
 
 Functions on the curve are quotients of bivariate polynomials, kept reduced
 so the y-degree stays below q via the curve relation y^q = x^(q+1) - y.  In
@@ -12,7 +11,9 @@ reduced form the infinity-pole orders q*i + (q+1)*j of distinct monomials
 x^i y^j are pairwise distinct, so the valuation at infinity of a polynomial
 is exactly minus the largest pole order among its monomials; valuations of
 quotients follow by subtraction.  At the origin, x is a uniformizer and y
-has valuation q+1.
+has valuation q+1; a polynomial's valuation there is read off its power
+series in x, with y = x^(q+1) - y^q expanded to the precision its pole
+order at infinity bounds.
 
 The module builds four function families used by the retrieval scheme:
 
@@ -31,8 +32,6 @@ from functools import lru_cache
 import numpy as np
 
 from hermipir.fields import FieldTower
-
-INFINITY = "infinity"
 
 Poly = dict[tuple[int, int], int]  # (x_power, y_power) -> coefficient encoding
 
@@ -59,14 +58,6 @@ class HermitianCurve:
             for y in self.fiber_of_x(x):
                 out.append((x, y))
         return out
-
-    def enumerate_points(self):
-        """All q^3 + 1 points in a fixed order; infinity comes last."""
-        return self.affine_points() + [INFINITY]
-
-    def on_curve(self, x: int, y: int) -> bool:
-        f = self.field
-        return f.pow(x, self.q + 1) == f.add(f.pow(y, self.q), y)
 
     # -- reduced bivariate polynomial arithmetic ------------------------------
 
@@ -100,17 +91,6 @@ class HermitianCurve:
                 conv[key] = f.add(conv.get(key, 0), f.mul(ca, cb))
         return self.reduce_poly(conv)
 
-    def poly_add(self, a: Poly, b: Poly) -> Poly:
-        f = self.field
-        out = dict(a)
-        for key, c in b.items():
-            cur = f.add(out.get(key, 0), c)
-            if cur:
-                out[key] = cur
-            elif key in out:
-                del out[key]
-        return out
-
     def poly_eval_arr(self, poly: Poly, xs, ys) -> np.ndarray:
         f = self.field
         xs = np.asarray(xs, dtype=np.int64)
@@ -127,6 +107,40 @@ class HermitianCurve:
             raise ValueError("zero polynomial has no valuation")
         q = self.q
         return -max(q * i + (q + 1) * j for (i, j) in poly)
+
+    def poly_origin_valuation(self, poly: Poly) -> int:
+        """Exact valuation at the origin of a reduced nonzero polynomial.
+
+        x is a uniformizer there and y = x^(q+1) - y^q vanishes, so y is the
+        fixed point of s -> x^(q+1) - s^q among power series without a
+        constant term; the map raises the x-adic precision q-fold per step,
+        since s^q - t^q = (s - t)^q in characteristic p.  The polynomial
+        has no affine pole, so its affine zeros add up to its pole order at
+        infinity, which therefore bounds the valuation: the series is
+        truncated past it, and its lowest nonzero term gives the answer.
+        """
+        prec = -self.poly_infty_valuation(poly)
+        f, q = self.field, self.q
+        y: dict[int, int] = {}  # exponent of x -> coefficient
+        while True:
+            # s^q maps c x^k to c^q x^(qk): Frobenius is additive
+            step = {q + 1: 1} if q + 1 <= prec else {}
+            for k, c in y.items():
+                if q * k <= prec:
+                    step[q * k] = f.sub(step.get(q * k, 0), f.pow(c, q))
+            step = {k: c for k, c in step.items() if c}
+            if step == y:
+                break
+            y = step
+        powers = [{0: 1}]
+        for _ in range(max(j for _, j in poly)):
+            powers.append(_series_mul(f, powers[-1], y, prec))
+        series: dict[int, int] = {}
+        for (i, j), c in poly.items():
+            for k, a in powers[j].items():
+                if i + k <= prec:
+                    series[i + k] = f.add(series.get(i + k, 0), f.mul(c, a))
+        return min(k for k, c in series.items() if c)
 
     def poly_str(self, poly: Poly) -> str:
         if not poly:
@@ -169,29 +183,8 @@ class CurveFunction:
         if not self.den:
             raise ZeroDivisionError("zero denominator")
 
-    def __mul__(self, other: "CurveFunction") -> "CurveFunction":
-        if self.curve is not other.curve:
-            raise ValueError("functions live on different curves")
-        return CurveFunction(
-            self.curve,
-            self.curve.poly_mul(self.num, other.num),
-            self.curve.poly_mul(self.den, other.den),
-        )
-
-    def __add__(self, other: "CurveFunction") -> "CurveFunction":
-        if self.curve is not other.curve:
-            raise ValueError("functions live on different curves")
-        c = self.curve
-        num = c.poly_add(c.poly_mul(self.num, other.den), c.poly_mul(other.num, self.den))
-        return CurveFunction(c, num, c.poly_mul(self.den, other.den))
-
-    def is_zero(self) -> bool:
-        return not self.num
-
     def evaluate(self, point) -> int:
-        """Value at an affine point; raises on infinity and at poles."""
-        if point == INFINITY:
-            raise ValueError("cannot evaluate at the point at infinity")
+        """Value at an affine point; raises at poles."""
         x, y = point
         f = self.curve.field
         den_v = int(self.curve.poly_eval_arr(self.den, np.int64(x), np.int64(y)))
@@ -218,26 +211,24 @@ class CurveFunction:
         return self.curve.poly_infty_valuation(self.num) - self.curve.poly_infty_valuation(self.den)
 
     def valuation_at_origin(self) -> int:
-        """Valuation at (0, 0); exact for the forms used here (a polynomial
-        not vanishing at the origin, or a pure monomial times such)."""
-        return self._origin_val(self.num) - self._origin_val(self.den)
-
-    def _origin_val(self, poly: Poly) -> int:
-        if not poly:
-            raise ValueError("zero polynomial has no valuation")
-        const = poly.get((0, 0), 0)
-        if const:
-            return 0
-        if len(poly) == 1:
-            (i, j), _ = next(iter(poly.items()))
-            return i + (self.curve.q + 1) * j
-        raise NotImplementedError("origin valuation only supported for units and monomials")
+        """Exact valuation at (0, 0), from power series in x."""
+        return self.curve.poly_origin_valuation(self.num) - self.curve.poly_origin_valuation(self.den)
 
     def __repr__(self) -> str:
         c = self.curve
         if self.den == {(0, 0): 1}:
             return c.poly_str(self.num)
         return f"({c.poly_str(self.num)}) / ({c.poly_str(self.den)})"
+
+
+def _series_mul(f, a: dict[int, int], b: dict[int, int], prec: int) -> dict[int, int]:
+    """Product of two sparse power series, truncated past x^prec."""
+    out: dict[int, int] = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            if ka + kb <= prec:
+                out[ka + kb] = f.add(out.get(ka + kb, 0), f.mul(ca, cb))
+    return out
 
 
 # -- function families ---------------------------------------------------------
@@ -301,16 +292,6 @@ def _check_alphas(curve: HermitianCurve, alphas) -> list[int]:
     if any(not 0 < a < curve.field.order for a in alphas):
         raise ValueError("data x-values must be nonzero field elements")
     return alphas
-
-
-def build_h(curve: HermitianCurve, alphas) -> CurveFunction:
-    """1 / prod(x - alpha): poles exactly at the data fibers, a zero of
-    order (number of alphas) * q at infinity."""
-    alphas = _check_alphas(curve, alphas)
-    den: Poly = {(0, 0): 1}
-    for a in alphas:
-        den = curve.poly_mul(den, curve.linear_factor(a))
-    return CurveFunction(curve, {(0, 0): 1}, den)
 
 
 def interpolation_labels(q: int, m: int) -> list[tuple[int, int]]:

@@ -24,7 +24,7 @@ BLAS products, which are exact while every partial sum stays at or below
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -238,12 +238,6 @@ class GFField:
     def coeffs(self, a: int) -> tuple[int, ...]:
         """Little-endian base-p coefficient vector of length n."""
         return tuple((a // pk) % self.p for pk in self._pk)
-
-    def from_coeffs(self, cs: Iterable[int]) -> int:
-        cs = list(cs)
-        if len(cs) > self.n:
-            raise ValueError("too many coefficients")
-        return sum((c % self.p) * self._pk[k] for k, c in enumerate(cs))
 
     def element_str(self, a: int) -> str:
         """Textual form, e.g. ``[2,3]`` for 2 + 3t."""
@@ -462,8 +456,8 @@ class GFField:
 class FieldTower:
     """The extension pair F_q < F_{q^2} with q = p^h, built over one GFField.
 
-    Exposes the q-power Frobenius, the relative norm a**(q+1) and trace
-    a**q + a onto the subfield, and a deterministic subfield enumeration.
+    Exposes the q-power Frobenius and the relative norm a**(q+1) and trace
+    a**q + a onto the subfield.
     """
 
     def __init__(self, p: int, h: int):
@@ -472,11 +466,6 @@ class FieldTower:
         self.q = p**h
         self.q2 = self.q**2
         self.field = field_of_order(self.q2)
-        self.subfield_elements = self._enumerate_subfield()
-
-    def _enumerate_subfield(self) -> tuple[int, ...]:
-        """0 and the powers g**(k(q+1)), which generate F_q*."""
-        return tuple(sorted([0] + self.field._exp[: self.q2 - 1 : self.q + 1].tolist()))
 
     def frobenius(self, a: int) -> int:
         return self.field.pow(a, self.q)

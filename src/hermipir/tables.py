@@ -459,16 +459,3 @@ def render_markdown(structure: dict) -> str:
         lines.append("")
         lines.extend(footnotes)
     return "\n".join(lines) + "\n"
-
-
-def emit_table(which: int, fmt: str = "md", full_search: bool = False,
-               field_orders=None) -> str:
-    structure = build_table(which, full_search=full_search,
-                            field_orders=field_orders)
-    if fmt == "md":
-        return render_markdown(structure)
-    if fmt == "csv":
-        return render_csv(structure)
-    if fmt == "json":
-        return render_json(structure)
-    raise ValueError("format must be 'md', 'csv' or 'json'")

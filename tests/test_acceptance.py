@@ -24,7 +24,6 @@ from hermipir.atlas import (
     count_points_hyperelliptic,
     curve_search_best_rate,
     genus_one_formulas_agree,
-    sample_covered_genus_one_inputs,
 )
 from hermipir.codes import (
     check_w_wise_independence,
@@ -339,7 +338,7 @@ def test_criterion_8_codes():
     _passed(8, "designed and dual distance bounds hold for pole degrees 3..6")
 
 
-def test_criterion_9_formula_consistency():
+def test_criterion_9_formula_consistency(sample_covered_genus_one_inputs):
     """The standalone genus-1 closed form and the unified genus-g machinery
     agree on 50 sampled full-coverage inputs."""
     inputs = sample_covered_genus_one_inputs(50, seed=20)

@@ -28,7 +28,6 @@ from hermipir.atlas import (
     hyperelliptic_upper,
     rate_matches,
     rational_best,
-    sample_covered_genus_one_inputs,
     uncovered_x_count,
 )
 from hermipir.fields import field_of_order
@@ -457,7 +456,7 @@ def test_hermitian_beats_hyperelliptic_sweep():
                 assert hermitian_beats_hyperelliptic(q, genus, x, t).agreement
 
 
-def test_genus_one_forms_agree_with_full_coverage():
+def test_genus_one_forms_agree_with_full_coverage(sample_covered_genus_one_inputs):
     for tup in sample_covered_genus_one_inputs(50, seed=20260814):
         result = genus_one_formulas_agree(*tup)
         assert result["uncovered"] == 0

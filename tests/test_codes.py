@@ -7,7 +7,6 @@ import pytest
 
 from hermipir.codes import (
     check_w_wise_independence,
-    dimension_from_pole_degree,
     dual_distance_bound,
     dual_min_distance_bruteforce,
     from_matrix,
@@ -15,7 +14,7 @@ from hermipir.codes import (
     goppa_designed_distance,
     min_distance_bruteforce,
 )
-from hermipir.curve import curve_for_q, one_point_basis
+from hermipir.curve import CurveFunction, curve_for_q, one_point_basis
 from hermipir.fields import GFField
 from hermipir.linalg import rank
 
@@ -34,7 +33,7 @@ def test_small_hermitian_codes_meet_designed_distances(degG):
     # q=2 over F_4: 8 affine evaluation points, genus 1
     code = _one_point_code(2, degG)
     assert code.n == 8
-    assert code.k == dimension_from_pole_degree(degG, 1)
+    assert code.k == degG - code.genus + 1  # Riemann-Roch, as degG > 2g - 2
     assert rank(code.field, code.gen) == code.k
     d_star = goppa_designed_distance(code)
     assert min_distance_bruteforce(code) >= d_star
@@ -51,12 +50,6 @@ def test_reed_solomon_analogue_over_prime_field():
     code = from_matrix(f, gen, genus=0, degG=degG)
     assert min_distance_bruteforce(code) == 7 - degG
     assert dual_min_distance_bruteforce(code) == degG + 2
-
-
-def test_dimension_formula_guard():
-    with pytest.raises(ValueError):
-        dimension_from_pole_degree(0, 1)
-    assert dimension_from_pole_degree(5, 1) == 5
 
 
 def test_rank_matches_dimension_above_threshold():
@@ -121,11 +114,8 @@ def test_bruteforce_guard():
 
 
 def test_pole_at_evaluation_point_rejected():
-    from hermipir.curve import build_h
-
     c = curve_for_q(3)
-    h = build_h(c, [1])
-    pts = c.affine_points()[:6]
+    h = CurveFunction(c, {(0, 0): 1}, c.linear_factor(1))  # 1 / (x - 1)
     data = [(1, y) for y in c.fiber_of_x(1)]
     with pytest.raises(ValueError, match="pole"):
         generator_matrix(c.field, [h], data, c.genus, 3)

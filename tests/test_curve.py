@@ -8,9 +8,7 @@ import numpy as np
 import pytest
 
 from hermipir.curve import (
-    INFINITY,
     CurveFunction,
-    build_h,
     curve_for_q,
     info_basis,
     interpolation_basis,
@@ -23,16 +21,38 @@ from hermipir.curve import (
 from hermipir.linalg import rank
 
 
+def on_curve(c, x: int, y: int) -> bool:
+    """The curve equation x^(q+1) = y^q + y, checked directly."""
+    f = c.field
+    return f.pow(x, c.q + 1) == f.add(f.pow(y, c.q), y)
+
+
+def build_h(c, alphas) -> CurveFunction:
+    """1 / prod(x - alpha): poles exactly at the data fibers, a zero of
+    order (number of alphas) * q at infinity."""
+    den = {(0, 0): 1}
+    for a in alphas:
+        den = c.poly_mul(den, c.linear_factor(a))
+    return CurveFunction(c, {(0, 0): 1}, den)
+
+
+def poly_sum(c, a: dict, b: dict) -> dict:
+    f = c.field
+    out = dict(a)
+    for key, v in b.items():
+        out[key] = f.add(out.get(key, 0), v)
+    return {key: v for key, v in out.items() if v}
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_point_count_and_membership(q):
     c = curve_for_q(q)
-    pts = c.enumerate_points()
-    assert len(pts) == q**3 + 1
-    assert pts[-1] == INFINITY
-    assert len(set(pts)) == q**3 + 1
-    for x, y in pts[:-1]:
-        assert c.on_curve(x, y)
-    assert (0, 0) in pts[:-1]
+    pts = c.affine_points()
+    assert len(pts) == q**3
+    assert len(set(pts)) == q**3
+    for x, y in pts:
+        assert on_curve(c, x, y)
+    assert (0, 0) in pts
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
@@ -44,7 +64,7 @@ def test_fibers(q):
         assert len(fib) == q
         assert list(fib) == sorted(fib)
         for y in fib:
-            assert c.on_curve(x, y)
+            assert on_curve(c, x, y)
         seen[len(fib)] += 1
     assert seen == {q: q**2}
     # the origin is on the fiber over 0 and y=0 appears nowhere else
@@ -55,8 +75,8 @@ def test_fibers(q):
 
 
 def test_enumeration_deterministic():
-    a = curve_for_q(3).enumerate_points()
-    b = curve_for_q(3).enumerate_points()
+    a = curve_for_q(3).affine_points()
+    b = curve_for_q(3).affine_points()
     assert a == b
 
 
@@ -69,10 +89,8 @@ def test_evaluate_is_ring_homomorphism():
         terms1 = {(int(rng.integers(0, 5)), int(rng.integers(0, 2 * c.q))): int(rng.integers(1, f.order)) for _ in range(3)}
         terms2 = {(int(rng.integers(0, 5)), int(rng.integers(0, 2 * c.q))): int(rng.integers(1, f.order)) for _ in range(3)}
         f1, f2 = CurveFunction(c, terms1), CurveFunction(c, terms2)
-        if f1.is_zero() or f2.is_zero():
-            continue
-        prod = f1 * f2
-        total = f1 + f2
+        prod = CurveFunction(c, c.poly_mul(f1.num, f2.num))
+        total = CurveFunction(c, poly_sum(c, f1.num, f2.num))
         v1, v2 = f1.evaluate_many(pts), f2.evaluate_many(pts)
         assert (prod.evaluate_many(pts) == f.mul_arr(v1, v2)).all()
         assert (total.evaluate_many(pts) == f.add_arr(v1, v2)).all()
@@ -85,11 +103,8 @@ def test_curve_relation_collapses_under_reduction():
     assert c.reduce_poly(rel) == {}
 
 
-def test_evaluate_rejects_infinity_and_poles():
+def test_evaluate_rejects_poles():
     c = curve_for_q(3)
-    fn = c.monomial_function(1, 0)
-    with pytest.raises(ValueError, match="infinity"):
-        fn.evaluate(INFINITY)
     h = build_h(c, [1, 2])
     data_pt = (1, c.fiber_of_x(1)[0])
     with pytest.raises(ValueError, match="pole"):
@@ -107,6 +122,37 @@ def test_basic_valuations():
     assert CurveFunction(c, c.linear_factor(7)).valuation_at_infinity() == -5
     with pytest.raises(ValueError):
         CurveFunction(c, {}).valuation_at_infinity()
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_origin_valuation_of_non_monomials(q):
+    c = curve_for_q(q)
+    f = c.field
+    y = {(0, 1): 1}
+    # y (x - c) for c != 0: x - c is a unit at the origin
+    for const in (1, 2, f.order - 1):
+        assert CurveFunction(c, c.poly_mul(y, c.linear_factor(const))).valuation_at_origin() == q + 1
+    # x^(q+1) - y = y^q
+    assert CurveFunction(c, {(q + 1, 0): 1, (0, 1): f.neg(1)}).valuation_at_origin() == q * (q + 1)
+    assert CurveFunction(c, {(0, 1): 1}, {(q + 1, 0): 1, (0, 1): f.neg(1)}).valuation_at_origin() == (q + 1) * (1 - q)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_origin_valuation_is_additive(q):
+    c = curve_for_q(q)
+    f = c.field
+    rng = np.random.default_rng(q)
+    polys = []
+    while len(polys) < 12:
+        terms = {(int(rng.integers(0, 4)), int(rng.integers(0, q))): int(rng.integers(1, f.order)) for _ in range(3)}
+        fn = CurveFunction(c, terms)
+        if fn.num:
+            polys.append(fn.num)
+    vals = [c.poly_origin_valuation(p) for p in polys]
+    assert any(v > q + 1 for v in vals) and any(v == 0 for v in vals)
+    for a, va in zip(polys, vals):
+        for b, vb in zip(polys, vals):
+            assert c.poly_origin_valuation(c.poly_mul(a, b)) == va + vb
 
 
 def test_one_point_monomial_counts():
@@ -177,12 +223,13 @@ def test_build_h_poles_and_zero_at_infinity():
     assert (h.evaluate_many(others) != 0).all()
 
 
-def test_build_h_rejects_bad_alphas():
+def test_bases_reject_bad_alphas():
     c = curve_for_q(5)
-    with pytest.raises(ValueError, match="distinct"):
-        build_h(c, [1, 1])
-    with pytest.raises(ValueError, match="avoid 0"):
-        build_h(c, [0, 1])
+    for basis in (interpolation_basis, info_basis):
+        with pytest.raises(ValueError, match="distinct"):
+            basis(c, 3, [1, 1, 2])
+        with pytest.raises(ValueError, match="avoid 0"):
+            basis(c, 3, [0, 1, 2])
 
 
 def test_interpolation_labels_structure():

@@ -92,8 +92,7 @@ def test_inverse_of_zero_raises():
 
 def test_encoding_round_trip():
     f = GFField(5, 2)
-    a = f.from_coeffs([2, 3])
-    assert a == 2 + 3 * 5
+    a = 2 + 3 * 5
     assert f.coeffs(a) == (2, 3)
     assert f.element_str(a) == "[2,3]"
     assert f.element_str(0) == "[0,0]"
@@ -351,7 +350,8 @@ def test_generator_is_pinned(order, generator):
 
 def schoolbook_mul(f: GFField, a: int, b: int) -> int:
     """Product of two encodings by polynomial multiplication mod the modulus."""
-    return f.from_coeffs(fields._poly_mulmod(list(f.coeffs(a)), list(f.coeffs(b)), f.modulus, f.p))
+    digits = fields._poly_mulmod(list(f.coeffs(a)), list(f.coeffs(b)), f.modulus, f.p)
+    return sum(c * f.p**k for k, c in enumerate(digits))
 
 
 def schoolbook_pow(f: GFField, a: int, e: int) -> int:
@@ -401,9 +401,10 @@ def test_table_builder_uses_no_array_methods(monkeypatch):
 def test_tower_maps(p, h):
     t = create_tower(p, h)
     q, f = t.q, t.field
-    assert len(t.subfield_elements) == q
-    assert t.subfield_elements[0] == 0
     elements = range(t.q2)
+    # F_q is the fixed field of the q-power Frobenius
+    sub = {a for a in elements if t.frobenius(a) == a}
+    assert len(sub) == q and 0 in sub
     # Frobenius is an automorphism of order dividing 2 over F_q
     assert all(t.frobenius(t.frobenius(a)) == a for a in elements)
     rng = np.random.default_rng(2)
@@ -413,7 +414,6 @@ def test_tower_maps(p, h):
         assert t.frobenius(f.add(a, b)) == f.add(t.frobenius(a), t.frobenius(b))
     norms = [t.subfield_norm(a) for a in elements]
     traces = [t.subfield_trace(a) for a in elements]
-    sub = set(t.subfield_elements)
     assert set(norms) <= sub
     assert set(traces) <= sub
     trace_fibers = Counter(traces)

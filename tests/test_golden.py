@@ -11,6 +11,10 @@ one searches.  The md `certify`, the characteristic-2 `certify --q 8` and
 the `verify --suite noise` digests were recorded before the sampled
 noise-containment check gave way to an exact valuation certificate; the md
 report prints the containment line and would print any fallback note.
+The other five `verify` suites and `count-points --curve hermitian --q 16`
+(md and json) were recorded before the library API that only tests called
+was deleted, certify's two rank computations became one elimination and
+the Hermitian point count stopped listing the points it counts.
 The manifests pin the selected server points.  q = 4 is
 absent: at x_sec = t_priv = 1 no fiber count satisfies its point supply.
 """

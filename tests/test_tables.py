@@ -16,7 +16,6 @@ from hermipir.tables import (
     build_table1,
     build_table2,
     build_table3,
-    emit_table,
     reference_summary,
     render_csv,
     render_json,
@@ -282,18 +281,16 @@ class TestRendering:
     def test_dispatch_and_validation(self):
         with pytest.raises(ValueError):
             build_table(4)
-        with pytest.raises(ValueError):
-            emit_table(2, fmt="xml")
 
     def test_json_round_trip(self):
-        text = emit_table(2, fmt="json")
+        text = render_json(build_table(2))
         payload = json.loads(text)
         assert payload["table"] == 2
         assert payload["reference_summary"]["all_match"] is True
         assert len(payload["rows"]) == 4
 
     def test_csv_shape(self):
-        text = emit_table(3, fmt="csv")
+        text = render_csv(build_table(3))
         reader = csv.reader(io.StringIO(text))
         rows = list(reader)
         assert rows[0] == list(tables._CSV_COLUMNS)
@@ -302,21 +299,21 @@ class TestRendering:
         assert "0.50890" in rates and "0.69343" in rates
 
     def test_markdown_flags_discrepancies(self):
-        text = emit_table(3, fmt="md")
+        text = render_markdown(build_table(3))
         assert "| row | T=5 |" in text
         assert "0.69343*" in text
         assert "computed 0.69343 below reference 0.70213" in text
         assert "reference agreement: MISMATCH" in text
-        clean = emit_table(2, fmt="md")
+        clean = render_markdown(build_table(2))
         assert "reference agreement: all rows match" in clean
         assert "*" not in clean.split("\n\n")[-1]
 
     def test_byte_determinism(self):
-        for fmt in ("md", "csv", "json"):
-            assert emit_table(2, fmt=fmt) == emit_table(2, fmt=fmt)
+        for render in (render_markdown, render_csv, render_json):
+            assert render(build_table(2)) == render(build_table(2))
 
     def test_table1_emit_subset(self):
-        text = emit_table(1, fmt="csv", field_orders=(11,))
+        text = render_csv(build_table(1, field_orders=(11,)))
         reader = list(csv.reader(io.StringIO(text)))
         assert len(reader) == 1 + 2 * len(TABLE1_BUDGETS)
         assert reader[1][9] == "0.33333"
