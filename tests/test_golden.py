@@ -15,6 +15,8 @@ The other five `verify` suites and `count-points --curve hermitian --q 16`
 (md and json) were recorded before the library API that only tests called
 was deleted, certify's two rank computations became one elimination and
 the Hermitian point count stopped listing the points it counts.
+`count-points --curve hermitian --q 256` was recorded before the curve
+built its fibers from one array trace pass instead of a field tower.
 The manifests pin the selected server points.  q = 4 is
 absent: at x_sec = t_priv = 1 no fiber count satisfies its point supply.
 """
@@ -81,6 +83,8 @@ CLI_GOLDENS = {
         "e2e131e912e3990fbffbfd138c90638a355975cc5bce50ac190649da72b3a67d",
     ("count-points", "--curve", "hermitian", "--q", "16", "--format", "json"):
         "c7977653090afd146dfdfbebb96d5e74af6d5e4729838be422d6913699d30a07",
+    ("count-points", "--curve", "hermitian", "--q", "256"):
+        "0a98f50d1ca0e7bae45d70418b46dfae8405bac785b811da3c1c0c3835a124e2",
     ("count-points", "--curve", "hyperelliptic",
      "--q", "841", "--coeffs", "1,0,0,0,0"):
         "21bbfe971c4e7571695003ae963a7376e3e75053caf0447259189b9bdba358fd",
