@@ -2,9 +2,9 @@
 
 The package is organised bottom-up:
 
-``fields``     arithmetic in GF(p^n) and the quadratic extension tower,
+``fields``     arithmetic in GF(p^n),
 ``linalg``     dense linear algebra over those fields,
-``curve``      the Hermitian curve, its function spaces and bases,
+``curve``      the Hermitian curve over GF(q^2), its function spaces and bases,
 ``codes``      evaluation codes with distance/independence certificates,
 ``scheme``     the retrieval scheme itself (storage, queries, decoding),
 ``atlas``      closed-form download rates for four curve families,
@@ -13,8 +13,8 @@ The package is organised bottom-up:
 ``cli``        the ``hermipir`` command-line entry point.
 """
 
-from hermipir.fields import GFField, FieldTower, create_tower
+from hermipir.fields import GFField
 
-__all__ = ["GFField", "FieldTower", "create_tower"]
+__all__ = ["GFField"]
 
 __version__ = "0.1.0"

@@ -14,7 +14,7 @@ the server count ``N`` and the download rate ``L / N``:
   (``y^2`` = monic polynomial of odd degree ``2g + 1``): a two-branch
   closed form for the largest usable ``J``; ``L = 2J - g``,
   ``N = L + m_total + 6g + 2``.
-* the Hermitian tower curve driving the live scheme: ``L = m*q - g`` for
+* the Hermitian curve driving the live scheme: ``L = m*q - g`` for
   the largest admissible fiber count ``m``, with two server-overhead
   conventions (see :func:`hermitian_best`).
 
@@ -37,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import field_of_order
+from .fields import _BLAS_CALL_MACS, field_of_order
 
 # Hard cap on the number of candidate models a single search may enumerate.
 SEARCH_BUDGET = 30_000_000
@@ -51,8 +51,8 @@ _CHUNK_CELLS = 1 << 18
 # rendering and tolerant comparison of rates
 # ---------------------------------------------------------------------------
 
-def format_rate(value, sig_digits: int = 5) -> str:
-    """Render a nonnegative rational with ``sig_digits`` significant digits.
+def format_rate(value) -> str:
+    """Render a nonnegative rational with five significant digits.
 
     Halves round up.  All arithmetic is exact, so ties such as 0.123455
     format deterministically (here to ``0.12346``) with no binary-float
@@ -71,7 +71,7 @@ def format_rate(value, sig_digits: int = 5) -> str:
     while probe >= 10:
         probe /= 10
         exponent += 1
-    decimals = max(sig_digits - 1 - exponent, 0)
+    decimals = max(5 - 1 - exponent, 0)
     shifted = value * 10 ** decimals
     units, rem = divmod(shifted.numerator, shifted.denominator)
     if 2 * rem >= shifted.denominator:
@@ -82,20 +82,19 @@ def format_rate(value, sig_digits: int = 5) -> str:
     return f"{whole}.{frac:0{decimals}d}"
 
 
-def rate_matches(value, printed: str | None,
-                 tolerance: Fraction = Fraction(1, 100_000)) -> bool:
-    """True when a computed rate agrees with a printed decimal within tolerance.
+def rate_matches(value, printed: str | None) -> bool:
+    """True when a computed rate agrees with a printed decimal within 1e-5.
 
     ``value`` is a rational or None (no feasible configuration); ``printed``
     is a decimal string or the dash ``"-"``.  A dash matches exactly the
-    infeasible case.  The default tolerance absorbs last-digit rounding
-    differences between independently produced five-digit decimals.
+    infeasible case.  The tolerance absorbs last-digit rounding differences
+    between independently produced five-digit decimals.
     """
     if printed is None or printed == "-":
         return value is None
     if value is None:
         return False
-    return abs(Fraction(value) - Fraction(printed)) <= tolerance
+    return abs(Fraction(value) - Fraction(printed)) <= Fraction(1, 100_000)
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +457,8 @@ def achievable_profiles(field_order: int, genus: int,
     # root_counts[v, a0] = #{y : y^2 = v + a0}; float32 products of these
     # small integers are exact, and run on BLAS
     root_counts = _square_weights(field_order)[add_table].astype(np.float32)
+    # rows per product, so that BLAS never wakes its thread pool
+    band = max(1, _BLAS_CALL_MACS // field_order**2)
     neg = f.neg_arr(elems)
     # keys pack count * 64 + gamma; a 16-bit key sorts by radix in np.unique
     key_dtype = np.min_scalar_type(64 * (2 * field_order + 2))
@@ -477,7 +478,10 @@ def achievable_profiles(field_order: int, genus: int,
         values = add_table[low_values, high]
         hist = np.bincount((bins + values).ravel(), minlength=span)
         hist = hist.reshape(rows, field_order)
-        counts = 1 + (hist.astype(np.float32) @ root_counts).astype(key_dtype)
+        weights = hist.astype(np.float32)
+        counts = np.concatenate([weights[r : r + band] @ root_counts
+                                 for r in range(0, rows, band)])
+        counts = 1 + counts.astype(key_dtype)
         keys = counts * 64 + hist[:, neg].astype(key_dtype)
         uniq, first = np.unique(keys.ravel(), return_index=True)
         for key, local in zip(uniq.tolist(), first.tolist()):

@@ -1,8 +1,11 @@
 """The Hermitian curve x^(q+1) = y^q + y over F_{q^2} and its function spaces.
 
 Points: q^3 affine points plus one point at infinity.  The affine fiber
-over an x-value consists of the q solutions of y^q + y = x^(q+1), i.e. the
-trace fiber over the norm of x.  The origin (0, 0) is the only affine point
+over an x-value consists of the q solutions of y^q + y = x^(q+1): the
+relative trace y^q + y and norm x^(q+1) both map F_{q^2} onto F_q, and the
+fiber is the set of y whose trace is the norm of x.  The curve computes the
+trace of every element in one array pass and groups the elements by it, so
+a fiber lookup is one power.  The origin (0, 0) is the only affine point
 where y vanishes, and the curve has genus q(q-1)/2.
 
 Functions on the curve are quotients of bivariate polynomials, kept reduced
@@ -31,25 +34,27 @@ from functools import lru_cache
 
 import numpy as np
 
-from hermipir.fields import FieldTower
+from hermipir.fields import factor_prime_power, field_of_order
 
 Poly = dict[tuple[int, int], int]  # (x_power, y_power) -> coefficient encoding
 
 
 class HermitianCurve:
-    def __init__(self, tower: FieldTower):
-        self.tower = tower
-        self.field = tower.field
-        self.q = tower.q
-        self.genus = tower.q * (tower.q - 1) // 2
-        fibers: dict[int, list[int]] = {}
-        for y in self.field.elements():
-            fibers.setdefault(tower.subfield_trace(y), []).append(y)
-        self._trace_fibers = {t: tuple(v) for t, v in fibers.items()}
+    def __init__(self, q: int):
+        factor_prime_power(q)  # raises for non prime powers
+        self.field = field = field_of_order(q * q)
+        self.q = q
+        self.genus = q * (q - 1) // 2
+        # each of the q trace values has q preimages; a stable sort keeps
+        # every fiber's y-values ascending
+        ys = np.arange(field.order, dtype=np.int64)
+        traces = field.add_arr(field.pow_arr(ys, q), ys)
+        by_trace = np.argsort(traces, kind="stable").reshape(q, q)
+        self._trace_fibers = {int(traces[row[0]]): tuple(row) for row in by_trace.tolist()}
 
     def fiber_of_x(self, x: int) -> tuple[int, ...]:
         """The q affine points over x, as their y-values in ascending order."""
-        return self._trace_fibers[self.tower.subfield_norm(x)]
+        return self._trace_fibers[self.field.pow(x, self.q + 1)]
 
     def affine_points(self) -> list[tuple[int, int]]:
         """All q^3 affine points, ordered by (x, y) encoding."""
@@ -353,6 +358,4 @@ def info_basis(curve: HermitianCurve, m: int, alphas) -> list[CurveFunction]:
 
 @lru_cache(maxsize=None)
 def curve_for_q(q: int) -> HermitianCurve:
-    from hermipir.fields import tower_for_prime_power
-
-    return HermitianCurve(tower_for_prime_power(q))
+    return HermitianCurve(q)

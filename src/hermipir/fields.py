@@ -1,4 +1,4 @@
-"""Arithmetic in GF(p^n) and in the quadratic tower F_p < F_q < F_{q^2}.
+"""Arithmetic in GF(p^n).
 
 Field elements are plain Python ints in ``range(order)``: the integer is the
 little-endian base-p encoding of the coefficient vector of the residue
@@ -451,61 +451,6 @@ class GFField:
 
     def __hash__(self) -> int:
         return hash(("GFField", self.p, self.n))
-
-
-class FieldTower:
-    """The extension pair F_q < F_{q^2} with q = p^h, built over one GFField.
-
-    Exposes the q-power Frobenius and the relative norm a**(q+1) and trace
-    a**q + a onto the subfield.
-    """
-
-    def __init__(self, p: int, h: int):
-        self.p = p
-        self.h = h
-        self.q = p**h
-        self.q2 = self.q**2
-        self.field = field_of_order(self.q2)
-
-    def frobenius(self, a: int) -> int:
-        return self.field.pow(a, self.q)
-
-    def subfield_norm(self, a: int) -> int:
-        """a**(q+1); maps onto F_q."""
-        return self.field.mul(a, self.frobenius(a))
-
-    def subfield_trace(self, a: int) -> int:
-        """a**q + a; maps onto F_q with fibers of size q."""
-        return self.field.add(a, self.frobenius(a))
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"FieldTower(p={self.p}, h={self.h}; q={self.q})"
-
-
-@lru_cache(maxsize=None)
-def _tower_cached(p: int, h: int) -> FieldTower:
-    return FieldTower(p, h)
-
-
-def create_tower(p: int, h: int) -> FieldTower:
-    """Build the tower F_p < F_{p^h} < F_{p^{2h}}.
-
-    Rejects non-prime p and towers whose top field would exceed 2**20
-    elements.  Towers are cached: repeated calls return the same object.
-    """
-    if not is_prime(p):
-        raise ValueError(f"characteristic {p} is not prime")
-    if h < 1:
-        raise ValueError("tower height must be >= 1")
-    if p ** (2 * h) > MAX_ORDER:
-        raise ValueError(f"top field order {p**(2*h)} exceeds supported limit {MAX_ORDER}")
-    return _tower_cached(p, h)
-
-
-def tower_for_prime_power(q: int) -> FieldTower:
-    """Tower with middle field of order exactly q (q a prime power)."""
-    p, h = factor_prime_power(q)
-    return create_tower(p, h)
 
 
 @lru_cache(maxsize=None)

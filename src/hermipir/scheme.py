@@ -57,7 +57,7 @@ import numpy as np
 
 from hermipir.codes import EvalCode, check_w_wise_independence, dual_distance_bound, from_matrix
 from hermipir.curve import CurveFunction, curve_for_q, info_basis, one_point_basis, two_point_monomial_set
-from hermipir.fields import factor_prime_power, tower_for_prime_power
+from hermipir.fields import factor_prime_power
 from hermipir.linalg import row_selection, rref
 
 
@@ -167,9 +167,8 @@ class SchemeInstance:
 
     def __init__(self, params: SchemeParams):
         self.params = params
-        self.tower = tower_for_prime_power(params.q)
         self.curve = curve_for_q(params.q)
-        self.field = self.tower.field
+        self.field = self.curve.field
         self._build()
 
     # -- construction ----------------------------------------------------------
@@ -257,7 +256,7 @@ class SchemeInstance:
 
     # -- protocol --------------------------------------------------------------
 
-    def encode_storage(self, files, rng: np.random.Generator, zero_noise: bool = False) -> np.ndarray:
+    def encode_storage(self, files, rng: np.random.Generator) -> np.ndarray:
         """Shares of shape (N, M, L): files[mu][l] masked per-slot by storage
         noise, with coefficients drawn slot by slot in order l = 0..L-1.
         Slot l's noise is inv_info[:, l] times secbase @ coefficients, so all
@@ -268,30 +267,22 @@ class SchemeInstance:
             raise ValueError(f"files must have shape {(p.num_files, p.frag_count)}")
         if files.size and (files.min() < 0 or files.max() >= field.order):
             raise ValueError("file fragments must be field element encodings")
-        if zero_noise:
-            noise = np.zeros((p.server_count, p.num_files, p.frag_count), dtype=np.int64)
-        else:
-            # one draw per slot: a single large draw would change the stream
-            coeffs = np.concatenate(
-                [field.sample_arr(rng, (self.sec_dim, p.num_files)) for _ in range(p.frag_count)], axis=1
-            )
-            z = field.matmul_arr(self.secbase, coeffs).reshape(p.server_count, p.frag_count, p.num_files)
-            noise = field.mul_arr(self.inv_info[:, :, None], z).transpose(0, 2, 1)
+        # one draw per slot: a single large draw would change the stream
+        coeffs = np.concatenate(
+            [field.sample_arr(rng, (self.sec_dim, p.num_files)) for _ in range(p.frag_count)], axis=1
+        )
+        z = field.matmul_arr(self.secbase, coeffs).reshape(p.server_count, p.frag_count, p.num_files)
+        noise = field.mul_arr(self.inv_info[:, :, None], z).transpose(0, 2, 1)
         return field.add_arr(files[None], noise)
 
-    def make_queries(
-        self, desired_index: int, rng: np.random.Generator, zero_noise: bool = False
-    ) -> np.ndarray:
+    def make_queries(self, desired_index: int, rng: np.random.Generator) -> np.ndarray:
         """Queries of shape (N, M, L): fresh query noise for every (file,
         slot) pair, plus the decoding row on the desired file."""
         p, field = self.params, self.field
         if not 0 <= desired_index < p.num_files:
             raise ValueError("desired file index out of range")
-        if zero_noise:
-            r = np.zeros((p.server_count, p.num_files * p.frag_count), dtype=np.int64)
-        else:
-            coeffs = field.sample_arr(rng, (self.priv_dim, p.num_files * p.frag_count))
-            r = field.matmul_arr(self.priv_eval, coeffs)
+        coeffs = field.sample_arr(rng, (self.priv_dim, p.num_files * p.frag_count))
+        r = field.matmul_arr(self.priv_eval, coeffs)
         queries = r.reshape(p.server_count, p.num_files, p.frag_count)
         queries[:, desired_index, :] = field.add_arr(queries[:, desired_index, :], self.b_info)
         return queries

@@ -115,7 +115,7 @@ def recv_frame(sock: socket.socket) -> dict | None:
 def encode_elements(field: GFField, values) -> list[list[int]]:
     """Flatten a grid of field elements to base-p coefficient tuples."""
     flat = np.asarray(values, dtype=np.int64).reshape(-1)
-    return [list(field.coeffs(int(v))) for v in flat]
+    return ((flat[:, None] // field.p ** np.arange(field.n)) % field.p).tolist()
 
 
 def decode_elements(field: GFField, elements, shape=None) -> np.ndarray:

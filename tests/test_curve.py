@@ -9,6 +9,7 @@ import pytest
 
 from hermipir.curve import (
     CurveFunction,
+    HermitianCurve,
     curve_for_q,
     info_basis,
     interpolation_basis,
@@ -18,6 +19,7 @@ from hermipir.curve import (
     two_point_monomial_set,
     two_point_monomials,
 )
+from hermipir.fields import GFField, field_of_order
 from hermipir.linalg import rank
 
 
@@ -72,6 +74,33 @@ def test_fibers(q):
     for x in c.field.elements():
         if x != 0:
             assert 0 not in c.fiber_of_x(x)
+
+
+def scalar_fibers(q: int) -> dict[int, tuple[int, ...]]:
+    """The y-values over each relative trace y^q + y, one scalar add and
+    one scalar power per element of F_{q^2}."""
+    f = field_of_order(q * q)
+    fibers: dict[int, list[int]] = {}
+    for y in f.elements():
+        fibers.setdefault(f.add(y, f.pow(y, q)), []).append(y)
+    return {t: tuple(v) for t, v in fibers.items()}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 16])
+def test_fibers_match_scalar_oracle(q):
+    c, f = curve_for_q(q), field_of_order(q * q)
+    oracle = scalar_fibers(q)
+    for x in f.elements():
+        assert c.fiber_of_x(x) == oracle[f.mul(x, f.pow(x, q))]
+
+
+def test_curve_build_makes_no_scalar_adds(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the curve build called GFField.add")
+
+    monkeypatch.setattr(GFField, "add", refuse)
+    for q in (2, 3, 4, 5, 16):
+        assert sum(len(HermitianCurve(q).fiber_of_x(x)) for x in range(q * q)) == q**3
 
 
 def test_enumeration_deterministic():

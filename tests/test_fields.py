@@ -1,4 +1,4 @@
-"""Field arithmetic: axioms, tower maps, encodings, sampling quality."""
+"""Field arithmetic: axioms, the maps of F_q < F_{q^2}, encodings, sampling quality."""
 
 from __future__ import annotations
 
@@ -11,14 +11,13 @@ import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 from hermipir import fields
+from hermipir.curve import curve_for_q
 from hermipir.fields import (
     GFField,
-    create_tower,
     factor_prime_power,
     field_of_order,
     is_prime,
     prime_factors,
-    tower_for_prime_power,
 )
 
 
@@ -70,16 +69,16 @@ def test_nonprime_characteristic_rejected():
         GFField(4, 1)
     with pytest.raises(ValueError):
         GFField(1, 2)
-    with pytest.raises(ValueError):
-        create_tower(9, 1)
+    with pytest.raises(ValueError, match="^6 is not a prime power$"):
+        curve_for_q(6)
 
 
 def test_order_budget_enforced():
     with pytest.raises(ValueError):
         GFField(2, 21)
-    with pytest.raises(ValueError):
-        create_tower(2, 11)
-    create_tower(2, 10)  # 2**20 exactly: allowed
+    with pytest.raises(ValueError, match="^field order 4194304 exceeds supported limit 1048576$"):
+        curve_for_q(2048)
+    assert field_of_order(2**20).order == 2**20  # the limit itself: allowed
 
 
 def test_inverse_of_zero_raises():
@@ -399,21 +398,21 @@ def test_table_builder_uses_no_array_methods(monkeypatch):
 
 @pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (11, 1)])
 def test_tower_maps(p, h):
-    t = create_tower(p, h)
-    q, f = t.q, t.field
-    elements = range(t.q2)
+    q = p**h
+    f = field_of_order(q * q)
+    elements = np.arange(f.order)
+    frob = f.pow_arr(elements, q)
     # F_q is the fixed field of the q-power Frobenius
-    sub = {a for a in elements if t.frobenius(a) == a}
+    sub = set(elements[frob == elements].tolist())
     assert len(sub) == q and 0 in sub
     # Frobenius is an automorphism of order dividing 2 over F_q
-    assert all(t.frobenius(t.frobenius(a)) == a for a in elements)
+    assert (f.pow_arr(frob, q) == elements).all()
     rng = np.random.default_rng(2)
-    for _ in range(60):
-        a, b = (int(x) for x in rng.integers(0, t.q2, 2))
-        assert t.frobenius(f.mul(a, b)) == f.mul(t.frobenius(a), t.frobenius(b))
-        assert t.frobenius(f.add(a, b)) == f.add(t.frobenius(a), t.frobenius(b))
-    norms = [t.subfield_norm(a) for a in elements]
-    traces = [t.subfield_trace(a) for a in elements]
+    a, b = f.sample_arr(rng, (2, 60))
+    assert (f.pow_arr(f.mul_arr(a, b), q) == f.mul_arr(f.pow_arr(a, q), f.pow_arr(b, q))).all()
+    assert (f.pow_arr(f.add_arr(a, b), q) == f.add_arr(f.pow_arr(a, q), f.pow_arr(b, q))).all()
+    norms = f.pow_arr(elements, q + 1).tolist()
+    traces = f.add_arr(frob, elements).tolist()
     assert set(norms) <= sub
     assert set(traces) <= sub
     trace_fibers = Counter(traces)
@@ -423,8 +422,8 @@ def test_tower_maps(p, h):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11])
 def test_norm_fibers(q):
-    t = tower_for_prime_power(q)
-    norms = Counter(t.subfield_norm(a) for a in range(t.q2))
+    f = curve_for_q(q).field
+    norms = Counter(f.pow_arr(np.arange(f.order), q + 1).tolist())
     assert norms[0] == 1
     nonzero_sizes = {v for k, v in norms.items() if k != 0}
     assert nonzero_sizes == {q + 1}
@@ -432,9 +431,9 @@ def test_norm_fibers(q):
 
 
 def test_sample_uniform_chi_square():
-    t = create_tower(5, 1)
+    f = field_of_order(25)
     rng = np.random.default_rng(20260814)
-    draws = t.field.sample_arr(rng, 100_000)
+    draws = f.sample_arr(rng, 100_000)
     counts = np.bincount(draws, minlength=25)
     expected = 100_000 / 25
     stat = float(((counts - expected) ** 2 / expected).sum())
@@ -442,11 +441,11 @@ def test_sample_uniform_chi_square():
 
 
 def test_sample_coupon_collector_support():
-    t = create_tower(5, 1)
+    f = field_of_order(25)
     rng = np.random.default_rng(31)
     n_draws = math.ceil(25 * math.log(25) * 10)
     assert n_draws == 805
-    draws = t.field.sample_arr(rng, n_draws)
+    draws = f.sample_arr(rng, n_draws)
     assert set(int(v) for v in draws) == set(range(25))
 
 
@@ -455,7 +454,5 @@ def test_enumeration_and_tower_cache_deterministic():
     f2 = field_of_order(49)
     assert f1 is f2
     assert list(f1.elements())[:3] == [0, 1, 2]
-    t1 = create_tower(3, 1)
-    t2 = tower_for_prime_power(3)
-    assert t1 is t2
-    assert tower_for_prime_power(7).field is f1
+    assert curve_for_q(3) is curve_for_q(3)
+    assert curve_for_q(7).field is f1

@@ -100,14 +100,22 @@ def test_noise_dimension_dims(inst_11, inst_22):
 
 
 def test_zero_noise_hooks(inst_11):
-    p = inst_11.params
+    """Shares are files plus storage noise from slot l's space, and
+    queries are query noise plus the decoding row on the desired file."""
+    p, f = inst_11.params, inst_11.field
     rng = np.random.default_rng(1)
-    files = inst_11.field.sample_arr(rng, (p.num_files, p.frag_count))
-    shares = inst_11.encode_storage(files, rng, zero_noise=True)
-    assert (shares == np.broadcast_to(files, shares.shape)).all()
-    queries = inst_11.make_queries(1, rng, zero_noise=True)
-    assert (queries[:, 0, :] == 0).all() and (queries[:, 2, :] == 0).all()
-    assert (queries[:, 1, :] == inst_11.b_info).all()
+    files = f.sample_arr(rng, (p.num_files, p.frag_count))
+    noise = f.sub_arr(inst_11.encode_storage(files, rng), files[None])
+    assert noise.any()
+    spaces = [ColumnSpace(f, f.mul_arr(inst_11.inv_info[:, l, None], inst_11.secbase))
+              for l in range(p.frag_count)]
+    assert all(spaces[l].contains_all(noise[:, :, l]) for l in range(p.frag_count))
+    # the slot spaces differ: slot 0's holds no other slot's noise
+    assert not any(spaces[0].contains_all(noise[:, :, l]) for l in range(1, p.frag_count))
+    queries = inst_11.make_queries(1, rng)
+    queries[:, 1, :] = f.sub_arr(queries[:, 1, :], inst_11.b_info)
+    assert queries.any()
+    assert ColumnSpace(f, inst_11.priv_eval).contains_all(queries.reshape(p.server_count, -1))
 
 
 def test_server_answer_bilinear(inst_11):

@@ -6,6 +6,12 @@ non-dunder method, whose name no other code in the package references:
 no load of the name and no attribute of that name outside its own body.
 Oracles that tests compare against live in the tests instead.  The
 allowlist names the exceptions, each with its reason.
+
+A second scan fails on a defaulted parameter that no call in the package
+or in ``perfbench/`` sets, by keyword or by position: a knob that every
+caller leaves at its default is a second code path nothing runs.  Calls
+are matched by name, and a call to a class counts as a call to its
+``__init__``.  ``KNOBS_ALLOWED`` names the exceptions, each with its reason.
 """
 
 from __future__ import annotations
@@ -14,7 +20,8 @@ import ast
 from collections import Counter
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hermipir"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "hermipir"
 
 BENCHMARK_PIN = "patched by name in perfbench/tracing.py"
 PAPER_THEOREM = "a comparison theorem of the paper, checked in tests/test_acceptance.py"
@@ -79,3 +86,70 @@ def test_every_definition_has_a_caller_in_the_package():
 def test_allowlist_entries_are_still_needed():
     stale = sorted(set(ALLOWED) - set(_unreferenced()))
     assert not stale, f"allowlisted names that now have a caller or are gone: {stale}"
+
+
+KNOBS_ALLOWED: dict[str, str] = {}
+
+
+def _defaulted_parameters():
+    """(qualified name, callee name, positional index or None, parameter
+    name) of each defaulted parameter of a def in the package; the callee
+    name of an ``__init__`` is its class, and a method's positional index
+    does not count ``self``."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        parents = {}
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            for child in ast.iter_child_nodes(node):
+                parents[child] = node
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            owner = parents[node]
+            method = isinstance(owner, ast.ClassDef) and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+            callee = owner.name if method and node.name == "__init__" else node.name
+            prefix = f"{path.stem}.{owner.name}." if isinstance(owner, ast.ClassDef) else f"{path.stem}."
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            for index in range(first, len(positional)):
+                name = positional[index].arg
+                yield f"{prefix}{node.name}({name})", callee, index - method, name
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield f"{prefix}{node.name}({arg.arg})", callee, None, arg.arg
+
+
+def _calls() -> dict[str, list[ast.Call]]:
+    """Every call in the package and in perfbench/, by callee name."""
+    out: dict[str, list[ast.Call]] = {}
+    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                out.setdefault(name, []).append(node)
+    return out
+
+
+def _sets(call: ast.Call, index: int | None, name: str) -> bool:
+    if index is not None and (len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args)):
+        return True
+    return any(kw.arg in (name, None) for kw in call.keywords)
+
+
+def _unset_knobs() -> list[str]:
+    calls = _calls()
+    return [qualified for qualified, callee, index, name in _defaulted_parameters()
+            if not any(_sets(call, index, name) for call in calls.get(callee, []))]
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller():
+    unexpected = [name for name in _unset_knobs() if name not in KNOBS_ALLOWED]
+    assert not unexpected, f"defaulted parameters that no call in src/hermipir or perfbench/ sets: {unexpected}"
+
+
+def test_knob_allowlist_entries_are_still_needed():
+    stale = sorted(set(KNOBS_ALLOWED) - set(_unset_knobs()))
+    assert not stale, f"allowlisted parameters that a call now sets or that are gone: {stale}"
