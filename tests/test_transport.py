@@ -85,6 +85,14 @@ def test_element_codec_round_trip():
     assert all(len(cs) == 2 and all(0 <= c < 5 for c in cs) for cs in wire)
     back = decode_elements(field, wire, (5, 5))
     assert (back == grid).all()
+    # the array digit split matches a per-element coefficient loop
+    rng = np.random.default_rng(4)
+    for order in (25, 49, 64, 81, 121):
+        field = field_of_order(order)
+        for shape in ((0,), (3, 0), (4, 7), (6, 3, 5)):
+            grid = field.sample_arr(rng, shape)
+            oracle = [list(field.coeffs(int(v))) for v in grid.reshape(-1)]
+            assert json.dumps(encode_elements(field, grid)) == json.dumps(oracle)
 
 
 def test_socket_demo_matches_in_process_demo():
