@@ -478,10 +478,9 @@ def achievable_profiles(field_order: int, genus: int,
         values = add_table[low_values, high]
         hist = np.bincount((bins + values).ravel(), minlength=span)
         hist = hist.reshape(rows, field_order)
-        weights = hist.astype(np.float32)
-        counts = np.empty(weights.shape, dtype=np.float32)
+        counts = np.empty(hist.shape, dtype=np.float32)
         for r in range(0, rows, band):
-            np.matmul(weights[r : r + band], root_counts, out=counts[r : r + band])
+            np.matmul(hist[r : r + band].astype(np.float32), root_counts, out=counts[r : r + band])
         counts = 1 + counts.astype(key_dtype)
         keys = counts * 64 + hist[:, neg].astype(key_dtype)
         uniq, first = np.unique(keys.ravel(), return_index=True)
