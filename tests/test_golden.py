@@ -17,7 +17,9 @@ was deleted, certify's two rank computations became one elimination and
 the Hermitian point count stopped listing the points it counts.
 `count-points --curve hermitian --q 256` was recorded before the curve
 built its fibers from one array trace pass instead of a field tower.
-The manifests pin the selected server points.  q = 4 is
+`certify --q 9` and the q = 9 manifest were recorded before `rref` moved
+from one digit-wise update per pivot to blocked panels with a field matmul
+per panel.  The manifests pin the selected server points.  q = 4 is
 absent: at x_sec = t_priv = 1 no fiber count satisfies its point supply.
 """
 
@@ -36,6 +38,8 @@ CLI_GOLDENS = {
         "30de6fe66e7f43d1b735a2e37dc29bd00466afd7cd3aa50152570b7168bf3564",
     ("certify", "--q", "7", "--format", "json"):
         "8baacdd774b2d3cae9a30649d0c2c9e1ae40a4e90be27b4f85a3a9a055f7b562",
+    ("certify", "--q", "9", "--format", "json"):
+        "e9cff01561a9b02dd86c83cbc0e328190440cd7df672deea8a73374c471a1b39",
     ("certify", "--q", "5"):
         "209b6d70d3ecd59def7597f0b4ba460a29bb30a89f6bcdd5644f4fe45c5328d6",
     ("certify", "--q", "8", "--format", "json"):
@@ -93,6 +97,7 @@ CLI_GOLDENS = {
 MANIFEST_GOLDENS = {
     5: "e6b2275ee31f3f061d8d3e62e9c3a1c12984b74681d4a1ba9c0cc8e62533db88",
     7: "fb11d8dd06db98004e7fbe5bc23c5c345bd7eb148d5c327f22914ef533c037b2",
+    9: "4f6d1c4e3df97d3eefb8dd89596f2897d7ab4ef900962fbaf188f3b63364f595",
 }
 
 
