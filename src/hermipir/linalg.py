@@ -21,6 +21,12 @@ import numpy as np
 
 from hermipir.fields import GFField
 
+# Columns per elimination panel.  Measured on a 2-core host (medians of
+# in-process runs, against the per-pivot loop): 32 took the q = 7 build's
+# 196 x 321 GF(49) elimination from 0.35 to 0.08 s and the q = 9 build's
+# 405 x 692 GF(81) one from 4.2 to 0.65 s, while GF(64) and matrices at
+# most 128 wide ran slower blocked at every width tried.
+_PANEL_COLS = 32
 
 def as_matrix(field: GFField, data) -> np.ndarray:
     arr = np.asarray(data, dtype=np.int64)
@@ -32,9 +38,54 @@ def as_matrix(field: GFField, data) -> np.ndarray:
 
 
 def rref(field: GFField, mat) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
+    """Reduced row echelon form and the list of pivot columns.
+
+    Blocked Gauss-Jordan elimination.  Each panel of `_PANEL_COLS` columns
+    is first eliminated by the per-pivot loop, on the panel's columns and
+    the rows from the next pivot row down only, which finds its pivot
+    columns P and the rows S that carry them.  Every other entry is then
+    updated by two field matmuls and one subtraction: with A = R[S, P] the
+    pivot block, the new pivot rows are top = A^-1 R[S, c0:], and every
+    other row becomes R[o, c0:] - R[o, P] top.  The RREF is unique, so this
+    equals the per-pivot loop entry for entry.  The product update replaces
+    one digit-wise subtraction over the trailing matrix per pivot by one
+    per panel; it pays only when p is odd (in characteristic 2 the loop's
+    subtraction is a single XOR, while the product still expands n^2 digit
+    pairs) and the matrix is more than four panels wide.  Other matrices
+    run as one panel, which is exactly the per-pivot loop.
+    """
     r = as_matrix(field, mat).copy()
     n_rows, n_cols = r.shape
+    if field.p == 2 or n_cols <= 4 * _PANEL_COLS:
+        return r, _eliminate(field, r)[0]
+    pivots: list[int] = []
+    for c0 in range(0, n_cols, _PANEL_COLS):
+        row = len(pivots)
+        if row == n_rows:
+            break
+        found, order = _eliminate(field, r[row:, c0 : c0 + _PANEL_COLS].copy())
+        k = len(found)
+        if k == 0:
+            continue
+        cols = [c0 + c for c in found]
+        sel = row + order[:k]
+        rest = row + order[k:]
+        top = field.matmul_arr(_inverse(field, r[np.ix_(sel, cols)]), r[sel, c0:])
+        others = np.concatenate([np.arange(row), rest])
+        if others.size:
+            r[others, c0:] = field.sub_arr(r[others, c0:], field.matmul_arr(r[np.ix_(others, cols)], top))
+        # rows from `row` down are zero left of c0
+        r[row + k :, c0:] = r[rest, c0:]
+        r[row : row + k, c0:] = top
+        pivots += cols
+    return r, pivots
+
+
+def _eliminate(field: GFField, r: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """The per-pivot Gauss-Jordan loop, in place on `r`: its pivot columns,
+    and the original index of each row in the result (pivot rows first)."""
+    n_rows, n_cols = r.shape
+    order = np.arange(n_rows)
     pivots: list[int] = []
     row = 0
     for col in range(n_cols):
@@ -46,6 +97,7 @@ def rref(field: GFField, mat) -> tuple[np.ndarray, list[int]]:
         lead = row + int(nz[0])
         if lead != row:
             r[[row, lead]] = r[[lead, row]]
+            order[[row, lead]] = order[[lead, row]]
         # rows from `row` down are zero left of `col`, so row operations
         # only need to touch columns col and beyond
         r[row, col:] = field.mul_arr(r[row, col:], field.inv(int(r[row, col])))
@@ -56,7 +108,15 @@ def rref(field: GFField, mat) -> tuple[np.ndarray, list[int]]:
             r[others, col:] = field.sub_arr(r[others, col:], field.mul_arr(factors, r[row, col:][None, :]))
         pivots.append(col)
         row += 1
-    return r, pivots
+    return pivots, order
+
+
+def _inverse(field: GFField, a: np.ndarray) -> np.ndarray:
+    """Inverse of an invertible square matrix, by eliminating [a | I]."""
+    k = a.shape[0]
+    aug = np.concatenate([a, np.eye(k, dtype=np.int64)], axis=1)
+    _eliminate(field, aug)
+    return aug[:, k:]
 
 
 def rank(field: GFField, mat) -> int:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hermipir import linalg
 from hermipir.fields import GFField, field_of_order
 from hermipir.linalg import (
     ColumnSpace,
@@ -252,6 +253,71 @@ def low_rank_matrices(draw):
 def test_rref_matches_full_row_oracle(fm):
     field, mat = fm
     r, pivots = rref(field, mat)
+    r_ref, pivots_ref = rref_oracle(field, mat)
+    assert pivots == pivots_ref
+    assert (r == r_ref).all()
+
+
+PANEL_ORDERS = [2, 8, 64, 7, 13, 25, 27, 49, 81]
+
+
+@st.composite
+def paneled_matrices(draw, panel):
+    """Matrices more than four panels of `panel` columns wide, so that odd
+    characteristics run blocked: a random rank-k product, with one whole
+    panel optionally blanked or filled with copies of earlier columns (a
+    panel with no pivot), from fewer rows than a panel to tall and narrow."""
+    field = field_of_order(draw(st.sampled_from(PANEL_ORDERS)))
+    n_cols = draw(st.integers(4 * panel + 1, 6 * panel + 2))
+    n_rows = draw(st.integers(1, n_cols + 2 * panel))
+    k = draw(st.integers(0, min(n_rows, n_cols)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    left, right = field.sample_arr(rng, (n_rows, k)), field.sample_arr(rng, (k, n_cols))
+    mat = field.matmul_arr(left, right) if k else np.zeros((n_rows, n_cols), dtype=np.int64)
+    blank = draw(st.sampled_from([None, "zero", "copies"]))
+    if blank:
+        c0 = panel * draw(st.integers(1, n_cols // panel - 1))
+        cols = slice(c0, c0 + panel)
+        mat[:, cols] = 0 if blank == "zero" else mat[:, rng.integers(0, c0, size=panel)]
+    return field, mat
+
+
+@pytest.mark.parametrize("panel", [1, 3, 7])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_blocked_rref_matches_oracle_at_panel_boundaries(panel, data):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_PANEL_COLS", panel)
+        field, mat = data.draw(paneled_matrices(panel))
+        r, pivots = rref(field, mat)
+    r_ref, pivots_ref = rref_oracle(field, mat)
+    assert pivots == pivots_ref
+    assert (r == r_ref).all()
+
+
+@pytest.mark.parametrize(
+    "order, n_cols, blocked",
+    [(49, 129, True), (27, 200, True), (49, 128, False), (25, 114, False), (64, 200, False), (2, 150, False)],
+)
+def test_only_wide_odd_characteristic_eliminations_use_matmul(order, n_cols, blocked, monkeypatch):
+    """A matrix more than four panels wide over an odd characteristic is
+    updated by field matmuls; any other runs as one panel, the per-pivot
+    loop alone.  Both match the oracle."""
+    field = field_of_order(order)
+    rng = np.random.default_rng(n_cols)
+    mat = field.sample_arr(rng, (40, n_cols))
+    mat[:, 35:70] = mat[:, :35]  # one panel with no pivot
+    calls = []
+    real = GFField.matmul_arr
+
+    def spy(self, a, b):
+        calls.append((np.shape(a), np.shape(b)))
+        return real(self, a, b)
+
+    monkeypatch.setattr(GFField, "matmul_arr", spy)
+    r, pivots = rref(field, mat)
+    assert bool(calls) == blocked
+    monkeypatch.undo()
     r_ref, pivots_ref = rref_oracle(field, mat)
     assert pivots == pivots_ref
     assert (r == r_ref).all()
