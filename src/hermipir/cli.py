@@ -116,7 +116,11 @@ def cmd_count_points(args: argparse.Namespace) -> int:
         if args.coeffs is not None:
             return _flag_error("--coeffs applies only to --curve hyperelliptic")
         c = curve_for_q(args.q)
-        affine = sum(len(c.fiber_of_x(x)) for x in c.field.elements())
+        # the fiber over x depends only on its norm x^(q+1): count the x of
+        # each norm in one pass, then look up one fiber per norm
+        norms = c.field.pow_arr(np.arange(c.field.order), args.q + 1)
+        _, first, counts = np.unique(norms, return_index=True, return_counts=True)
+        affine = sum(int(n) * len(c.fiber_of_x(int(x))) for x, n in zip(first, counts))
         payload = {
             "curve": "hermitian",
             "q": args.q,
