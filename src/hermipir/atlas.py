@@ -482,8 +482,12 @@ def achievable_profiles(field_order: int, genus: int,
         for r in range(0, rows, band):
             np.matmul(hist[r : r + band].astype(np.float32), root_counts, out=counts[r : r + band])
         counts = 1 + counts.astype(key_dtype)
-        keys = counts * 64 + hist[:, neg].astype(key_dtype)
-        uniq, first = np.unique(keys.ravel(), return_index=True)
+        keys = (counts * 64 + hist[:, neg].astype(key_dtype)).ravel()
+        # most chunks add no new profile: a histogram over the small key
+        # range finds that without the sort np.unique would run
+        if first_seen.keys() >= set(np.flatnonzero(np.bincount(keys)).tolist()):
+            continue
+        uniq, first = np.unique(keys, return_index=True)
         for key, local in zip(uniq.tolist(), first.tolist()):
             if key not in first_seen:
                 first_seen[key] = chunk * span + local
