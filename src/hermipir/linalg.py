@@ -4,6 +4,9 @@ Matrices are 2-D numpy int64 arrays of element encodings; every routine
 takes the field as its first argument.  `rref` is the one elimination
 routine: rank, kernels, greedy row selection (pivots of the transpose) and
 column-space membership (a left-kernel parity check) are all read off it.
+It eliminates wide matrices over odd characteristics by panels of columns:
+a per-pivot loop over one panel, then one field matmul update of every
+other row per panel (see `rref` for when a matrix runs as one panel).
 `row_selection` gets four results from one rref of [M^T | E]: the greedy
 row selection, the rank, a decoder D with D @ S = [I | 0] and a parity
 check H with H @ S = 0 for the selected rows S.  Prefix solving is H @ b
@@ -23,10 +26,13 @@ from hermipir.fields import GFField
 
 # Columns per elimination panel.  Measured on a 2-core host (medians of
 # in-process runs, against the per-pivot loop): 32 took the q = 7 build's
-# 196 x 321 GF(49) elimination from 0.35 to 0.08 s and the q = 9 build's
-# 405 x 692 GF(81) one from 4.2 to 0.65 s, while GF(64) and matrices at
-# most 128 wide ran slower blocked at every width tried.
+# 196 x 321 GF(49) elimination from 0.31 to 0.06 s and the q = 9 build's
+# 405 x 692 GF(81) one from 4.2 to 0.58 s, and 16 or 64 were slower there.
+# Blocked, the q = 8 GF(64) eliminations ran slower at every width tried
+# (220 against 180 ms at 288 x 483), and the q = 5 ones, at most 114 wide,
+# were no faster.
 _PANEL_COLS = 32
+
 
 def as_matrix(field: GFField, data) -> np.ndarray:
     arr = np.asarray(data, dtype=np.int64)
@@ -72,8 +78,7 @@ def rref(field: GFField, mat) -> tuple[np.ndarray, list[int]]:
         rest = row + order[k:]
         top = field.matmul_arr(_inverse(field, r[np.ix_(sel, cols)]), r[sel, c0:])
         others = np.concatenate([np.arange(row), rest])
-        if others.size:
-            r[others, c0:] = field.sub_arr(r[others, c0:], field.matmul_arr(r[np.ix_(others, cols)], top))
+        r[others, c0:] = field.sub_arr(r[others, c0:], field.matmul_arr(r[np.ix_(others, cols)], top))
         # rows from `row` down are zero left of c0
         r[row + k :, c0:] = r[rest, c0:]
         r[row : row + k, c0:] = top
