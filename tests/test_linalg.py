@@ -286,9 +286,9 @@ def paneled_matrices(draw, panel):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_blocked_rref_matches_oracle_at_panel_boundaries(panel, data):
+    field, mat = data.draw(paneled_matrices(panel))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "_PANEL_COLS", panel)
-        field, mat = data.draw(paneled_matrices(panel))
         r, pivots = rref(field, mat)
     r_ref, pivots_ref = rref_oracle(field, mat)
     assert pivots == pivots_ref
@@ -311,7 +311,7 @@ def test_only_wide_odd_characteristic_eliminations_use_matmul(order, n_cols, blo
     real = GFField.matmul_arr
 
     def spy(self, a, b):
-        calls.append((np.shape(a), np.shape(b)))
+        calls.append(self)
         return real(self, a, b)
 
     monkeypatch.setattr(GFField, "matmul_arr", spy)
