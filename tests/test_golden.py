@@ -19,8 +19,10 @@ the Hermitian point count stopped listing the points it counts.
 built its fibers from one array trace pass instead of a field tower.
 `certify --q 9` and the q = 9 manifest were recorded before `rref` moved
 from one digit-wise update per pivot to blocked panels with a field matmul
-per panel.  The manifests pin the selected server points.  q = 4 is
-absent: at x_sec = t_priv = 1 no fiber count satisfies its point supply.
+per panel.  The q = 7 socket demo was recorded before the transport turned
+off Nagle's algorithm on its TCP connections.  The manifests pin the
+selected server points.  q = 4 is absent: at x_sec = t_priv = 1 no fiber
+count satisfies its point supply.
 """
 
 from __future__ import annotations
@@ -63,6 +65,9 @@ CLI_GOLDENS = {
     ("pir-demo", "--q", "5", "--trials", "5", "--format", "json",
      "--transport", "socket"):
         "1f011f147231b47728d0a69aa4acd810f5ea5280b8682f2a9ed41e8c38c8dbbe",
+    ("pir-demo", "--q", "7", "--trials", "3", "--format", "json",
+     "--transport", "socket"):
+        "fdea109349ca37c4080becf10fba2e7037c576de8c9de3c903bc96e32ef3daf6",
     ("tables", "--which", "1", "--format", "md"):
         "22aa8fdc73d8a768938b04e2cded92db5e6ab9be8abd021ad7e19a6d73a07c1d",
     ("tables", "--which", "1", "--format", "csv"):
