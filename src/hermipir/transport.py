@@ -33,10 +33,19 @@ exploits to collect them without sequence numbers.  `WorkerPool` is the
 client: an answer backend for `scheme.run_trials`, whose connections time
 out after `REPLY_TIMEOUT_S` so that a hung worker raises instead of
 blocking the client forever.
+
+Both ends of every worker connection set ``TCP_NODELAY``.  A retrieval
+writes small frames that wait on no reply of their own (the client's
+STOREs and QUERYs, a worker's ANSWERs), and with Nagle's algorithm on
+(RFC 896) such a write is held until the peer acknowledges the previous
+one, while the peer, having nothing to send back yet, delays that
+acknowledgement (RFC 1122; Linux waits at least about 40 ms).  That stall
+struck about once per retrieval and dominated a q = 5 trial's time.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import multiprocessing as mp
 import socket
@@ -124,7 +133,7 @@ def decode_elements(field: GFField, elements, shape=None) -> np.ndarray:
     malformed = f"elements must be tuples of {field.n} integer digits"
     try:
         # checked before numpy, which reads the True in [True, 1] as 1
-        ints = all(type(d) is int for e in elements for d in e)
+        ints = set(map(type, itertools.chain.from_iterable(elements))) <= {int}
     except TypeError:  # an element that is not a sequence
         ints = False
     if not ints:
@@ -153,6 +162,7 @@ def serve_worker(listener: socket.socket, field_order: int) -> None:
     conn, _ = listener.accept()
     listener.close()
     with conn:
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         serve_connection(conn, field_of_order(field_order))
 
 
@@ -233,7 +243,9 @@ class WorkerPool:
                 proc.start()
                 self.procs.append(proc)
             for listener in listeners:
-                self.conns.append(socket.create_connection(listener.getsockname(), timeout=REPLY_TIMEOUT_S))
+                conn = socket.create_connection(listener.getsockname(), timeout=REPLY_TIMEOUT_S)
+                self.conns.append(conn)
+                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         except BaseException as exc:
             self.__exit__(type(exc), exc, None)
             raise

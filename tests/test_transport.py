@@ -69,8 +69,8 @@ def test_bad_element_digits_rejected():
         decode_elements(field, msg["elements"])
     with pytest.raises(ValueError, match=r"0\.\.4"):
         decode_elements(field, [[-1, 0]])
-    for bad in ([[1, 2, 0]], [[1]], [[1, 2], [3]], [[1.0, 2.0]], [1, 2],
-                [[True, 1]], [[1, 2], [0, False]]):
+    for bad in ([[1, 2, 0]], [[1]], [[1, 2], [3]], [[1.0, 2.0]], [[1, 2], [0, 3.0]],
+                [1, 2], [[1, 2], 7], [[1, 2], "12"], [[True, 1]], [[1, 2], [0, False]]):
         with pytest.raises(ValueError):
             decode_elements(field, bad)
     assert decode_elements(field, []).shape == (0,)
@@ -272,6 +272,27 @@ def test_decode_elements_fuzz(order, elements):
         assert len(e) == field.n and all(type(d) is int and 0 <= d < field.p for d in e)
     assert vals.dtype == np.int64
     assert vals.tolist() == [sum(int(d) * field.p**k for k, d in enumerate(e)) for e in elements]
+
+
+def _nodelay(sock: socket.socket) -> int:
+    return sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+
+def test_pool_connections_disable_nagle():
+    with WorkerPool(F25, 5, 3) as pool:
+        assert len(pool.conns) == 3
+        assert all(_nodelay(conn) for conn in pool.conns)
+
+
+def test_worker_disables_nagle_on_accepted_connection(monkeypatch):
+    seen = []
+    monkeypatch.setattr(transport, "serve_connection", lambda conn, field: seen.append(_nodelay(conn)))
+    listener = socket.create_server(("127.0.0.1", 0))
+    worker = threading.Thread(target=transport.serve_worker, args=(listener, 25))
+    worker.start()
+    with socket.create_connection(listener.getsockname()):
+        worker.join()
+    assert len(seen) == 1 and seen[0]
 
 
 def test_pool_times_out_on_hung_worker(monkeypatch):
