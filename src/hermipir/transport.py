@@ -34,13 +34,11 @@ client: an answer backend for `scheme.run_trials`, whose connections time
 out after `REPLY_TIMEOUT_S` so that a hung worker raises instead of
 blocking the client forever.
 
-Both ends of every worker connection set ``TCP_NODELAY``.  A retrieval
-writes small frames that wait on no reply of their own (the client's
-STOREs and QUERYs, a worker's ANSWERs), and with Nagle's algorithm on
-(RFC 896) such a write is held until the peer acknowledges the previous
-one, while the peer, having nothing to send back yet, delays that
-acknowledgement (RFC 1122; Linux waits at least about 40 ms).  That stall
-struck about once per retrieval and dominated a q = 5 trial's time.
+Both ends of every worker connection set ``TCP_NODELAY``.  The frames are
+small and most wait on no reply; with Nagle's algorithm (RFC 896) a small
+write waits while an earlier one is unacknowledged, and a peer with nothing
+to send delays its acknowledgement (RFC 1122; at least about 40 ms on
+Linux), a stall of about one delayed ACK per retrieval.
 """
 
 from __future__ import annotations
