@@ -20,7 +20,10 @@ built its fibers from one array trace pass instead of a field tower.
 `certify --q 9` and the q = 9 manifest were recorded before `rref` moved
 from one digit-wise update per pivot to blocked panels with a field matmul
 per panel.  The q = 7 socket demo was recorded before the transport turned
-off Nagle's algorithm on its TCP connections.  The manifests pin the
+off Nagle's algorithm on its TCP connections.  `certify` at
+x_sec = t_priv = 2 (q = 5 in md and json, q = 7 in json) was recorded
+while certify still built and checked each of the L storage codes on its
+own, testing w = 2 one column pair at a time.  The manifests pin the
 selected server points.  q = 4 is absent: at x_sec = t_priv = 1 no fiber
 count satisfies its point supply.
 """
@@ -46,6 +49,12 @@ CLI_GOLDENS = {
         "209b6d70d3ecd59def7597f0b4ba460a29bb30a89f6bcdd5644f4fe45c5328d6",
     ("certify", "--q", "8", "--format", "json"):
         "dc2c943d2a213d9622f9fecd53c57a825922dd214b5cb9b526c2692b04526760",
+    ("certify", "--q", "5", "--x", "2", "--t", "2"):
+        "ec9e150881dbacdf47577cd4ad3a307fabe4937cd4749ad0abb99760ad2083fe",
+    ("certify", "--q", "5", "--x", "2", "--t", "2", "--format", "json"):
+        "7e4c5efefbfd672601959e1d0ff699a49601a05a1198bcd63675db7543eeaf9c",
+    ("certify", "--q", "7", "--x", "2", "--t", "2", "--format", "json"):
+        "64a7aebbdd772d40615ea868a2339631d898d461595942cd384e69e1c91893ca",
     ("verify", "--suite", "noise", "--format", "json"):
         "e122848dd8cfb5daaa1750b707363926e7f8a5e13b96dcc909a1a0e4613d8d7c",
     ("verify", "--suite", "fields", "--format", "json"):
