@@ -457,12 +457,9 @@ def _suite_security(seed: int) -> list[dict]:
     instance = build_instance(validate_params(5, 1, 1, num_files=3))
     order = instance.field.order
     frag_count = instance.params.frag_count
-    bounds = [dual_distance_bound(instance.storage_code(l))
-              for l in range(frag_count)]
-    independent = all(
-        check_w_wise_independence(instance.storage_code(l), 1)[0]
-        for l in range(frag_count)
-    )
+    report = certify_instance(instance)
+    bounds = report.storage_dual_bounds
+    independent = all(ok for _, ok in report.storage_independence)
     share_ok, share_stats = True, []
     for value in (0, 17):
         ok, stat = _uniform(instance.share_marginal_samples(
@@ -472,10 +469,9 @@ def _suite_security(seed: int) -> list[dict]:
         share_ok &= ok
         share_stats.append(stat)
     threshold = _uniformity_threshold(order)
-    wide = build_instance(validate_params(5, 2, 2))
-    wide_bounds = [dual_distance_bound(wide.storage_code(l))
-                   for l in range(wide.params.frag_count)]
-    wide_query = dual_distance_bound(wide.query_code())
+    wide = certify_instance(build_instance(validate_params(5, 2, 2)))
+    wide_bounds = wide.storage_dual_bounds
+    wide_query = wide.query_dual_bound
     return [
         {"check": "storage-dual-bounds", "ok": all(b >= 2 for b in bounds),
          "detail": f"min {min(bounds)} >= x_sec + 1 = 2 over "

@@ -368,10 +368,6 @@ class SchemeInstance:
 
     # -- certificates ------------------------------------------------------------
 
-    def storage_code(self, frag_index: int) -> EvalCode:
-        sec_eval = self.field.mul_arr(self.inv_info[:, frag_index : frag_index + 1], self.secbase)
-        return from_matrix(self.field, sec_eval.T, self.params.genus, self.sec_pole)
-
     def query_code(self) -> EvalCode:
         return from_matrix(self.field, self.priv_eval.T, self.params.genus, self.priv_pole)
 
@@ -493,18 +489,28 @@ class CertificationReport:
 
 
 def certify_instance(instance: SchemeInstance) -> CertificationReport:
-    """Re-derive the instance's correctness, security and privacy evidence."""
+    """Re-derive the instance's correctness, security and privacy evidence.
+
+    Storage slot l's code is ``secbase.T`` with column j scaled by
+    ``inv_info[j, l]``.  A nonzero scale keeps every column dependence, and
+    a zero scale leaves a zero column, which fails every w.  So the family
+    code ``secbase.T`` is checked once: slot l's verdict is the family's and
+    "``inv_info[:, l]`` has no zero", and its dual bound is the family's.
+    """
     p = instance.params
     field = instance.field
 
-    storage_bounds = [dual_distance_bound(instance.storage_code(l)) for l in range(p.frag_count)]
+    family = from_matrix(field, instance.secbase.T, p.genus, instance.sec_pole)
+    storage_bounds = [dual_distance_bound(family)] * p.frag_count
     query_bound = dual_distance_bound(instance.query_code())
 
     def independence(code: EvalCode, threshold: int) -> list[tuple[int, bool]]:
         """Exhaustive w-wise independence for w up to min(threshold, 2)."""
         return [(w, check_w_wise_independence(code, w)[0]) for w in range(1, min(threshold, 2) + 1)]
 
-    storage_ind = [pair for l in range(p.frag_count) for pair in independence(instance.storage_code(l), p.x_sec)]
+    family_ind = independence(family, p.x_sec)
+    scale_ok = (instance.inv_info != 0).all(axis=0)
+    storage_ind = [(w, ok and bool(scale_ok[l])) for l in range(p.frag_count) for w, ok in family_ind]
     query_ind = independence(instance.query_code(), p.t_priv)
 
     # one elimination of [noise | info]: the pivots inside the noise block

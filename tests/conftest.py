@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from hermipir.codes import from_matrix
+
 
 def _sample_covered_genus_one_inputs(n_samples: int, seed: int) -> list[tuple]:
     """Sample (field_order, point_count, gamma, x_sec, t_priv) tuples with
@@ -30,3 +32,17 @@ def _sample_covered_genus_one_inputs(n_samples: int, seed: int) -> list[tuple]:
 @pytest.fixture
 def sample_covered_genus_one_inputs():
     return _sample_covered_genus_one_inputs
+
+
+def _slot_storage_code(instance, frag_index: int):
+    """Storage slot `frag_index`'s own code: ``secbase`` with server row j
+    scaled by ``inv_info[j, frag_index]``, transposed.  This is the per-slot
+    reference against which certify's single family check is compared."""
+    field = instance.field
+    sec_eval = field.mul_arr(instance.inv_info[:, frag_index : frag_index + 1], instance.secbase)
+    return from_matrix(field, sec_eval.T, instance.params.genus, instance.sec_pole)
+
+
+@pytest.fixture
+def slot_storage_code():
+    return _slot_storage_code

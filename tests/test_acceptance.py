@@ -250,7 +250,7 @@ def test_criterion_4_protocol():
     _passed(4, f"100/100 retrievals, deterministic transcript, {elapsed:.1f}s")
 
 
-def test_criterion_5_shadows():
+def test_criterion_5_shadows(slot_storage_code):
     """q=5 instances at x=t=1 and x=t=2: every storage and query code meets
     its dual-distance threshold, passes exhaustive w-wise independence up to
     its masking width (capped at 2), and single-server query marginals are
@@ -262,7 +262,7 @@ def test_criterion_5_shadows():
         instance = build_instance(validate_params(5, x_t, x_t, num_files=2))
         p = instance.params
         for l in range(p.frag_count):
-            code = instance.storage_code(l)
+            code = slot_storage_code(instance, l)
             assert dual_distance_bound(code) >= x_t + 1
             for w in range(1, min(x_t, 2) + 1):
                 ok, _ = check_w_wise_independence(code, w)

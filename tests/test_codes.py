@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hermipir.codes import (
     check_w_wise_independence,
@@ -17,6 +20,21 @@ from hermipir.codes import (
 from hermipir.curve import CurveFunction, curve_for_q, one_point_basis
 from hermipir.fields import GFField
 from hermipir.linalg import rank
+
+
+def _independence_oracle(code, w: int):
+    """Reference w-wise independence: test every column subset of size w by
+    rank, in lexicographic order.  Same verdict and witness conventions as
+    `check_w_wise_independence`, with no limit on w."""
+    if w > code.k:
+        return False, tuple(range(w))
+    zero_cols = np.flatnonzero((code.gen == 0).all(axis=0))
+    if zero_cols.size:
+        return False, (int(zero_cols[0]),)
+    for subset in combinations(range(code.n), w):
+        if rank(code.field, code.gen[:, list(subset)]) < w:
+            return False, subset
+    return True, None
 
 
 def _one_point_code(q: int, degG: int):
@@ -89,20 +107,55 @@ def test_w_wise_independence_w_exceeding_dimension():
 
 def test_w_wise_independence_matches_dual_bound():
     # dual distance >= degG - 2g + 2 means all (degG - 2g + 1)-subsets of
-    # columns are independent; verify on a small Hermitian code
+    # columns are independent; verify on a small Hermitian code, w >= 3 by
+    # the rank oracle
     code = _one_point_code(2, 5)
     w_max = dual_distance_bound(code) - 1
+    assert w_max == 4
     for w in range(1, w_max + 1):
-        ok, witness = check_w_wise_independence(code, w)
+        check = check_w_wise_independence if w <= 2 else _independence_oracle
+        ok, witness = check(code, w)
         assert ok, (w, witness)
 
 
-def test_exhaustive_guard_refuses_large_subset_spaces():
-    f = GFField(5, 1)
-    gen = np.ones((3, 300), dtype=np.int64)
+_ORACLE_FIELDS = tuple(GFField(p, n) for p, n in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_pair_check_matches_rank_oracle(data):
+    f = data.draw(st.sampled_from(_ORACLE_FIELDS))
+    k = data.draw(st.integers(1, 4))
+    n = data.draw(st.integers(1, 9))
+    entries = data.draw(st.lists(st.integers(0, f.order - 1), min_size=k * n, max_size=k * n))
+    gen = np.array(entries, dtype=np.int64).reshape(k, n)
+    for _ in range(data.draw(st.integers(0, 3))):
+        # plant a proportional column
+        a, b = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        gen[:, b] = f.mul_arr(gen[:, a], np.int64(data.draw(st.integers(1, f.order - 1))))
+    if data.draw(st.booleans()):
+        gen[:, data.draw(st.integers(0, n - 1))] = 0
     code = from_matrix(f, gen, genus=0, degG=1)
-    with pytest.raises(ValueError, match="exceed"):
-        check_w_wise_independence(code, 5)
+    assert check_w_wise_independence(code, 2) == _independence_oracle(code, 2)
+
+
+def test_w_wise_independence_refuses_w_above_two():
+    code = _one_point_code(2, 5)
+    with pytest.raises(ValueError, match="w must be 1 or 2"):
+        check_w_wise_independence(code, 3)
+
+
+def test_pair_check_finds_planted_pair_among_two_million():
+    # 2000 columns (1, a, b) over GF(47) are pairwise independent; one
+    # planted multiple makes the only dependent pair of C(2000, 2) = 1,999,000
+    f = GFField(47, 1)
+    a, b = np.divmod(np.arange(2000, dtype=np.int64), 47)
+    gen = np.stack([np.ones(2000, dtype=np.int64), a, b])
+    gen[:, 1700] = f.mul_arr(gen[:, 400], np.int64(5))
+    code = from_matrix(f, gen, genus=0, degG=1)
+    assert check_w_wise_independence(code, 2) == (False, (400, 1700))
+    gen[:, 1700] = [1, 46, 0]  # a = 46 lies past the 2000 columns
+    assert check_w_wise_independence(from_matrix(f, gen, genus=0, degG=1), 2) == (True, None)
 
 
 def test_bruteforce_guard():

@@ -9,6 +9,7 @@ import pytest
 import scipy.stats
 
 import hermipir.scheme as scheme_mod
+from hermipir.codes import check_w_wise_independence, dual_distance_bound
 from hermipir.curve import CurveFunction, one_point_basis
 from hermipir.linalg import ColumnSpace
 from hermipir.scheme import (
@@ -383,6 +384,28 @@ def test_certify_instance_bounds_and_ranks(inst_11, inst_22):
     d = rep2.to_dict()
     json.dumps(d)
     assert d["all_ok"] is True and d["fallback_used"] is False
+
+
+@pytest.mark.parametrize("q, x_t", [(5, 2), (7, 1)])
+def test_certify_family_matches_per_slot_codes(slot_storage_code, q, x_t):
+    instance = build_instance(validate_params(q, x_t, x_t))
+    rep = certify_instance(instance)
+    widths = range(1, min(x_t, 2) + 1)
+    per_slot = [(w, check_w_wise_independence(slot_storage_code(instance, l), w)[0])
+                for l in range(instance.params.frag_count) for w in widths]
+    bounds = [dual_distance_bound(slot_storage_code(instance, l))
+              for l in range(instance.params.frag_count)]
+    assert rep.storage_independence == per_slot
+    assert rep.storage_dual_bounds == bounds
+
+
+def test_certify_fails_slot_with_zero_scale():
+    instance = build_instance(validate_params(5, 1, 1))
+    assert certify_instance(instance).all_ok
+    instance.inv_info[4, 3] = 0
+    rep = certify_instance(instance)
+    assert [ok for _, ok in rep.storage_independence] == [l != 3 for l in range(instance.params.frag_count)]
+    assert not rep.all_ok
 
 
 def test_query_marginal_uniform_chi_square(inst_11):
