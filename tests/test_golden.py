@@ -23,7 +23,10 @@ per panel.  The q = 7 socket demo was recorded before the transport turned
 off Nagle's algorithm on its TCP connections.  `certify` at
 x_sec = t_priv = 2 (q = 5 in md and json, q = 7 in json) was recorded
 while certify still built and checked each of the L storage codes on its
-own, testing w = 2 one column pair at a time.  The manifests pin the
+own, testing w = 2 one column pair at a time.  The forced-exhaustive
+catalog 1 at GF(23) and the md `verify --suite privacy` and `noise` were
+recorded before the catalog's search-mode dispatch became one boolean and
+those suites read their code verdicts from a certify report.  The manifests pin the
 selected server points.  q = 4 is absent: at x_sec = t_priv = 1 no fiber
 count satisfies its point supply.
 """
@@ -57,12 +60,16 @@ CLI_GOLDENS = {
         "64a7aebbdd772d40615ea868a2339631d898d461595942cd384e69e1c91893ca",
     ("verify", "--suite", "noise", "--format", "json"):
         "e122848dd8cfb5daaa1750b707363926e7f8a5e13b96dcc909a1a0e4613d8d7c",
+    ("verify", "--suite", "noise"):
+        "a41a3cfaafbb4031c3ff8b7ef0abc6ebcea7af70617b96956eba5f07852a7518",
     ("verify", "--suite", "fields", "--format", "json"):
         "67caf27c2c5a4fc403a5ebd5849b036e9118ae4d3925f40f55d1922a6abb6c06",
     ("verify", "--suite", "bases", "--format", "json"):
         "d5ef91b52499d9f98e92fae9f74f0fc4be11b73236de0cf6f51f1211c22322fb",
     ("verify", "--suite", "privacy", "--format", "json"):
         "4a02a40f4efe6d4b9f14e9175757fa1e0a38af7165be8c2c24239e6e9a1265ea",
+    ("verify", "--suite", "privacy"):
+        "0c7afc438e369b8a4905e8afc1ef6be6b3b26b5e451bedfdc66a4531e4653ce6",
     ("verify", "--suite", "security", "--format", "json"):
         "0c058ad1ff5a50f0fc1f9cdd9797346b47c556ce2b2647b58b4ce7a915dc8501",
     ("verify", "--suite", "codes", "--format", "json"):
@@ -83,6 +90,9 @@ CLI_GOLDENS = {
         "4e8f577d59a3857c98b909d0ac7650d4fad60ef7f65110463f025cdf4e524e85",
     ("tables", "--which", "1", "--format", "json"):
         "6a303596fe48a7ac89905ff395b99c88e2324d49d1387ed70705df6a7499f160",
+    ("tables", "--which", "1", "--full-search", "--fields", "23",
+     "--format", "json"):
+        "9d9ebbe6162c9fd45dd6edefbfbd6e7f7134d9a5c017aee40032f704badeec48",
     ("tables", "--which", "2", "--format", "md"):
         "df501ff391fd6132150e280a8a81fe8e3b552d71decdd57da8669ec6f40fdbeb",
     ("tables", "--which", "2", "--format", "csv"):
