@@ -19,8 +19,10 @@ the server count ``N`` and the download rate ``L / N``:
   conventions (see :func:`hermitian_best`).
 
 The module also provides the exhaustive / normalized searches over
-odd-degree hyperelliptic models used to tabulate best rates per field, and
-closed-form cross-family comparisons with machine-checkable conditions.
+odd-degree hyperelliptic models used to tabulate best rates per field (one
+entry point picks the space: exhaustive up to order 19 or on request,
+normalized beyond), and closed-form cross-family comparisons with
+machine-checkable conditions.
 The searches rest on a histogram identity: models that differ only in the
 constant term ``a_0`` share the values ``u(x)`` of the rest of the
 polynomial, so one value histogram of ``u`` gives the point profiles of all
@@ -506,26 +508,21 @@ def achievable_profiles(field_order: int, genus: int,
 
 
 def curve_search_best_rate(field_order: int, genus: int, x_sec: int,
-                           t_priv: int, mode: str = "auto") -> RateRecord:
+                           t_priv: int, full_search: bool = False) -> RateRecord:
     """Best hyperelliptic record over every monic odd-degree model of a genus.
 
-    ``mode`` selects the search space: ``"exhaustive"`` enumerates all
-    coefficient vectors, ``"reduced"`` uses the translation-normalized space
-    (raising where the normalization degenerates), and ``"auto"`` enumerates
-    exhaustively for field orders up to 19 and otherwise reduces when valid.
-    The returned record carries the defining coefficients of a maximizing
-    model as ``witness``; ties in the rate resolve to the witness whose
-    coefficient vector is smallest as a base-``field_order`` integer.
+    The search enumerates every coefficient vector for field orders up to 19
+    and, beyond, the translation-normalized space wherever the normalization
+    is valid (the characteristic does not divide ``2g + 1``); both spaces
+    hold the same profiles.  ``full_search=True`` enumerates every
+    coefficient vector at every order.  The returned record carries the
+    defining coefficients of a maximizing model as ``witness``; ties in the
+    rate resolve to the witness whose coefficient vector is smallest as a
+    base-``field_order`` integer.
     """
-    if mode not in ("auto", "exhaustive", "reduced"):
-        raise ValueError("mode must be 'auto', 'exhaustive' or 'reduced'")
     _check_masking(x_sec, t_priv)
-    degree = 2 * genus + 1
     p = field_of_order(field_order).p
-    if mode == "auto":
-        use_reduced = field_order > 19 and degree % p != 0
-    else:
-        use_reduced = mode == "reduced"
+    use_reduced = not full_search and field_order > 19 and (2 * genus + 1) % p != 0
     profiles = achievable_profiles(field_order, genus, use_reduced)
     space = "reduced" if use_reduced else "exhaustive"
     best: RateRecord | None = None
@@ -683,13 +680,6 @@ def elliptic_best_possible(q2: int, x_sec: int, t_priv: int) -> RateRecord:
     return best
 
 
-def _no_competitor_wins(champion: RateRecord, competitor: RateRecord) -> bool:
-    """True unless the competitor is feasible and at least matches the champion."""
-    if not competitor.feasible:
-        return True
-    return champion.feasible and champion.rate > competitor.rate
-
-
 def hermitian_beats_elliptic(q: int, x_sec: int, t_priv: int) -> ComparisonReport:
     """Hermitian beats every genus-1 competitor over GF(q^2).
 
@@ -709,7 +699,7 @@ def hermitian_beats_elliptic(q: int, x_sec: int, t_priv: int) -> ComparisonRepor
     return ComparisonReport(
         name="hermitian-beats-elliptic",
         condition_holds=condition,
-        conclusion_holds=_no_competitor_wins(champion, competitor),
+        conclusion_holds=not competitor.feasible or _rate_beats(champion, competitor),
         details={
             "hermitian_lower_bound": str(lower),
             "elliptic_upper_bound": str(upper),
@@ -744,7 +734,7 @@ def hermitian_beats_hyperelliptic(q: int, genus: int, x_sec: int,
     return ComparisonReport(
         name="hermitian-beats-hyperelliptic",
         condition_holds=condition,
-        conclusion_holds=_no_competitor_wins(champion, competitor),
+        conclusion_holds=not competitor.feasible or _rate_beats(champion, competitor),
         details={
             "hermitian_lower_bound": str(lower),
             "hyperelliptic_upper_bound": str(upper),

@@ -16,7 +16,8 @@ is exactly minus the largest pole order among its monomials; valuations of
 quotients follow by subtraction.  At the origin, x is a uniformizer and y
 has valuation q+1; a polynomial's valuation there is read off its power
 series in x, with y = x^(q+1) - y^q expanded to the precision its pole
-order at infinity bounds.
+order at infinity bounds.  A function is evaluated at any number of affine
+points in one array pass; a single point is the one-point case of it.
 
 The module builds four function families used by the retrieval scheme:
 
@@ -189,16 +190,11 @@ class CurveFunction:
             raise ZeroDivisionError("zero denominator")
 
     def evaluate(self, point) -> int:
-        """Value at an affine point; raises at poles."""
-        x, y = point
-        f = self.curve.field
-        den_v = int(self.curve.poly_eval_arr(self.den, np.int64(x), np.int64(y)))
-        if den_v == 0:
-            raise ValueError(f"function has a pole (or 0/0 form) at {(x, y)}")
-        num_v = int(self.curve.poly_eval_arr(self.num, np.int64(x), np.int64(y)))
-        return f.mul(num_v, f.inv(den_v))
+        """Value at one affine point; raises at poles."""
+        return int(self.evaluate_many([tuple(point)])[0])
 
     def evaluate_many(self, points) -> np.ndarray:
+        """Values at affine points, in one array pass; raises at poles."""
         xs = np.array([p[0] for p in points], dtype=np.int64)
         ys = np.array([p[1] for p in points], dtype=np.int64)
         f = self.curve.field

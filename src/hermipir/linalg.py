@@ -11,7 +11,8 @@ other row per panel (see `rref` for when a matrix runs as one panel).
 row selection, the rank, a decoder D with D @ S = [I | 0] and a parity
 check H with H @ S = 0 for the selected rows S.  Prefix solving is H @ b
 and D @ b on top of it, so a fixed system is eliminated once and then
-solved for any number of right-hand sides by two products.  Elimination
+solved for any number of right-hand sides by two products.  A right
+kernel of M is the parity check of selecting every row of M^T.  Elimination
 pivots on the first nonzero entry in scan order, so all results are
 deterministic functions of the input.
 """
@@ -159,9 +160,8 @@ def row_selection(field: GFField, mat, pad_to: int, prefix_len: int = 0) -> RowS
     particular solution of S.T @ d = e_l on the pivot rows, which is row l of
     the decoder, and each padding row's kernel vector of mat.T is a row of
     the check.  A pivot in the E block means e_l is outside the row space,
-    so coordinate l is not determined.  When the rank exceeds `pad_to`, the
-    first `pad_to` pivot rows are selected and their own submatrix is
-    eliminated for the maps.
+    so coordinate l is not determined.  Raises ValueError when the rank
+    exceeds `pad_to`.
     """
     m = as_matrix(field, mat)
     n_rows, n_cols = m.shape
@@ -173,9 +173,7 @@ def row_selection(field: GFField, mat, pad_to: int, prefix_len: int = 0) -> RowS
     row_pivots = [c for c in pivots if c < n_rows]
     rank_ = len(row_pivots)
     if rank_ > pad_to:
-        rows = row_pivots[:pad_to]
-        sub = row_selection(field, m[rows], pad_to, prefix_len)
-        return RowSelection(rows, sub.rank, sub.decoder, sub.check, sub.undetermined)
+        raise ValueError(f"rank {rank_} exceeds the {pad_to} rows to select")
     rows = _pad(row_pivots, n_rows, pad_to)
     pivot_pos = np.searchsorted(rows, row_pivots)
     padding = sorted(set(rows) - set(row_pivots))
@@ -260,10 +258,4 @@ class ColumnSpace:
 def right_kernel_basis(field: GFField, mat) -> np.ndarray:
     """Rows span {v : mat @ v = 0}; shape (n_cols - rank, n_cols)."""
     m = as_matrix(field, mat)
-    r, pivots = rref(field, m)
-    n_cols = m.shape[1]
-    free = [c for c in range(n_cols) if c not in pivots]
-    out = np.zeros((len(free), n_cols), dtype=np.int64)
-    out[np.arange(len(free)), free] = 1
-    out[:, pivots] = field.neg_arr(r[: len(pivots)][:, free]).T
-    return out
+    return row_selection(field, m.T, m.shape[1]).check

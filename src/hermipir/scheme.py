@@ -501,8 +501,9 @@ def certify_instance(instance: SchemeInstance) -> CertificationReport:
     field = instance.field
 
     family = from_matrix(field, instance.secbase.T, p.genus, instance.sec_pole)
+    query = instance.query_code()
     storage_bounds = [dual_distance_bound(family)] * p.frag_count
-    query_bound = dual_distance_bound(instance.query_code())
+    query_bound = dual_distance_bound(query)
 
     def independence(code: EvalCode, threshold: int) -> list[tuple[int, bool]]:
         """Exhaustive w-wise independence for w up to min(threshold, 2)."""
@@ -511,7 +512,7 @@ def certify_instance(instance: SchemeInstance) -> CertificationReport:
     family_ind = independence(family, p.x_sec)
     scale_ok = (instance.inv_info != 0).all(axis=0)
     storage_ind = [(w, ok and bool(scale_ok[l])) for l in range(p.frag_count) for w, ok in family_ind]
-    query_ind = independence(instance.query_code(), p.t_priv)
+    query_ind = independence(query, p.t_priv)
 
     # one elimination of [noise | info]: the pivots inside the noise block
     # count its rank, and all pivots count the rank of the whole

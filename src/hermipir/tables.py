@@ -199,17 +199,14 @@ def build_table1(field_orders=None, full_search: bool = False) -> dict:
     """
     if field_orders is None:
         field_orders = TABLE1_FIELD_ORDERS
-    mode = "exhaustive" if full_search else "auto"
     rows = []
     for order in field_orders:
         for genus in TABLE1_GENERA:
             reference = REFERENCE_TABLE1.get((order, genus))
             cells = []
-            modes = set()
             for i, budget in enumerate(TABLE1_BUDGETS):
                 rec = curve_search_best_rate(order, genus, budget, budget,
-                                             mode=mode)
-                modes.add(rec.convention)
+                                             full_search=full_search)
                 ref = reference[i] if reference is not None else None
                 extra = {}
                 if rec.feasible:
@@ -223,7 +220,8 @@ def build_table1(field_orders=None, full_search: bool = False) -> dict:
                 "field_order": order,
                 "genus": genus,
                 "convention": "searched",
-                "search_mode": sorted(modes)[0] if len(modes) == 1 else None,
+                # every budget of a row searches the same space
+                "search_mode": rec.convention,
                 "cells": cells,
             }
             rows.append(_finish_row(row))
@@ -343,18 +341,6 @@ def build_table3() -> dict:
         },
         "rows": rows,
     }
-
-
-def build_table(which: int, full_search: bool = False,
-                field_orders=None) -> dict:
-    if which == 1:
-        return build_table1(field_orders=field_orders,
-                            full_search=full_search)
-    if which == 2:
-        return build_table2()
-    if which == 3:
-        return build_table3()
-    raise ValueError("table number must be 1, 2 or 3")
 
 
 def reference_summary(structure: dict) -> dict:

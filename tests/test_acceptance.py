@@ -176,10 +176,11 @@ def test_criterion_2_small_field_catalog():
     # must return exactly what exhaustive enumeration returns
     for order in (23, 29):
         for budget in (1, 4, 8, 14):
-            fast = curve_search_best_rate(order, 2, budget, budget,
-                                          mode="reduced")
+            fast = curve_search_best_rate(order, 2, budget, budget)
             slow = curve_search_best_rate(order, 2, budget, budget,
-                                          mode="exhaustive")
+                                          full_search=True)
+            assert fast.convention == "search-reduced", (order, budget)
+            assert slow.convention == "search-exhaustive", (order, budget)
             assert fast.feasible == slow.feasible, (order, budget)
             if fast.feasible:
                 assert fast.rate == slow.rate, (order, budget)

@@ -286,39 +286,38 @@ def test_reduced_space_rejected_when_degenerate():
 
 
 def test_curve_search_small_field_anchors():
-    rec = curve_search_best_rate(11, 1, 1, 1, mode="exhaustive")
+    rec = curve_search_best_rate(11, 1, 1, 1, full_search=True)
     assert rec.feasible
     assert (rec.frag_count, rec.server_count) == (5, 15)
     assert (rec.point_count, rec.gamma) == (17, 0)
     assert count_points_hyperelliptic(11, rec.witness) == (17, 0)
 
-    assert not curve_search_best_rate(11, 1, 4, 4, mode="exhaustive").feasible
+    assert not curve_search_best_rate(11, 1, 4, 4, full_search=True).feasible
 
-    rec = curve_search_best_rate(13, 2, 1, 1, mode="exhaustive")
+    rec = curve_search_best_rate(13, 2, 1, 1, full_search=True)
     assert (rec.frag_count, rec.server_count) == (2, 18)
 
-    assert not curve_search_best_rate(11, 2, 1, 1, mode="exhaustive").feasible
+    assert not curve_search_best_rate(11, 2, 1, 1, full_search=True).feasible
 
 
 def test_curve_search_modes_agree():
-    a = curve_search_best_rate(23, 1, 3, 3, mode="exhaustive")
-    b = curve_search_best_rate(23, 1, 3, 3, mode="reduced")
+    a = curve_search_best_rate(23, 1, 3, 3, full_search=True)
+    b = curve_search_best_rate(23, 1, 3, 3)
     assert a.feasible and b.feasible
     assert a.rate == b.rate
     assert a.convention == "search-exhaustive"
     assert b.convention == "search-reduced"
-    auto = curve_search_best_rate(23, 1, 3, 3)
-    assert auto.convention == "search-reduced"
     small = curve_search_best_rate(13, 1, 1, 1)
     assert small.convention == "search-exhaustive"
+    # characteristic 3 divides the degree 3: the normalization degenerates,
+    # so the default search stays exhaustive, and asking for it raises
+    assert curve_search_best_rate(27, 1, 1, 1).convention == "search-exhaustive"
     with pytest.raises(ValueError):
-        curve_search_best_rate(27, 1, 1, 1, mode="reduced")
-    with pytest.raises(ValueError):
-        curve_search_best_rate(11, 1, 1, 1, mode="fast")
+        achievable_profiles(27, 1, True)
 
 
 def test_curve_search_witness_is_minimal():
-    rec = curve_search_best_rate(11, 1, 1, 1, mode="exhaustive")
+    rec = curve_search_best_rate(11, 1, 1, 1, full_search=True)
     best_j = rec.j_value
     windex = 0
     for c in reversed(rec.witness):

@@ -65,6 +65,16 @@ class TestDemo:
         assert a["successes"] == b["successes"] == 3
         assert a["results"] != b["results"]
 
+    def test_negative_trials_rejected(self, capsys):
+        # a malformed flag, not a failed retrieval: exit 2 and nothing run
+        code, out, err = run_cli(capsys, "pir-demo", "--trials", "-3")
+        assert code == 2
+        assert out == ""
+        assert "--trials" in err and "nonnegative" in err
+        code, out, _ = run_cli(capsys, "pir-demo", "--trials", "0")
+        assert code == 0
+        assert "retrievals: 0/0 correct" in out
+
     def test_infeasible_parameters_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "pir-demo", "--q", "4")
         assert code == 2
@@ -108,6 +118,16 @@ class TestCountPoints:
         code, _, err = run_cli(capsys, "count-points",
                                "--curve", "hyperelliptic", "--q", "13")
         assert code == 2 and "--coeffs" in err
+
+    @pytest.mark.parametrize("coeffs", ["1,,0,0", "1,0,0,", ",1,0,0", ""])
+    def test_empty_coefficient_rejected(self, capsys, coeffs):
+        # "1,,0,0" once counted y^2 = x^3 + 1, a model of the wrong degree
+        code, out, err = run_cli(capsys, "count-points", "--curve",
+                                 "hyperelliptic", "--q", "7",
+                                 "--coeffs", coeffs)
+        assert code == 2
+        assert out == ""
+        assert "--coeffs" in err
 
 
 class TestTables:
@@ -153,6 +173,15 @@ class TestTables:
         code, _, _ = run_cli(capsys, "tables", "--which", "1",
                              "--fields", "11,x")
         assert code == 2
+
+    @pytest.mark.parametrize("fields", ["", "11,", "11,,13"])
+    def test_empty_fields_item_rejected(self, capsys, fields):
+        # an empty list once printed an empty catalog and exited 0
+        code, out, err = run_cli(capsys, "tables", "--which", "1",
+                                 "--fields", fields)
+        assert code == 2
+        assert out == ""
+        assert "--fields" in err
 
 
 class TestCertify:

@@ -140,6 +140,15 @@ def test_evaluate_rejects_poles():
         h.evaluate(data_pt)
 
 
+def test_evaluate_is_evaluate_many_at_one_point():
+    c = curve_for_q(3)
+    h = build_h(c, [1, 2])
+    pts = [p for p in c.affine_points() if p[0] not in (1, 2)]
+    values = h.evaluate_many(pts)
+    assert [h.evaluate(p) for p in pts] == values.tolist()
+    assert all(type(h.evaluate(p)) is int for p in pts[:3])
+
+
 def test_basic_valuations():
     c = curve_for_q(5)
     assert c.monomial_function(1, 0).valuation_at_infinity() == -5

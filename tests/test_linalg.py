@@ -396,10 +396,9 @@ def test_row_selection_decoder_and_check(system, data):
     selected rows, H b = 0 and D b agree with the rref oracle."""
     field, mat, rhs, prefix_len = system
     n_rows, n_cols = mat.shape
-    pad_to = data.draw(st.integers(0, n_rows), label="pad_to")
+    target = rank(field, mat)
+    pad_to = data.draw(st.integers(target, n_rows), label="pad_to")
     sel = row_selection(field, mat, pad_to, prefix_len)
-    full_rank = rank(field, mat)
-    target = min(full_rank, pad_to)
     chosen = greedy_rows_oracle(field, mat, target)
     assert sel.rows == sorted(chosen + [i for i in range(n_rows) if i not in chosen][: pad_to - target])
     sub = mat[sel.rows]
@@ -425,3 +424,38 @@ def test_row_selection_rejects_bad_sizes():
         row_selection(F7, m, 4)
     with pytest.raises(ValueError, match="prefix length"):
         row_selection(F7, m, 3, 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(low_rank_matrices(), st.data())
+def test_row_selection_rejects_pad_below_rank(fm, data):
+    field, mat = fm
+    full_rank = rank(field, mat)
+    if full_rank == 0:
+        return
+    pad_to = data.draw(st.integers(0, full_rank - 1), label="pad_to")
+    with pytest.raises(ValueError, match="rank"):
+        row_selection(field, mat, pad_to)
+
+
+def kernel_oracle(field: GFField, mat: np.ndarray) -> np.ndarray:
+    """One kernel vector per free column of rref(mat): 1 there, minus the
+    pivot rows' entries in that column at the pivot columns."""
+    r, pivots = rref_oracle(field, mat)
+    n_cols = mat.shape[1]
+    free = [c for c in range(n_cols) if c not in pivots]
+    out = np.zeros((len(free), n_cols), dtype=np.int64)
+    for i, c in enumerate(free):
+        out[i, c] = 1
+        for row, p in enumerate(pivots):
+            out[i, p] = field.neg(int(r[row, c]))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(low_rank_matrices(), st.booleans())
+def test_right_kernel_matches_free_column_oracle(fm, transpose):
+    field, mat = fm
+    if transpose:
+        mat = mat.T.copy()
+    assert np.array_equal(right_kernel_basis(field, mat), kernel_oracle(field, mat))

@@ -7,12 +7,12 @@ import json
 import pytest
 
 from hermipir import tables
+from hermipir.cli import main
 from hermipir.tables import (
     REFERENCE_TABLE1,
     TABLE1_BUDGETS,
     TABLE2_BUDGETS,
     TABLE3_BUDGETS,
-    build_table,
     build_table1,
     build_table2,
     build_table3,
@@ -278,19 +278,20 @@ class TestTable1:
 # ---------------------------------------------------------------------------
 
 class TestRendering:
-    def test_dispatch_and_validation(self):
-        with pytest.raises(ValueError):
-            build_table(4)
+    def test_dispatch_and_validation(self, capsys):
+        # the CLI picks the builder; there is no catalog 4
+        assert main(["tables", "--which", "4"]) == 2
+        assert "invalid choice: 4" in capsys.readouterr().err
 
     def test_json_round_trip(self):
-        text = render_json(build_table(2))
+        text = render_json(build_table2())
         payload = json.loads(text)
         assert payload["table"] == 2
         assert payload["reference_summary"]["all_match"] is True
         assert len(payload["rows"]) == 4
 
     def test_csv_shape(self):
-        text = render_csv(build_table(3))
+        text = render_csv(build_table3())
         reader = csv.reader(io.StringIO(text))
         rows = list(reader)
         assert rows[0] == list(tables._CSV_COLUMNS)
@@ -299,21 +300,21 @@ class TestRendering:
         assert "0.50890" in rates and "0.69343" in rates
 
     def test_markdown_flags_discrepancies(self):
-        text = render_markdown(build_table(3))
+        text = render_markdown(build_table3())
         assert "| row | T=5 |" in text
         assert "0.69343*" in text
         assert "computed 0.69343 below reference 0.70213" in text
         assert "reference agreement: MISMATCH" in text
-        clean = render_markdown(build_table(2))
+        clean = render_markdown(build_table2())
         assert "reference agreement: all rows match" in clean
         assert "*" not in clean.split("\n\n")[-1]
 
     def test_byte_determinism(self):
         for render in (render_markdown, render_csv, render_json):
-            assert render(build_table(2)) == render(build_table(2))
+            assert render(build_table2()) == render(build_table2())
 
     def test_table1_emit_subset(self):
-        text = render_csv(build_table(1, field_orders=(11,)))
+        text = render_csv(build_table1(field_orders=(11,)))
         reader = list(csv.reader(io.StringIO(text)))
         assert len(reader) == 1 + 2 * len(TABLE1_BUDGETS)
         assert reader[1][9] == "0.33333"
