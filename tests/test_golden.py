@@ -26,7 +26,9 @@ while certify still built and checked each of the L storage codes on its
 own, testing w = 2 one column pair at a time.  The forced-exhaustive
 catalog 1 at GF(23) and the md `verify --suite privacy` and `noise` were
 recorded before the catalog's search-mode dispatch became one boolean and
-those suites read their code verdicts from a certify report.  The manifests pin the
+those suites read their code verdicts from a certify report.  `certify --q
+11` (json) was recorded before the field ops on orders up to 256 moved from
+digit-wise arithmetic to lookup tables.  The manifests pin the
 selected server points.  q = 4 is absent: at x_sec = t_priv = 1 no fiber
 count satisfies its point supply.
 """
@@ -48,6 +50,8 @@ CLI_GOLDENS = {
         "8baacdd774b2d3cae9a30649d0c2c9e1ae40a4e90be27b4f85a3a9a055f7b562",
     ("certify", "--q", "9", "--format", "json"):
         "e9cff01561a9b02dd86c83cbc0e328190440cd7df672deea8a73374c471a1b39",
+    ("certify", "--q", "11", "--format", "json"):
+        "ccad48a0149217a403dcdf867022436a50412223c45581046a3cf32af7383238",
     ("certify", "--q", "5"):
         "209b6d70d3ecd59def7597f0b4ba460a29bb30a89f6bcdd5644f4fe45c5328d6",
     ("certify", "--q", "8", "--format", "json"):
