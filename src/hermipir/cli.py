@@ -99,6 +99,10 @@ def _flag_error(message: str) -> int:
 def cmd_tables(args: argparse.Namespace) -> int:
     if args.which != 1 and (args.fields is not None or args.full_search):
         return _flag_error("--fields and --full-search only apply to --which 1")
+    if args.fields is not None and len(set(args.fields)) < len(args.fields):
+        # catalog rows are keyed by (order, genus): a repeated order would
+        # print each of its rows twice
+        return _flag_error(f"--fields repeats a field order: {args.fields}")
     if args.which == 1:
         structure = tables.build_table1(field_orders=args.fields,
                                         full_search=args.full_search)

@@ -183,6 +183,15 @@ class TestTables:
         assert out == ""
         assert "--fields" in err
 
+    @pytest.mark.parametrize("fields", ["11,11", "11,13,11"])
+    def test_repeated_field_order_rejected(self, capsys, fields):
+        # a repeated order once printed each of its rows twice and exited 0
+        code, out, err = run_cli(capsys, "tables", "--which", "1",
+                                 "--fields", fields)
+        assert code == 2
+        assert out == ""
+        assert "--fields repeats" in err
+
 
 class TestCertify:
     def test_pass_and_exit_zero(self, capsys):

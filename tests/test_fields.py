@@ -316,6 +316,99 @@ def test_sub_arr_matches_scalar_sub(operands):
     assert got.shape == want.shape and (got == want).all()
 
 
+# -- lookup tables up to fields._TABLE_MAX_ORDER --------------------------------
+
+def digitwise_sum(f: GFField, a, axis=None) -> np.ndarray:
+    """Field sum along `axis`, one base-p digit at a time."""
+    return sum((((a // pk) % f.p).sum(axis=axis) % f.p) * pk for pk in f._pk)
+
+
+TABLED_ORDERS = [3, 9, 25, 49, 81, 121, 243, 64, 256]
+
+
+@pytest.mark.parametrize("order", TABLED_ORDERS)
+def test_tabled_ops_match_oracles_on_all_pairs(order):
+    f = field_of_order(order)
+    elems = np.arange(order, dtype=np.int64)
+    a, b = np.repeat(elems, order), np.tile(elems, order)
+    assert (f.add_arr(a, b) == digitwise_add(f, a, b)).all()
+    assert (f.sub_arr(a, b) == digitwise_add(f, a, digitwise_neg(f, b))).all()
+    assert (f.neg_arr(elems) == digitwise_neg(f, elems)).all()
+    assert (f.mul_arr(a, b) == f._logexp_mul(a, b)).all()
+    rng = np.random.default_rng(order)
+    for x, y in rng.integers(0, order, (40, 2)):
+        assert int(f.mul_arr(x, y)) == schoolbook_mul(f, int(x), int(y))
+    grid = rng.integers(0, order, (6, 7, 5))
+    for axis in (None, 0, 1, -1):
+        assert (f.sum_arr(grid, axis=axis) == digitwise_sum(f, grid, axis)).all()
+
+
+@pytest.mark.parametrize("order", [7, 49, 243, 64])
+@pytest.mark.parametrize("shapes", BROADCAST_SHAPES, ids=str)
+def test_tabled_ops_broadcast_like_oracles(order, shapes):
+    """Broadcast shapes and 0-d inputs keep their parent's result types:
+    add, sub and neg give a 0-d array, mul and a full sum an np.int64."""
+    f = field_of_order(order)
+    rng = np.random.default_rng(len(shapes[0]) + 3 * len(shapes[1]))
+    a, b = (rng.integers(0, order, s) for s in shapes)
+    got = {"add": f.add_arr(a, b), "sub": f.sub_arr(a, b), "mul": f.mul_arr(a, b), "neg": f.neg_arr(a)}
+    want = {"add": digitwise_add(f, a, b), "sub": digitwise_add(f, a, digitwise_neg(f, b)),
+            "mul": f._logexp_mul(a, b), "neg": digitwise_neg(f, a)}
+    for name, out in got.items():
+        assert np.shape(out) == np.shape(want[name]) and (out == want[name]).all(), name
+        assert out.dtype == np.int64, name
+    if a.ndim == 0 and b.ndim == 0:
+        assert all(type(got[name]) is np.ndarray for name in ("add", "sub", "neg"))
+        assert type(got["mul"]) is np.int64
+    total = f.sum_arr(a)
+    assert type(total) is np.int64 and total == digitwise_sum(f, a)
+
+
+@pytest.mark.parametrize("fill", ["top", "random"])
+def test_sum_arr_at_lane_capacity(fill, monkeypatch):
+    """GF(3^5) packs five digits into 12-bit lanes: 2,047 terms of digit 2
+    sum to 4,094 < 2**12 in every lane, and one term more falls back to
+    the digit-wise sum."""
+    f = field_of_order(243)
+    fallbacks = []
+    digitwise = GFField._digitwise_sum
+    monkeypatch.setattr(GFField, "_digitwise_sum",
+                        lambda self, a, axis=None: fallbacks.append(a.shape) or digitwise(self, a, axis))
+    rng = np.random.default_rng(243)
+    for terms, falls_back in [(2047, False), (2048, True)]:
+        grid = (np.full((3, terms), 242) if fill == "top"
+                else rng.integers(0, 243, (3, terms)))
+        fallbacks.clear()
+        assert (f.sum_arr(grid, axis=1) == digitwise_sum(f, grid, axis=1)).all()
+        assert (f.sum_arr(grid.T, axis=0) == digitwise_sum(f, grid, axis=1)).all()
+        assert f.sum_arr(grid[0]) == digitwise_sum(f, grid[0])
+        assert bool(fallbacks) == falls_back
+
+
+@pytest.mark.parametrize("order", [257, 3**11])
+def test_orders_above_limit_build_no_tables(order):
+    f = field_of_order(order)
+    assert order > fields._TABLE_MAX_ORDER
+    assert f._add_table is f._sub_table is f._neg_table is f._mul_table is f._lanes is None
+    rng = np.random.default_rng(order)
+    a, b = rng.integers(0, order, (2, 3, 50))
+    assert (f.add_arr(a, b) == digitwise_add(f, a, b)).all()
+    assert (f.sum_arr(a, axis=1) == digitwise_sum(f, a, axis=1)).all()
+
+
+@pytest.mark.parametrize("order", [8, 64, 256, 2**12])
+def test_char2_keeps_xor(order):
+    """Characteristic 2 tables only the product: add, sub and neg stay a
+    XOR or a copy, and every sum is one XOR reduction."""
+    f = field_of_order(order)
+    assert f._add_table is f._sub_table is f._neg_table is f._lanes is None
+    assert (f._mul_table is not None) == (order <= fields._TABLE_MAX_ORDER)
+    grid = np.random.default_rng(order).integers(0, order, (4, 9))
+    for axis in (None, 0, 1):
+        assert (f.sum_arr(grid, axis=axis) == np.bitwise_xor.reduce(grid, axis=axis)).all()
+        assert (f.sum_arr(grid, axis=axis) == digitwise_sum(f, grid, axis)).all()
+
+
 def test_slow_path_field_matches_table_field_on_prime_subfield():
     # GF(17^4) = 83521 restricted to its prime subfield is GF(17).
     big = GFField(17, 4)
