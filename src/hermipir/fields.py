@@ -409,8 +409,8 @@ class GFField:
             out += ((packed >> (k * bits)) & mask) % self.p * self._pk[k]
         return out
 
-    # -- arithmetic without tables: orders above _TABLE_MAX_ORDER, the
-    # -- tables' construction, and the reference the tables are tested on
+    # -- arithmetic without tables: orders above _TABLE_MAX_ORDER, and the
+    # code that builds the tables and that tests check them against
 
     def _digitwise_add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
