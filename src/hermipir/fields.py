@@ -50,9 +50,10 @@ _BLAS_CALL_MACS = 2**19
 # Fields up to this order do their elementwise ops by one gather from flat
 # int64 tables built in the constructor: every Hermitian field up to q = 16.
 # On a 2-core host a 1261 x 2000 subtraction over GF(169) took 21 ms against
-# 118 ms digit by digit, and a q = 13 build went from 6.0-6.4 s to 3.3-3.9 s.
-# The add, sub and mul tables take 24 * order**2 bytes, 1.5 MiB at 256 and
-# 16 MiB at the catalogs' GF(841), and cost 1-9 ms to build at 169-256.
+# 118 ms digit by digit, and a q = 13 build went from 6.0-7.4 s to 3.3-3.9 s.
+# The add, sub and mul tables take 24 * order**2 bytes: 1.4 MiB at GF(243),
+# and 16 MiB at GF(841) if the limit were raised that far; GF(256) builds only
+# its 512 KiB mul table.  Building took 1-9 ms at orders 169 to 256.
 _TABLE_MAX_ORDER = 256
 
 
