@@ -194,14 +194,14 @@ class CurveFunction:
         return int(self.evaluate_many([tuple(point)])[0])
 
     def evaluate_many(self, points) -> np.ndarray:
-        """Values at affine points, in one array pass; raises at poles."""
-        xs = np.array([p[0] for p in points], dtype=np.int64)
-        ys = np.array([p[1] for p in points], dtype=np.int64)
+        """Values at affine points, given as a sequence of (x, y) tuples or
+        as a (k, 2) int array, in one array pass; raises at poles."""
+        xs, ys = np.asarray(points, dtype=np.int64).reshape(-1, 2).T
         f = self.curve.field
         den_v = self.curve.poly_eval_arr(self.den, xs, ys)
         if np.any(den_v == 0):
             bad = int(np.flatnonzero(den_v == 0)[0])
-            raise ValueError(f"function has a pole (or 0/0 form) at {points[bad]}")
+            raise ValueError(f"function has a pole (or 0/0 form) at {(int(xs[bad]), int(ys[bad]))}")
         num_v = self.curve.poly_eval_arr(self.num, xs, ys)
         return f.mul_arr(num_v, f.inv_arr(den_v))
 

@@ -27,8 +27,21 @@ tables.
 Matrix products rest on one identity: multiplication by x is F_p-linear on
 the digits, with matrix columns the digits of x * t^s (s = 0..n-1), so a
 field matmul is one matmul over F_p of digit matrices.  It runs as float64
-BLAS products, which are exact while every partial sum stays at or below
-2**53; inner dimensions whose sums could pass that are cut into blocks.
+BLAS products, which are exact while every partial sum stays below 2**53;
+inner dimensions whose sums could pass that are cut into blocks.  One
+kernel, `_dot_mod_p`, serves every product: it works in bands of output
+rows, and reduces each band mod p and recomposes it by p^k straight into
+the int64 result.  A matrix that multiplies many operands, like the
+retrieval's noise evaluations and decoder, is expanded once by
+``prepare_matrix`` and applied by ``matmul_prepared``.
+
+Fresh memory is not free: on a 2-core Linux host, glibc hands freed blocks
+of a few hundred KiB back to the kernel, so every full-size temporary is
+first-touched again, page by page, on the next call.  A q = 7 retrieval
+that built its products through full-size digit arrays and index arrays
+took about 500 minor page faults per trial, all in storage encoding.  So the
+products allocate only their result, and ``add_arr``, ``sub_arr`` and
+``mul_arr`` take an ``out`` array that may be one of their operands.
 """
 
 from __future__ import annotations
@@ -55,6 +68,24 @@ _BLAS_CALL_MACS = 2**19
 # and 16 MiB at GF(841) if the limit were raised that far; GF(256) builds only
 # its 512 KiB mul table.  Building took 1-9 ms at orders 169 to 256.
 _TABLE_MAX_ORDER = 256
+
+
+def _reduce_mod(x: np.ndarray, p: int) -> None:
+    """x mod p in place, for float64 integers 0 <= x <= 2**53 - p: then
+    x / p rounds to below the next integer, so its floor is exact.  On a
+    102 x 231 band of sums below 800, np.fmod took 0.95 ms and this 0.04 ms."""
+    q = x / p
+    np.floor(q, out=q)
+    q *= p
+    x -= q
+
+
+def _store(result: np.ndarray, out) -> np.ndarray:
+    """`result`, copied into `out` when one is given."""
+    if out is None:
+        return result
+    out[...] = result
+    return out
 
 
 def is_prime(n: int) -> bool:
@@ -329,8 +360,8 @@ class GFField:
 
     # -- bulk arithmetic on encoding arrays -----------------------------------
 
-    def add_arr(self, a, b) -> np.ndarray:
-        """Elementwise field sum.
+    def add_arr(self, a, b, out=None) -> np.ndarray:
+        """Elementwise field sum, into `out` when given (it may be a or b).
 
         In characteristic 2 it is a XOR at every order: with add, sub and
         neg routed through tables instead, a q = 8 build took 0.53-0.59 s
@@ -340,10 +371,10 @@ class GFField:
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         if self.p == 2:
-            return np.asarray(a ^ b)
+            return np.asarray(np.bitwise_xor(a, b, out=out))
         if self._add_table is None:
-            return self._digitwise_add(a, b)
-        return np.asarray(self._add_table[a * self.order + b])
+            return _store(self._digitwise_add(a, b), out)
+        return np.asarray(self._gather(self._add_table, a, b, out))
 
     def neg_arr(self, a) -> np.ndarray:
         a = np.asarray(a, dtype=np.int64)
@@ -353,21 +384,34 @@ class GFField:
             return self._digitwise_neg(a)
         return np.asarray(self._neg_table[a])
 
-    def sub_arr(self, a, b) -> np.ndarray:
+    def sub_arr(self, a, b, out=None) -> np.ndarray:
+        """Elementwise field difference a - b, into `out` when given (it may
+        be a or b)."""
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         if self.p == 2:
-            return np.asarray(a ^ b)
+            return np.asarray(np.bitwise_xor(a, b, out=out))
         if self._sub_table is None:
-            return self._digitwise_sub(a, b)
-        return np.asarray(self._sub_table[a * self.order + b])
+            return _store(self._digitwise_sub(a, b), out)
+        return np.asarray(self._gather(self._sub_table, a, b, out))
 
-    def mul_arr(self, a, b) -> np.ndarray:
+    def mul_arr(self, a, b, out=None) -> np.ndarray:
+        """Elementwise field product, into `out` when given (it may be a or b)."""
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         if self._mul_table is None:
-            return self._logexp_mul(a, b)
-        return self._mul_table[a * self.order + b]
+            return _store(self._logexp_mul(a, b), out)
+        return self._gather(self._mul_table, a, b, out)
+
+    def _gather(self, table: np.ndarray, a: np.ndarray, b: np.ndarray, out) -> np.ndarray:
+        """table[a * order + b].  With `out`, the index is built in `out`
+        and gathered over itself: a full-size operand then costs no fresh
+        memory (np.take buffers its output in mode "raise"; the indices of
+        encodings are in range, so "wrap" never wraps)."""
+        if out is None:
+            return table[a * self.order + b]
+        np.add(a * self.order, b, out=out)
+        return np.take(table, out, out=out, mode="wrap")
 
     def inv_arr(self, a) -> np.ndarray:
         a = np.asarray(a, dtype=np.int64)
@@ -456,15 +500,10 @@ class GFField:
         Multiplying by a field element x is an F_p-linear map on the n
         digits: digit d of x*y is sum_s digit_d(x * t^s) * digit_s(y).  So the
         operand with fewer entries is expanded into the digits of x * t^s for
-        s = 0..n-1, the other is split into its digits, and the output digits
-        come from one float64 product over F_p, one reduction mod p and one
-        recomposition by p^k.  Every partial sum of that product is an
-        integer of at most inner * n * (p-1)^2, exact in float64 while it
-        stays at or below 2**53; longer inner dimensions are cut into blocks
-        within that bound, each reduced mod p and accumulated in int64.
-        BLAS computes it in row bands small enough to stay on the calling
-        thread.  Inner dimensions whose exact digit sums would reach 2**63
-        are refused.
+        s = 0..n-1 (the left one through ``prepare_matrix``), the other is
+        split into its digits, and `_dot_mod_p` computes the output digits
+        as float64 products over F_p and recomposes them.  Inner dimensions
+        whose exact digit sums would reach 2**63 are refused.
         """
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
@@ -472,30 +511,50 @@ class GFField:
             raise ValueError("expected 2-D matrices")
         if a.shape[1] != b.shape[0]:
             raise ValueError("inner dimensions differ")
-        p, n = self.p, self.n
-        (rows, inner), cols = a.shape, b.shape[1]
-        if inner * n * (p - 1) ** 2 >= 2**63:
-            raise ValueError(f"inner dimension {inner} would overflow int64 digit sums")
+        self._check_inner(a.shape[1])
         if a.size <= b.size:
-            # rows (d, i), inner (k, s): digit d of a[i, k] * t^s times digit s of b[k, j]
-            left = np.empty((n, rows, inner, n))
-            self._times_powers(a, left.transpose(3, 0, 1, 2))
-            right = np.empty((inner, n, cols))
-            self._split_digits(b, right.transpose(1, 0, 2))
-            digits = self._dot_mod_p(left.reshape(n * rows, inner * n), right.reshape(inner * n, cols))
-            digits = digits.reshape(n, rows, cols)
-        else:
-            # inner (k, s), columns (d, j): digit s of a[i, k] times digit d of t^s * b[k, j]
-            left = np.empty((rows, inner, n))
-            self._split_digits(a, left.transpose(2, 0, 1))
-            right = np.empty((inner, n, n, cols))
-            self._times_powers(b, right.transpose(1, 2, 0, 3))
-            digits = self._dot_mod_p(left.reshape(rows, inner * n), right.reshape(inner * n, n * cols))
-            digits = digits.reshape(rows, n, cols).transpose(1, 0, 2)
-        out = digits[n - 1]
-        for k in range(n - 2, -1, -1):
-            out = out * p + digits[k]
+            return self.matmul_prepared(self.prepare_matrix(a), b)
+        # inner (k, s), columns (d, j): digit s of a[i, k] times digit d of t^s * b[k, j]
+        n, (rows, inner), cols = self.n, a.shape, b.shape[1]
+        left = np.empty((rows, inner, n))
+        self._split_digits(a, left.transpose(2, 0, 1))
+        right = np.empty((inner, n, n, cols))
+        self._times_powers(b, right.transpose(1, 2, 0, 3))
+        return self._dot_mod_p(left.reshape(rows, 1, inner * n), right.reshape(inner * n, n * cols))
+
+    def prepare_matrix(self, a) -> np.ndarray:
+        """The digit expansion of a fixed left operand `a` (rows x inner)
+        for ``matmul_prepared``: a read-only float64 array of shape
+        (rows, n, inner * n) whose entry [i, d, k * n + s] is digit d of
+        a[i, k] * t^s.  Products by a matrix that stays fixed expand it once
+        instead of on every call."""
+        a = np.asarray(a, dtype=np.int64)
+        if a.ndim != 2:
+            raise ValueError("expected 2-D matrices")
+        self._check_inner(a.shape[1])
+        n, (rows, inner) = self.n, a.shape
+        out = np.empty((rows, n, inner, n))
+        self._times_powers(a, out.transpose(3, 1, 0, 2))
+        out = out.reshape(rows, n, inner * n)
+        out.flags.writeable = False
         return out
+
+    def matmul_prepared(self, prepared: np.ndarray, b) -> np.ndarray:
+        """a @ b in a new int64 array, for prepared = prepare_matrix(a)."""
+        b = np.asarray(b, dtype=np.int64)
+        if b.ndim != 2:
+            raise ValueError("expected 2-D matrices")
+        n, (inner, cols) = self.n, b.shape
+        if prepared.shape[2] != inner * n:
+            raise ValueError("inner dimensions differ")
+        # rows (i, d), inner (k, s): digit d of a[i, k] * t^s times digit s of b[k, j]
+        right = np.empty((inner, n, cols))
+        self._split_digits(b, right.transpose(1, 0, 2))
+        return self._dot_mod_p(prepared, right.reshape(inner * n, cols))
+
+    def _check_inner(self, inner: int) -> None:
+        if inner * self.n * (self.p - 1) ** 2 >= 2**63:
+            raise ValueError(f"inner dimension {inner} would overflow int64 digit sums")
 
     def _split_digits(self, a: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Write the base-p digits of `a`, little-endian, into out[0..n-1]."""
@@ -518,19 +577,34 @@ class GFField:
             out[s] = cur
 
     def _dot_mod_p(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """left @ right mod p for float64 matrices of digits in 0..p-1, as
-        products over blocks of at most 2**53 // (p-1)^2 inner terms, each
-        cut into row bands of at most _BLAS_CALL_MACS multiply-adds."""
-        p = self.p
-        (rows, inner), cols = left.shape, right.shape[1]
-        k_step = _F64_EXACT // (p - 1) ** 2
-        r_step = max(1, _BLAS_CALL_MACS // max(1, min(inner, k_step) * cols))
-        out = np.zeros((rows, cols), dtype=np.int64)
-        for k in range(0, inner, k_step):
-            for r in range(0, rows, r_step):
-                band = out[r : r + r_step]
-                band += (left[r : r + r_step, k : k + k_step] @ right[k : k + k_step]).astype(np.int64)
-                band -= band // p * p
+        """The one digit kernel of the field products.  `left` (rows, g,
+        width) holds g float64 rows per output row and `right` (width, c)
+        float64 columns, all digits in 0..p-1, with g * c = n * cols; entry
+        [d, j] of left[i] @ right mod p, read as an (n, cols) array, is
+        digit d of output entry (i, j).
+
+        BLAS runs it in bands of output rows of at most _BLAS_CALL_MACS
+        multiply-adds, each product over inner blocks short enough that the
+        running sum stays below 2**53 - p, where float64 is exact and
+        floor(x / p) is exact too.  Each band is reduced mod p in place and
+        recomposed by p^d straight into its rows of the int64 result, so no
+        full-size digit array or int64 temporary is ever allocated."""
+        p, n = self.p, self.n
+        rows, g, width = left.shape
+        cols = g * right.shape[1] // n
+        k_step = (_F64_EXACT - 2 * p) // (p - 1) ** 2
+        i_step = max(1, _BLAS_CALL_MACS // max(1, g * min(width, k_step) * right.shape[1]))
+        pk = np.array(self._pk, dtype=np.float64)
+        out = np.empty((rows, cols), dtype=np.int64)
+        for i in range(0, rows, i_step):
+            m = min(i_step, rows - i)
+            band = left[i : i + m].reshape(m * g, width)
+            acc = band[:, :k_step] @ right[:k_step]
+            for k in range(k_step, width, k_step):
+                _reduce_mod(acc, p)
+                acc += band[:, k : k + k_step] @ right[k : k + k_step]
+            _reduce_mod(acc, p)
+            out[i : i + m] = pk @ acc.reshape(m, n, cols)
         return out
 
     # -- sampling -------------------------------------------------------------

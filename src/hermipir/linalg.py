@@ -79,7 +79,8 @@ def rref(field: GFField, mat) -> tuple[np.ndarray, list[int]]:
         rest = row + order[k:]
         top = field.matmul_arr(_inverse(field, r[np.ix_(sel, cols)]), r[sel, c0:])
         others = np.concatenate([np.arange(row), rest])
-        r[others, c0:] = field.sub_arr(r[others, c0:], field.matmul_arr(r[np.ix_(others, cols)], top))
+        update = field.matmul_arr(r[np.ix_(others, cols)], top)
+        r[others, c0:] = field.sub_arr(r[others, c0:], update, out=update)
         # rows from `row` down are zero left of c0
         r[row + k :, c0:] = r[rest, c0:]
         r[row : row + k, c0:] = top

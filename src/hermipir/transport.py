@@ -127,23 +127,25 @@ def encode_elements(field: GFField, values) -> list[list[int]]:
 
 def decode_elements(field: GFField, elements, shape=None) -> np.ndarray:
     """Inverse of `encode_elements`.  Raises ValueError unless every tuple
-    has exactly n int digits in 0..p-1; a bool is not a digit."""
+    has exactly n int digits in 0..p-1; a bool is not a digit.  The digits
+    are checked on one flat list, which numpy converts without discovering
+    a nested shape."""
     malformed = f"elements must be tuples of {field.n} integer digits"
     try:
+        flat = list(itertools.chain.from_iterable(elements))
         # checked before numpy, which reads the True in [True, 1] as 1
-        ints = set(map(type, itertools.chain.from_iterable(elements))) <= {int}
+        ok = set(map(type, flat)) <= {int} and set(map(len, elements)) <= {field.n}
     except TypeError:  # an element that is not a sequence
-        ints = False
-    if not ints:
+        ok = False
+    if not ok:
         raise ValueError(malformed)
-    digits = np.asarray(elements)
-    if digits.shape == (0,):
-        digits = np.zeros((0, field.n), dtype=np.int64)
-    if digits.ndim != 2 or digits.shape[1] != field.n or digits.dtype.kind not in "iu":
-        raise ValueError(malformed)
+    try:
+        digits = np.array(flat, dtype=np.int64)
+    except OverflowError:  # a digit past int64
+        raise ValueError(malformed) from None
     if digits.size and (digits.min() < 0 or digits.max() >= field.p):
         raise ValueError(f"element digits must lie in 0..{field.p - 1}")
-    vals = digits.astype(np.int64) @ (field.p ** np.arange(field.n, dtype=np.int64))
+    vals = digits.reshape(-1, field.n) @ (field.p ** np.arange(field.n, dtype=np.int64))
     return vals if shape is None else vals.reshape(shape)
 
 

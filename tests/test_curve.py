@@ -147,6 +147,20 @@ def test_evaluate_is_evaluate_many_at_one_point():
     values = h.evaluate_many(pts)
     assert [h.evaluate(p) for p in pts] == values.tolist()
     assert all(type(h.evaluate(p)) is int for p in pts[:3])
+    # a (k, 2) int array of the same points gives the same values
+    assert (h.evaluate_many(np.array(pts, dtype=np.int64)) == values).all()
+    assert h.evaluate_many(np.zeros((0, 2), dtype=np.int64)).shape == (0,)
+
+
+def test_pole_error_names_the_point_as_a_tuple():
+    c = curve_for_q(3)
+    h = build_h(c, [1, 2])
+    pts = [p for p in c.affine_points() if p[0] not in (1, 2)] + [(1, c.fiber_of_x(1)[0])]
+    want = f"at {pts[-1]}"
+    for given in (pts, np.array(pts, dtype=np.int64)):
+        with pytest.raises(ValueError, match="pole") as err:
+            h.evaluate_many(given)
+        assert str(err.value).endswith(want)
 
 
 def test_basic_valuations():

@@ -225,7 +225,9 @@ def test_matmul_row_bands_match_oracle(band_macs, monkeypatch):
         for rows, inner, cols in [(7, 3, 5), (5, 3, 7), (9, 1, 2), (1, 4, 6), (6, 0, 2)]:
             a = f.sample_arr(rng, (rows, inner))
             b = f.sample_arr(rng, (inner, cols))
-            assert (f.matmul_arr(a, b) == matmul_oracle(f, a, b)).all()
+            want = matmul_oracle(f, a, b)
+            assert (f.matmul_arr(a, b) == want).all()
+            assert (f.matmul_prepared(f.prepare_matrix(a), b) == want).all()
 
 
 @pytest.mark.parametrize("fill", [1, 2])
@@ -243,9 +245,9 @@ def test_matmul_exact_at_float64_block_boundary(shapes, extra, fill):
     v = f.p - fill
     a = np.full((rows, inner), v, dtype=np.int64)
     b = np.full((inner, cols), v, dtype=np.int64)
-    got = f.matmul_arr(a, b)
-    assert got.shape == (rows, cols)
-    assert (got == inner * v * v % f.p).all()
+    for got in (f.matmul_arr(a, b), f.matmul_prepared(f.prepare_matrix(a), b)):
+        assert got.shape == (rows, cols)
+        assert (got == inner * v * v % f.p).all()
 
 
 @pytest.mark.parametrize("order", [49, 64, 3**5])
@@ -268,6 +270,57 @@ def test_matmul_expands_the_smaller_operand(order, shape, monkeypatch):
     monkeypatch.setattr(GFField, "_times_powers", spy)
     assert (f.matmul_arr(a, b) == matmul_oracle(f, a, b)).all()
     assert expanded == [a.shape if a.size <= b.size else b.shape]
+
+
+
+# every field order a Hermitian instance up to q = 16 uses past the prime
+# ones, and one order above _TABLE_MAX_ORDER
+PREPARED_ORDERS = [25, 49, 64, 81, 121, 169, 256, 17**2]
+
+
+@pytest.mark.parametrize("order", PREPARED_ORDERS)
+@pytest.mark.parametrize("shape", [(6, 4, 9), (9, 4, 2), (1, 1, 1), (5, 0, 3), (0, 4, 3), (3, 4, 0)])
+def test_prepared_product_matches_matmul_and_oracle(order, shape):
+    """A prepared left operand gives the same product as matmul_arr and the
+    k-loop oracle, with empty inner dimensions, row counts and columns; the
+    prepared form is read-only and checks the inner dimension."""
+    f = field_of_order(order)
+    rows, inner, cols = shape
+    rng = np.random.default_rng(order + rows + inner)
+    a = f.sample_arr(rng, (rows, inner))
+    b = f.sample_arr(rng, (inner, cols))
+    prepared = f.prepare_matrix(a)
+    assert prepared.shape == (rows, f.n, inner * f.n) and not prepared.flags.writeable
+    got = f.matmul_prepared(prepared, b)
+    want = matmul_oracle(f, a, b)
+    assert got.shape == (rows, cols) and got.dtype == np.int64
+    assert (got == want).all() and (f.matmul_arr(a, b) == want).all()
+    # the same prepared form serves every right operand
+    b2 = f.sample_arr(rng, (inner, cols + 1))
+    assert (f.matmul_prepared(prepared, b2) == matmul_oracle(f, a, b2)).all()
+    with pytest.raises(ValueError, match="inner"):
+        f.matmul_prepared(prepared, f.sample_arr(rng, (inner + 1, cols)))
+    with pytest.raises(ValueError, match="2-D"):
+        f.matmul_prepared(prepared, b.reshape(-1))
+
+
+@pytest.mark.parametrize("order", [25, 64, 17**2, 2**10])
+@pytest.mark.parametrize("target", ["fresh", "a", "b"])
+def test_binary_ops_into_out_match(order, target):
+    """add_arr, sub_arr and mul_arr with `out` give the results they return
+    without it on every route (tables, XOR, digit by digit, log tables),
+    also when `out` is one of the operands, and broadcast a smaller one."""
+    f = field_of_order(order)
+    rng = np.random.default_rng(order)
+    for op in (f.add_arr, f.sub_arr, f.mul_arr):
+        for a_shape in [(4, 5), (4, 1), (1, 5)]:
+            a, b = f.sample_arr(rng, a_shape), f.sample_arr(rng, (4, 5))
+            if target == "a" and a.shape != b.shape:
+                continue
+            want = op(a, b)
+            out = {"fresh": np.empty((4, 5), dtype=np.int64), "a": a, "b": b}[target]
+            got = op(a, b, out=out)
+            assert got is out and (out == want).all()
 
 
 @st.composite

@@ -268,7 +268,7 @@ def encode_storage_oracle(inst, files, rng) -> np.ndarray:
     return shares
 
 
-@pytest.mark.parametrize("q", [5, 7])
+@pytest.mark.parametrize("q", [5, 7, 8])
 @pytest.mark.parametrize("num_files", [1, 3])
 def test_encode_storage_matches_per_slot_oracle(q, num_files):
     inst = build_instance(validate_params(q, 1, 1, num_files=num_files))
@@ -282,6 +282,36 @@ def test_encode_storage_matches_per_slot_oracle(q, num_files):
         assert (got == want).all()
         # the same stream was consumed: the next draw agrees
         assert rng.integers(0, 2**62) == rng_oracle.integers(0, 2**62)
+
+
+def test_protocol_arrays_share_no_memory(inst_11):
+    """encode_storage and make_queries hand out new arrays: none shares
+    memory with the instance, the files or the previous call's result, so
+    callers may keep and modify what they were given."""
+    p, f = inst_11.params, inst_11.field
+    rng = np.random.default_rng(3)
+    held = [v for v in vars(inst_11).values() if isinstance(v, np.ndarray)]
+    assert len(held) >= 8
+    files = f.sample_arr(rng, (p.num_files, p.frag_count))
+    shares = [inst_11.encode_storage(files, rng) for _ in range(2)]
+    queries = [inst_11.make_queries(1, rng) for _ in range(2)]
+    for got in shares + queries:
+        assert not any(np.shares_memory(got, arr) for arr in held + [files])
+    assert not np.shares_memory(*shares) and not np.shares_memory(*queries)
+    assert not np.shares_memory(shares[1], queries[0])
+    # modifying a result changes nothing the next retrieval reads
+    before = inst_11.retrieve(files, 2, np.random.default_rng(9))
+    shares[1][:] = 0
+    queries[1][:] = 0
+    assert (inst_11.retrieve(files, 2, np.random.default_rng(9)) == before).all()
+
+
+def test_fixed_matrices_and_prepared_forms_are_read_only(inst_11):
+    for name in ("secbase", "priv_eval", "decode_map", "_secbase_digits", "_priv_digits", "_decode_digits"):
+        arr = getattr(inst_11, name)
+        assert not arr.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
 
 
 def noise_containment_oracle(inst, rng, per_family: int) -> bool:

@@ -73,6 +73,10 @@ def test_bad_element_digits_rejected():
                 [1, 2], [[1, 2], 7], [[1, 2], "12"], [[True, 1]], [[1, 2], [0, False]]):
         with pytest.raises(ValueError):
             decode_elements(field, bad)
+    # digits past int64 are malformed, not an OverflowError
+    for bad in ([[2**63, 1]], [[1, 2], [0, -(2**64)]]):
+        with pytest.raises(ValueError, match="integer digits"):
+            decode_elements(field, bad)
     assert decode_elements(field, []).shape == (0,)
 
 
