@@ -28,7 +28,14 @@ constant term ``a_0`` share the values ``u(x)`` of the rest of the
 polynomial, so one value histogram of ``u`` gives the point profiles of all
 ``q`` such models (see :func:`achievable_profiles`): ``q`` evaluations
 serve ``q`` models, where evaluating each model at every ``x`` takes
-``q * q``.
+``q * q``.  The prefix values are never formed as field elements: in the
+carry-free lift (base-p digits re-read in base ``2p - 1``) a field sum is
+an integer sum, so a chunk of prefixes is one addition and one histogram
+over the lifted sums.  One fixed float32 matrix then folds the lifted
+sums back, counts the square roots and packs each model's profile into a
+16-bit key, for all ``q`` constant terms in one BLAS product; it is exact
+because every key stays below ``2^24``.  Best-rate selection computes
+``J`` per profile in plain ints and builds one record, for the winner.
 """
 
 from __future__ import annotations
@@ -223,6 +230,15 @@ def elliptic_best(field_order: int, point_count: int, gamma: int,
     )
 
 
+def _hyperelliptic_j(field_order: int, genus: int, point_count: int,
+                     gamma: int, m_total: int) -> tuple[int, str]:
+    """The usable ``J`` of :func:`hyperelliptic_best` and its regime."""
+    if 2 * point_count >= 2 * field_order + 6 * genus + m_total + 4:
+        return ((2 * field_order - (m_total + 6 * genus + 2 * gamma + 2)) // 4,
+                "line-limited")
+    return (point_count - (m_total + 6 * genus + 3 + gamma)) // 2, "point-limited"
+
+
 def hyperelliptic_best(field_order: int, genus: int, point_count: int,
                        gamma: int, x_sec: int, t_priv: int) -> RateRecord:
     """Best record for one odd-degree hyperelliptic model of known profile.
@@ -239,12 +255,7 @@ def hyperelliptic_best(field_order: int, genus: int, point_count: int,
         raise ValueError("genus must be at least 1")
     if not 0 <= gamma <= 2 * genus + 1:
         raise ValueError("gamma must lie in 0..2g+1")
-    if 2 * point_count >= 2 * field_order + 6 * genus + m_total + 4:
-        j = (2 * field_order - (m_total + 6 * genus + 2 * gamma + 2)) // 4
-        regime = "line-limited"
-    else:
-        j = (point_count - (m_total + 6 * genus + 3 + gamma)) // 2
-        regime = "point-limited"
+    j, regime = _hyperelliptic_j(field_order, genus, point_count, gamma, m_total)
     feasible = j >= genus
     frag = 2 * j - genus
     return RateRecord(
@@ -368,7 +379,7 @@ def count_points_hyperelliptic(field_order: int,
     xs = np.arange(field_order, dtype=np.int64)
     acc = np.ones(field_order, dtype=np.int64)
     for k in range(degree - 1, -1, -1):
-        acc = f.add_arr(f.mul_arr(acc, xs), np.full(field_order, coeffs[k]))
+        acc = f.add_arr(f.mul_arr(acc, xs), coeffs[k])
     weights = _square_weights(field_order)
     point_count = 1 + int(weights[acc].sum())
     gamma = int((acc == 0).sum())
@@ -409,6 +420,26 @@ def _power_sums(f, xs: np.ndarray, exponents) -> np.ndarray:
     return sums
 
 
+def _lift_fold(f) -> tuple[np.ndarray, np.ndarray]:
+    """The carry-free lift of the field's elements and the fold back.
+
+    An element with base-p digits ``d_k`` lifts to ``sum d_k (2p-1)^k``.
+    Digits of a sum of two lifts stay below ``2p - 1``, so the sum never
+    carries, and folding each of its base-``(2p-1)`` digits mod p gives the
+    field sum: ``fold[lift[a] + lift[b]] = a + b``.  ``fold`` has one entry
+    per lifted sum, ``(2p - 1)^n`` in all.
+    """
+    p, base = f.p, 2 * f.p - 1
+    elems = np.arange(f.order, dtype=np.int64)
+    sums = np.arange(base ** f.n, dtype=np.int64)
+    lift = np.zeros(f.order, dtype=np.int64)
+    fold = np.zeros(base ** f.n, dtype=np.int64)
+    for k in range(f.n):
+        lift += elems // p ** k % p * base ** k
+        fold += sums // base ** k % base % p * p ** k
+    return lift, fold
+
+
 @lru_cache(maxsize=None)
 def achievable_profiles(field_order: int, genus: int,
                         reduced: bool = False) -> tuple:
@@ -432,12 +463,25 @@ def achievable_profiles(field_order: int, genus: int,
     evaluated once at all ``q`` points, giving its value histogram
     ``h[v] = #{x : u(x) = v}``.  Then for all ``q`` choices of ``a_0`` at
     once, ``point_count = 1 + sum_v h[v] * w[v + a_0]`` (``w`` counts the
-    square roots), one product with a ``q x q`` matrix read off the field's
-    addition table, and ``gamma = h[-a_0]``.  A model's enumeration index is
+    square roots) and ``gamma = h[-a_0]``.  A model's enumeration index is
     ``prefix * q + a_0``, so the row-major order of the per-model keys is
-    the enumeration order.  Prefixes are processed in chunks of consecutive
-    indices; the lowest prefix digits vary inside a chunk and are evaluated
-    once for all chunks.
+    the enumeration order.
+
+    Prefixes are processed in chunks of consecutive indices; the lowest
+    prefix digits vary inside a chunk and the highest pick the chunk, so a
+    prefix value is a field sum of a low part and a high part, each
+    evaluated once for all chunks.  That sum is never formed: both parts
+    are kept in the carry-free lift of :func:`_lift_fold`, where the field
+    sum is a plain integer sum, and the histogram is taken over the
+    ``(2p - 1)^n`` lifted sums instead of the ``q`` field values.  A chunk is
+    then one addition of the lifted high part to the lifted low parts (with
+    each prefix's bin offset) and one ``bincount``.  The fold, the root
+    counts and the key packing ``point_count * 64 + gamma`` are one fixed
+    matrix, ``K[s, a_0] = 64 * w[fold(s) + a_0] + [fold(s) = -a_0]``, so
+    the keys of every model of a chunk are ``hist @ K + 64``: one float32
+    BLAS product per row band, exact because every key stays below
+    ``2^24``.  Keys stay 16-bit, and a table of the keys seen so far finds
+    the few new ones, whose first witnesses one small ``np.unique`` picks.
     """
     f = field_of_order(field_order)
     if f.p == 2:
@@ -455,15 +499,17 @@ def achievable_profiles(field_order: int, genus: int,
         raise ValueError(
             f"search space of {total} models exceeds budget {SEARCH_BUDGET}")
     elems = np.arange(field_order, dtype=np.int64)
-    add_table = f.add_arr(elems[:, None], elems[None, :])
-    # root_counts[v, a0] = #{y : y^2 = v + a0}; float32 products of these
-    # small integers are exact, and run on BLAS
-    root_counts = _square_weights(field_order)[add_table].astype(np.float32)
+    lift, fold = _lift_fold(f)
+    width = len(fold)
+    shifted = f.add_arr(fold[:, None], elems[None, :])  # fold(s) + a_0
+    key_matrix = (64 * _square_weights(field_order)[shifted]
+                  + (shifted == 0)).astype(np.float32)
     # rows per product, so that BLAS never wakes its thread pool
-    band = max(1, _BLAS_CALL_MACS // field_order**2)
-    neg = f.neg_arr(elems)
-    # keys pack count * 64 + gamma; a 16-bit key sorts by radix in np.unique
-    key_dtype = np.min_scalar_type(64 * (2 * field_order + 2))
+    band = max(1, _BLAS_CALL_MACS // (width * field_order))
+    # keys pack count * 64 + gamma below 64 * (2q + 2): 16 bits up to q = 510,
+    # past every order the search budget admits at genus 1
+    key_limit = 64 * (2 * field_order + 2)
+    unseen = np.ones(key_limit, dtype=bool)
     # prefix digits a_1 .. a_{n_free-1}: the lowest `low` of them vary inside
     # a chunk, the others (with x^degree) pick the chunk's `high` values
     low = 0
@@ -474,25 +520,27 @@ def achievable_profiles(field_order: int, genus: int,
                             f.pow_arr(elems, degree))
     rows = len(low_values)
     span = rows * field_order
-    bins = np.arange(0, span, field_order)[:, None]
+    lifted_low = lift[low_values] + np.arange(0, rows * width, width)[:, None]
+    lifted_high = lift[high_values]
+    cells = np.empty_like(lifted_low)
+    hist32 = np.empty((rows, width), dtype=np.float32)
+    products = np.empty((rows, field_order), dtype=np.float32)
+    keys = np.empty(span, dtype=np.min_scalar_type(key_limit))
     first_seen: dict[int, int] = {}
-    for chunk, high in enumerate(high_values):
-        values = add_table[low_values, high]
-        hist = np.bincount((bins + values).ravel(), minlength=span)
-        hist = hist.reshape(rows, field_order)
-        counts = np.empty(hist.shape, dtype=np.float32)
+    for chunk, high in enumerate(lifted_high):
+        np.add(lifted_low, high, out=cells)
+        hist = np.bincount(cells.ravel(), minlength=rows * width)
+        hist32.ravel()[:] = hist
         for r in range(0, rows, band):
-            np.matmul(hist[r : r + band].astype(np.float32), root_counts, out=counts[r : r + band])
-        counts = 1 + counts.astype(key_dtype)
-        keys = (counts * 64 + hist[:, neg].astype(key_dtype)).ravel()
-        # most chunks add no new profile: a histogram over the small key
-        # range finds that without the sort np.unique would run
-        if first_seen.keys() >= set(np.flatnonzero(np.bincount(keys)).tolist()):
+            np.matmul(hist32[r : r + band], key_matrix, out=products[r : r + band])
+        np.add(products.ravel(), 64, out=keys, casting="unsafe")
+        # np.take gathers by 16-bit keys without first casting them to intp
+        fresh = np.flatnonzero(unseen.take(keys))
+        if not len(fresh):
             continue
-        uniq, first = np.unique(keys, return_index=True)
-        for key, local in zip(uniq.tolist(), first.tolist()):
-            if key not in first_seen:
-                first_seen[key] = chunk * span + local
+        uniq, first = np.unique(keys[fresh], return_index=True)
+        unseen[uniq] = False
+        first_seen.update(zip(uniq.tolist(), (chunk * span + fresh[first]).tolist()))
     profiles = []
     for key, windex in first_seen.items():
         coeffs = []
@@ -518,28 +566,28 @@ def curve_search_best_rate(field_order: int, genus: int, x_sec: int,
     coefficient vector at every order.  The returned record carries the
     defining coefficients of a maximizing model as ``witness``; ties in the
     rate resolve to the witness whose coefficient vector is smallest as a
-    base-``field_order`` integer.
+    base-``field_order`` integer.  The rate grows with ``J`` at a fixed
+    budget, so one pass over the profiles in plain ints finds the winner by
+    ``(-J, witness index)``, and only the winner becomes a record.
     """
-    _check_masking(x_sec, t_priv)
+    m_total = _check_masking(x_sec, t_priv)
     p = field_of_order(field_order).p
     use_reduced = not full_search and field_order > 19 and (2 * genus + 1) % p != 0
     profiles = achievable_profiles(field_order, genus, use_reduced)
     space = "reduced" if use_reduced else "exhaustive"
-    best: RateRecord | None = None
+    best = None
     best_key: tuple[int, int] | None = None
-    for point_count, gamma, coeffs in profiles:
-        rec = hyperelliptic_best(field_order, genus, point_count, gamma,
-                                 x_sec, t_priv)
-        if not rec.feasible:
+    for entry in profiles:
+        point_count, gamma, coeffs = entry
+        j = _hyperelliptic_j(field_order, genus, point_count, gamma, m_total)[0]
+        if j < genus:
             continue
         windex = 0
         for c in reversed(coeffs):
             windex = windex * field_order + c
-        key = (-rec.j_value, windex)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = replace(rec, witness=coeffs,
-                           convention=f"search-{space}")
+        if best_key is None or (-j, windex) < best_key:
+            best_key = (-j, windex)
+            best = entry
     if best is None:
         return RateRecord(
             family="hyperelliptic",
@@ -551,7 +599,9 @@ def curve_search_best_rate(field_order: int, genus: int, x_sec: int,
             convention=f"search-{space}",
             note="no model reaches the usable threshold",
         )
-    return best
+    point_count, gamma, coeffs = best
+    rec = hyperelliptic_best(field_order, genus, point_count, gamma, x_sec, t_priv)
+    return replace(rec, witness=coeffs, convention=f"search-{space}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for the best-rate calculators and model searches."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hermipir import atlas
 from hermipir.atlas import (
     ComparisonReport,
+    RateRecord,
     achievable_profiles,
     count_points_hyperelliptic,
     curve_search_best_rate,
@@ -31,6 +33,7 @@ from hermipir.atlas import (
     uncovered_x_count,
 )
 from hermipir.fields import field_of_order
+from hermipir.tables import TABLE1_BUDGETS, TABLE1_FIELD_ORDERS, TABLE1_GENERA
 
 
 def achievable_profiles_oracle(field_order, genus, reduced=False):
@@ -68,7 +71,37 @@ ORACLE_CASES = [
                          (5, 2), (7, 2), (9, 2)]
     for reduced in (False, True)
     if not reduced or (2 * genus + 1) % field_of_order(order).p != 0
-]
+] + [(49, 1, True), (121, 1, True), (125, 1, True)]  # lifts of 169, 441, 729
+
+
+def curve_search_best_rate_oracle(field_order, genus, x_sec, t_priv,
+                                  full_search=False):
+    """Slow reference for `curve_search_best_rate`: one `hyperelliptic_best`
+    record per profile, the best by (-J, witness index)."""
+    p = field_of_order(field_order).p
+    use_reduced = (not full_search and field_order > 19
+                   and (2 * genus + 1) % p != 0)
+    space = "reduced" if use_reduced else "exhaustive"
+    best, best_key = None, None
+    for point_count, gamma, coeffs in achievable_profiles(field_order, genus,
+                                                          use_reduced):
+        rec = hyperelliptic_best(field_order, genus, point_count, gamma,
+                                 x_sec, t_priv)
+        if not rec.feasible:
+            continue
+        windex = 0
+        for c in reversed(coeffs):
+            windex = windex * field_order + c
+        if best_key is None or (-rec.j_value, windex) < best_key:
+            best_key = (-rec.j_value, windex)
+            best = replace(rec, witness=coeffs, convention=f"search-{space}")
+    if best is None:
+        return RateRecord(
+            family="hyperelliptic", field_order=field_order, x_sec=x_sec,
+            t_priv=t_priv, genus=genus, feasible=False,
+            convention=f"search-{space}",
+            note="no model reaches the usable threshold")
+    return best
 
 
 def test_format_rate_significant_digits():
@@ -269,9 +302,20 @@ def test_first_witnesses_merge_across_chunks(monkeypatch, chunk_cells):
     # one prefix per chunk, then a few (q^2 <= 100 cells: q prefixes)
     monkeypatch.setattr(atlas, "_CHUNK_CELLS", chunk_cells)
     for field_order, genus, reduced in [(5, 2, False), (9, 1, False),
-                                        (7, 2, True)]:
+                                        (7, 2, True), (25, 1, True)]:
         assert achievable_profiles.__wrapped__(field_order, genus, reduced) \
             == achievable_profiles_oracle(field_order, genus, reduced)
+
+
+@pytest.mark.parametrize("field_order", [3, 5, 9, 25, 27, 29, 49, 125])
+def test_lift_add_fold_is_field_addition(field_order):
+    f = field_of_order(field_order)
+    lift, fold = atlas._lift_fold(f)
+    assert len(fold) == (2 * f.p - 1) ** f.n
+    elems = np.arange(field_order)
+    assert np.array_equal(fold[lift], elems)
+    assert np.array_equal(fold[lift[:, None] + lift[None, :]],
+                          f.add_arr(elems[:, None], elems[None, :]))
 
 
 def test_reduced_space_rejected_when_degenerate():
@@ -314,6 +358,24 @@ def test_curve_search_modes_agree():
     assert curve_search_best_rate(27, 1, 1, 1).convention == "search-exhaustive"
     with pytest.raises(ValueError):
         achievable_profiles(27, 1, True)
+
+
+@pytest.mark.parametrize("field_order,genus", [
+    (order, genus) for order in TABLE1_FIELD_ORDERS for genus in TABLE1_GENERA])
+def test_curve_search_matches_per_profile_oracle(field_order, genus):
+    modes = (False, True) if field_order <= 23 else (False,)
+    for full_search in modes:
+        for budget in TABLE1_BUDGETS:
+            got = curve_search_best_rate(field_order, genus, budget, budget,
+                                         full_search=full_search)
+            want = curve_search_best_rate_oracle(field_order, genus, budget,
+                                                 budget, full_search)
+            assert got == want
+            assert got.to_dict() == want.to_dict()
+            assert (got.witness, got.convention, got.note) == \
+                (want.witness, want.convention, want.note)
+            if (field_order, genus) == (11, 2):  # the all-dash row
+                assert not got.feasible
 
 
 def test_curve_search_witness_is_minimal():

@@ -1,8 +1,10 @@
 """Catalog builders against the embedded reference grids."""
 
 import csv
+import hashlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +23,8 @@ from hermipir.tables import (
     render_json,
     render_markdown,
 )
+
+DIGESTS = Path(__file__).resolve().parent.parent / "perfbench" / "digests.json"
 
 
 def _row(structure, label_fragment):
@@ -262,6 +266,18 @@ class TestTable1:
         assert all(r["search_mode"] == "search-exhaustive"
                    for r in forced["rows"])
         assert build_table1(field_orders=(11,))["config"]["full_search"] is False
+
+    @pytest.mark.parametrize("orders", ["17", "17,19,23,27"])
+    def test_benchmark_catalog_digests(self, orders):
+        # the catalog-search benchmark's correctness gate, read-only: the
+        # JSON bytes and every cell's reference relation must match its record
+        recorded = json.loads(DIGESTS.read_text())["catalogs"][orders]
+        field_orders = tuple(int(o) for o in orders.split(","))
+        text = render_json(build_table1(field_orders=field_orders))
+        assert hashlib.sha256(text.encode()).hexdigest() == recorded["sha256"]
+        relations = {row["label"]: [c["reference_relation"] for c in row["cells"]]
+                     for row in json.loads(text)["rows"]}
+        assert relations == recorded["relations"]
 
     def test_subset_build(self):
         subset = build_table1(field_orders=(13,))
