@@ -30,7 +30,7 @@ polynomial, so one value histogram of ``u`` gives the point profiles of all
 serve ``q`` models, where evaluating each model at every ``x`` takes
 ``q * q``.  The prefix values are never formed as field elements: in the
 carry-free lift (base-p digits re-read in base ``2p - 1``) a field sum is
-an integer sum, so a chunk of prefixes is one addition and one histogram
+an integer sum, so a band of prefixes is one addition and one histogram
 over the lifted sums.  One fixed float32 matrix then folds the lifted
 sums back, counts the square roots and packs each model's profile into a
 16-bit key, for all ``q`` constant terms in one BLAS product; it is exact
@@ -473,14 +473,15 @@ def achievable_profiles(field_order: int, genus: int,
     evaluated once for all chunks.  That sum is never formed: both parts
     are kept in the carry-free lift of :func:`_lift_fold`, where the field
     sum is a plain integer sum, and the histogram is taken over the
-    ``(2p - 1)^n`` lifted sums instead of the ``q`` field values.  A chunk is
-    then one addition of the lifted high part to the lifted low parts (with
-    each prefix's bin offset) and one ``bincount``.  The fold, the root
-    counts and the key packing ``point_count * 64 + gamma`` are one fixed
-    matrix, ``K[s, a_0] = 64 * w[fold(s) + a_0] + [fold(s) = -a_0]``, so
-    the keys of every model of a chunk are ``hist @ K + 64``: one float32
-    BLAS product per row band, exact because every key stays below
-    ``2^24``.  Keys stay 16-bit, and a table of the keys seen so far finds
+    ``(2p - 1)^n`` lifted sums instead of the ``q`` field values.  The fold,
+    the root counts and the key packing ``point_count * 64 + gamma`` are one
+    fixed matrix, ``K[s, a_0] = 64 * w[fold(s) + a_0] + [fold(s) = -a_0]``,
+    so the keys of a prefix's ``q`` models are ``hist @ K + 64``, exact in
+    float32 because every key stays below ``2^24``.  A chunk runs in bands
+    of prefix rows, each one addition of the lifted high part to the lifted
+    low parts (with each prefix's bin offset inside the band), one
+    ``bincount`` and one BLAS product, in work buffers reused across bands
+    and chunks.  Keys stay 16-bit, and a table of the keys seen so far finds
     the few new ones, whose first witnesses one small ``np.unique`` picks.
     """
     f = field_of_order(field_order)
@@ -504,7 +505,8 @@ def achievable_profiles(field_order: int, genus: int,
     shifted = f.add_arr(fold[:, None], elems[None, :])  # fold(s) + a_0
     key_matrix = (64 * _square_weights(field_order)[shifted]
                   + (shifted == 0)).astype(np.float32)
-    # rows per product, so that BLAS never wakes its thread pool
+    # prefix rows per band: per product, so that BLAS never wakes its thread
+    # pool; its work buffers stay in cache
     band = max(1, _BLAS_CALL_MACS // (width * field_order))
     # keys pack count * 64 + gamma below 64 * (2q + 2): 16 bits up to q = 510,
     # past every order the search budget admits at genus 1
@@ -520,25 +522,27 @@ def achievable_profiles(field_order: int, genus: int,
                             f.pow_arr(elems, degree))
     rows = len(low_values)
     span = rows * field_order
-    lifted_low = lift[low_values] + np.arange(0, rows * width, width)[:, None]
+    # each prefix's bins start at its offset inside its row band
+    lifted_low = lift[low_values] + (np.arange(rows) % band * width)[:, None]
     lifted_high = lift[high_values]
-    cells = np.empty_like(lifted_low)
-    hist32 = np.empty((rows, width), dtype=np.float32)
-    products = np.empty((rows, field_order), dtype=np.float32)
-    keys = np.empty(span, dtype=np.min_scalar_type(key_limit))
+    cells = np.empty((min(band, rows), field_order), dtype=np.int64)
+    hist32 = np.empty((len(cells), width), dtype=np.float32)
+    products = np.empty(cells.shape, dtype=np.float32)
+    keys = np.empty((rows, field_order), dtype=np.min_scalar_type(key_limit))
     first_seen: dict[int, int] = {}
     for chunk, high in enumerate(lifted_high):
-        np.add(lifted_low, high, out=cells)
-        hist = np.bincount(cells.ravel(), minlength=rows * width)
-        hist32.ravel()[:] = hist
         for r in range(0, rows, band):
-            np.matmul(hist32[r : r + band], key_matrix, out=products[r : r + band])
-        np.add(products.ravel(), 64, out=keys, casting="unsafe")
+            low_band = lifted_low[r : r + band]
+            m = len(low_band)
+            np.add(low_band, high, out=cells[:m])
+            hist32[:m].ravel()[:] = np.bincount(cells[:m].ravel(), minlength=m * width)
+            np.matmul(hist32[:m], key_matrix, out=products[:m])
+            np.add(products[:m], 64, out=keys[r : r + m], casting="unsafe")
         # np.take gathers by 16-bit keys without first casting them to intp
         fresh = np.flatnonzero(unseen.take(keys))
         if not len(fresh):
             continue
-        uniq, first = np.unique(keys[fresh], return_index=True)
+        uniq, first = np.unique(keys.ravel()[fresh], return_index=True)
         unseen[uniq] = False
         first_seen.update(zip(uniq.tolist(), (chunk * span + fresh[first]).tolist()))
     profiles = []

@@ -307,6 +307,16 @@ def test_first_witnesses_merge_across_chunks(monkeypatch, chunk_cells):
             == achievable_profiles_oracle(field_order, genus, reduced)
 
 
+@pytest.mark.parametrize("macs", [1, 1000, 5000])
+def test_row_bands_match_oracle(monkeypatch, macs):
+    # one prefix per band, then bands that leave a shorter one at the end
+    monkeypatch.setattr(atlas, "_BLAS_CALL_MACS", macs)
+    for field_order, genus, reduced in [(9, 1, False), (25, 1, True),
+                                        (7, 2, True)]:
+        assert achievable_profiles.__wrapped__(field_order, genus, reduced) \
+            == achievable_profiles_oracle(field_order, genus, reduced)
+
+
 @pytest.mark.parametrize("field_order", [3, 5, 9, 25, 27, 29, 49, 125])
 def test_lift_add_fold_is_field_addition(field_order):
     f = field_of_order(field_order)
