@@ -380,10 +380,9 @@ def test_curve_search_matches_per_profile_oracle(field_order, genus):
                                          full_search=full_search)
             want = curve_search_best_rate_oracle(field_order, genus, budget,
                                                  budget, full_search)
+            # every field, witness, convention and note included
             assert got == want
             assert got.to_dict() == want.to_dict()
-            assert (got.witness, got.convention, got.note) == \
-                (want.witness, want.convention, want.note)
             if (field_order, genus) == (11, 2):  # the all-dash row
                 assert not got.feasible
 
