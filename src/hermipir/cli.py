@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -296,11 +297,36 @@ def cmd_certify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _uniformity_threshold(order: int) -> float:
-    # scipy.stats takes about a second to import and only the verify suites
-    # need it, so the other commands never load it
-    from scipy.stats import chi2
+    """The upper ``UNIFORMITY_LEVEL`` quantile of chi-square with order - 1
+    degrees of freedom.
 
-    return float(chi2.ppf(UNIFORMITY_LEVEL, order - 1))
+    For even df = 2k the upper tail at x is P(Poisson(x/2) < k), the finite
+    sum e^(-x/2)·Σ_{i<k} (x/2)^i / i!.  Each term is taken from log space so
+    that no power or factorial overflows at large df, and x is bisected until
+    the float64 interval stops shrinking.  Odd df (characteristic 2) has no
+    such sum, and no suite tests uniformity there, so it raises ValueError.
+    """
+    df = order - 1
+    if df % 2:
+        raise ValueError(f"chi-square threshold needs even degrees of freedom, got {df}")
+
+    def tail(x: float) -> float:
+        h = x / 2
+        log_h = math.log(h)
+        return math.fsum(math.exp(i * log_h - h - math.lgamma(i + 1)) for i in range(df // 2))
+
+    target = 1 - UNIFORMITY_LEVEL
+    lo, hi = 0.0, float(df)
+    while tail(hi) > target:
+        lo, hi = hi, 2 * hi
+    while True:
+        mid = lo + (hi - lo) / 2
+        if not lo < mid < hi:
+            return hi
+        if tail(mid) > target:
+            lo = mid
+        else:
+            hi = mid
 
 
 def _uniform(samples, order: int) -> tuple[bool, float]:

@@ -16,13 +16,13 @@ for every accepted order (up to 2**20) from the smallest primitive element.
 
 Fields of order at most _TABLE_MAX_ORDER (every Hermitian field up to q = 16)
 also get flat lookup tables, so that add, sub and mul are one gather at
-a * order + b and neg is one gather at a.  A field sum gathers each element's
-digits packed into bit lanes of one int64, sums the integers and unpacks
-each lane mod p.  Characteristic 2 keeps add, sub and neg as a XOR or a
-copy at every order, cheaper than any gather, and sums by one XOR
-reduction; only its products are tabled.  Larger orders add, negate and sum
-digit by digit and multiply by the log tables; that code also builds the
-tables.
+a * order + b and neg is the sub gather at 0 * order + a.  A field sum
+gathers each element's digits packed into bit lanes of one int64, sums the
+integers and unpacks each lane mod p.  Characteristic 2 keeps add, sub
+and neg as a XOR or a copy at every order, cheaper than any gather, and
+sums by one XOR reduction; only its products are tabled.  Larger orders
+add, subtract and sum digit by digit and multiply by the log tables; that
+code also builds the tables.
 
 Matrix products rest on one identity: multiplication by x is F_p-linear on
 the digits, with matrix columns the digits of x * t^s (s = 0..n-1), so a
@@ -286,11 +286,11 @@ class GFField:
     def _build_op_tables(self) -> None:
         """Flat int64 tables for the elementwise ops of a field of order at
         most _TABLE_MAX_ORDER, computed once by the code without tables:
-        entry a * order + b of a binary table is (a op b), entry a of the
-        neg table is -a, and entry a of the lane table packs digit k of a
-        at bit k * (63 // n).  Characteristic 2 gets only the mul table: its
-        add, sub and neg are a XOR or a copy, which a gather would slow."""
-        self._add_table = self._sub_table = self._neg_table = self._mul_table = None
+        entry a * order + b of a binary table is (a op b), and entry a of
+        the lane table packs digit k of a at bit k * (63 // n).
+        Characteristic 2 gets only the mul table: its add, sub and neg are
+        a XOR or a copy, which a gather would slow."""
+        self._add_table = self._sub_table = self._mul_table = None
         self._lanes = None
         order, p, n = self.order, self.p, self.n
         if order > _TABLE_MAX_ORDER:
@@ -302,7 +302,6 @@ class GFField:
             return
         self._add_table = self._digitwise_add(a, b)
         self._sub_table = self._digitwise_sub(a, b)
-        self._neg_table = self._digitwise_neg(elems)
         self._lane_bits = 63 // n
         self._lane_terms = ((1 << self._lane_bits) - 1) // (p - 1)
         digits = self._split_digits(elems, np.empty((n, order), dtype=np.int64))
@@ -367,7 +366,8 @@ class GFField:
         neg routed through tables instead, a q = 8 build took 0.53-0.59 s
         against 0.28-0.33 s.  Otherwise it is one gather from the add table
         at a * order + b up to order _TABLE_MAX_ORDER, and digit by digit
-        above it.  sub_arr and neg_arr take the same three routes."""
+        above it.  sub_arr takes the same three routes, and neg_arr is
+        sub_arr(0, a) in odd characteristic."""
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         if self.p == 2:
@@ -380,9 +380,7 @@ class GFField:
         a = np.asarray(a, dtype=np.int64)
         if self.p == 2:
             return a.copy()
-        if self._neg_table is None:
-            return self._digitwise_neg(a)
-        return np.asarray(self._neg_table[a])
+        return self.sub_arr(0, a)
 
     def sub_arr(self, a, b, out=None) -> np.ndarray:
         """Elementwise field difference a - b, into `out` when given (it may
@@ -462,13 +460,6 @@ class GFField:
         p = self.p
         for pk in self._pk:
             out += (((a // pk) + (b // pk)) % p) * pk
-        return out
-
-    def _digitwise_neg(self, a: np.ndarray) -> np.ndarray:
-        out = np.zeros(a.shape, dtype=np.int64)
-        p = self.p
-        for pk in self._pk:
-            out += ((p - (a // pk) % p) % p) * pk
         return out
 
     def _digitwise_sub(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -284,11 +284,14 @@ def test_achievable_profiles_witnesses_recount():
 
 
 @pytest.mark.parametrize("field_order,genus", [(5, 1), (7, 1), (11, 1),
-                                               (13, 1), (7, 2)])
+                                               (13, 1), (7, 2), (17, 2),
+                                               (19, 2), (23, 2)])
 def test_reduced_space_reaches_every_profile(field_order, genus):
-    full = {(c, g) for c, g, _ in achievable_profiles(field_order, genus)}
-    red = {(c, g) for c, g, _ in achievable_profiles(field_order, genus, True)}
-    assert full == red
+    # exhaustive order visits the models with a_{2g} = 0 first, and when p
+    # does not divide 2g + 1 a translation x -> x + c moves every profile
+    # there: both spaces find the same profiles with the same first witness
+    assert achievable_profiles(field_order, genus) == \
+        achievable_profiles(field_order, genus, True)
 
 
 @pytest.mark.parametrize("field_order,genus,reduced", ORACLE_CASES)

@@ -11,9 +11,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from scipy.stats import chi2
 
 import hermipir
-from hermipir.cli import main
+from hermipir.cli import UNIFORMITY_LEVEL, _uniformity_threshold, main
+from test_golden import CLI_GOLDENS
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -303,15 +305,47 @@ class TestEntryPoints:
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats takes about a second to import and only the verify suites
-    # use it, so every other command must not pay for it at start-up
+    # numpy is the only runtime dependency: with scipy unimportable the CLI
+    # still imports, and the chi-square suites print their pinned bytes
     pythonpath = [str(Path(hermipir.__file__).resolve().parents[1]),
                   os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
+    argvs = [argv for argv in CLI_GOLDENS
+             if argv[:3] in (("verify", "--suite", "privacy"), ("verify", "--suite", "security"))]
+    assert len(argvs) == 4
+    script = (
+        "import contextlib, hashlib, io, json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from hermipir.cli import main\n"
+        "out = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    buf = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(buf):\n"
+        "        code = main(argv)\n"
+        "    out.append([code, hashlib.sha256(buf.getvalue().encode()).hexdigest()])\n"
+        "print(json.dumps(out))\n"
+    )
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, hermipir.cli; print('scipy.stats' in sys.modules)"],
+        [sys.executable, "-c", script, json.dumps(argvs)],
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert json.loads(proc.stdout) == [[0, CLI_GOLDENS[argv]] for argv in argvs]
+
+
+def test_uniformity_threshold_matches_scipy():
+    # the closed-form even-df tail against scipy's quantile, for every odd
+    # order up to 401
+    for order in range(3, 402, 2):
+        reference = chi2.ppf(UNIFORMITY_LEVEL, order - 1)
+        assert _uniformity_threshold(order) == pytest.approx(reference, rel=1e-12, abs=0), order
+    # every suite that tests uniformity runs over GF(25)
+    threshold = _uniformity_threshold(25)
+    assert threshold == chi2.ppf(0.999, 24)
+    assert f"{threshold:.2f}" == "51.18"
+
+
+def test_uniformity_threshold_rejects_odd_df():
+    for order in (2, 4, 8, 256):
+        with pytest.raises(ValueError, match="even degrees of freedom"):
+            _uniformity_threshold(order)

@@ -442,10 +442,11 @@ def test_sum_arr_at_lane_capacity(fill, monkeypatch):
 def test_orders_above_limit_build_no_tables(order):
     f = field_of_order(order)
     assert order > fields._TABLE_MAX_ORDER
-    assert f._add_table is f._sub_table is f._neg_table is f._mul_table is f._lanes is None
+    assert f._add_table is f._sub_table is f._mul_table is f._lanes is None
     rng = np.random.default_rng(order)
     a, b = rng.integers(0, order, (2, 3, 50))
     assert (f.add_arr(a, b) == digitwise_add(f, a, b)).all()
+    assert (f.neg_arr(a) == digitwise_neg(f, a)).all()
     assert (f.sum_arr(a, axis=1) == digitwise_sum(f, a, axis=1)).all()
 
 
@@ -454,7 +455,7 @@ def test_char2_keeps_xor(order):
     """Characteristic 2 tables only the product: add, sub and neg stay a
     XOR or a copy, and every sum is one XOR reduction."""
     f = field_of_order(order)
-    assert f._add_table is f._sub_table is f._neg_table is f._lanes is None
+    assert f._add_table is f._sub_table is f._lanes is None
     assert (f._mul_table is not None) == (order <= fields._TABLE_MAX_ORDER)
     grid = np.random.default_rng(order).integers(0, order, (4, 9))
     for axis in (None, 0, 1):

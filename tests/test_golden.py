@@ -28,7 +28,9 @@ catalog 1 at GF(23) and the md `verify --suite privacy` and `noise` were
 recorded before the catalog's search-mode dispatch became one boolean and
 those suites read their code verdicts from a certify report.  `certify --q
 11` (json) was recorded before the field ops on orders up to 256 moved from
-digit-wise arithmetic to lookup tables.  The manifests pin the
+digit-wise arithmetic to lookup tables.  The md `verify --suite security`
+was recorded while the chi-square threshold of the privacy and security
+suites still came from scipy.  The manifests pin the
 selected server points.  q = 4 is absent: at x_sec = t_priv = 1 no fiber
 count satisfies its point supply.
 """
@@ -74,6 +76,8 @@ CLI_GOLDENS = {
         "4a02a40f4efe6d4b9f14e9175757fa1e0a38af7165be8c2c24239e6e9a1265ea",
     ("verify", "--suite", "privacy"):
         "0c7afc438e369b8a4905e8afc1ef6be6b3b26b5e451bedfdc66a4531e4653ce6",
+    ("verify", "--suite", "security"):
+        "8bfb8f4db101c9c6bcea51c86776d65c47ff2f3bdf856b35f83e7dd8a54170b6",
     ("verify", "--suite", "security", "--format", "json"):
         "0c058ad1ff5a50f0fc1f9cdd9797346b47c556ce2b2647b58b4ce7a915dc8501",
     ("verify", "--suite", "codes", "--format", "json"):

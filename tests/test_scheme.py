@@ -9,6 +9,7 @@ import pytest
 import scipy.stats
 
 import hermipir.scheme as scheme_mod
+from hermipir.atlas import hermitian_best
 from hermipir.codes import check_w_wise_independence, dual_distance_bound
 from hermipir.curve import CurveFunction, one_point_basis
 from hermipir.linalg import ColumnSpace
@@ -23,6 +24,7 @@ from hermipir.scheme import (
     run_pir_demo,
     validate_params,
 )
+from hermipir.tables import TABLE3_BASE_PARAM, TABLE3_BUDGETS
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +68,27 @@ def test_validate_params_infeasible_cases():
     # too much collusion for the curve's point supply
     with pytest.raises(InfeasibleParams, match="point-supply|fiber-count"):
         validate_params(5, 20, 20)
+
+
+def test_accepted_params_match_the_tight_hermitian_record():
+    # wherever the scheme builds, the atlas's tight record describes the
+    # same layout: the catalogs' Hermitian rows are rates real instances get
+    grid = (1, 2, 3, 5, 8, 13, 21)
+    params = []
+    for q in (3, 4, 5, 7, 8, 9, 11, 13, 16):
+        for x in grid:
+            for t in grid:
+                try:
+                    params.append(validate_params(q, x, t))
+                except InfeasibleParams:
+                    pass
+    # every Table 3 budget builds
+    params += [validate_params(TABLE3_BASE_PARAM, b, b) for b in TABLE3_BUDGETS]
+    for p in params:
+        rec = hermitian_best(p.q, p.x_sec, p.t_priv, overhead="tight")
+        assert rec.feasible, p
+        assert (rec.j_value, rec.frag_count, rec.server_count) == (
+            p.fiber_count, p.frag_count, p.server_count), p
 
 
 def test_point_allocation_disjoint_and_sized(inst_11, inst_22):
