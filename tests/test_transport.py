@@ -1,5 +1,6 @@
 """Socket transport: framing, element serialization, end-to-end parity."""
 
+import hashlib
 import json
 import socket
 import struct
@@ -109,6 +110,42 @@ def test_socket_demo_matches_in_process_demo():
     assert over_sockets["results"] == local["results"]
     assert over_sockets["rate"] == local["rate"]
     assert over_sockets["config"] == local["config"]
+
+
+# sha256 of (bytes sent, bytes received) on each client connection, in the
+# order the client first writes to them, for the socket demo below.  Recorded
+# before frames were built from cached element text and the worker batched
+# its reads and replies: the bytes on the wire must not change.
+WIRE_GOLDEN = [
+    ("776e6d37bf86e6e9c660c6b319edffbb20d4dd43ce2d6d74b9334da890867a57",
+     "40d51c3d992fd8fa78726c340628360f8601a83607644f69b64f967bed5560a0"),
+    ("fe8aae28c31a29d2df3b27ca173400c015ad87c69277a1c08896f91c8b178973",
+     "016625c8d932678030331ec3fbfa0768d63c5b50f81251ca38e2ad60a3de1367"),
+]
+
+
+def test_socket_demo_wire_golden(monkeypatch):
+    sent: dict = {}
+    received: dict = {}
+    sendall, recv = socket.socket.sendall, socket.socket.recv
+
+    def recording_sendall(sock, data, *args):
+        sent.setdefault(sock, bytearray()).extend(data)
+        return sendall(sock, data, *args)
+
+    def recording_recv(sock, *args):
+        chunk = recv(sock, *args)
+        received.setdefault(sock, bytearray()).extend(chunk)
+        return chunk
+
+    monkeypatch.setattr(socket.socket, "sendall", recording_sendall)
+    monkeypatch.setattr(socket.socket, "recv", recording_recv)
+    transcript = run_demo_over_sockets(5, 1, 1, 3, seed=29, trials=3, workers=2)
+    monkeypatch.undo()
+    assert transcript["successes"] == 3
+    digests = [(hashlib.sha256(sent[conn]).hexdigest(), hashlib.sha256(received[conn]).hexdigest())
+               for conn in sent]
+    assert digests == WIRE_GOLDEN
 
 
 def test_worker_pool_is_smaller_than_server_count():
