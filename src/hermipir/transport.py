@@ -21,7 +21,14 @@ sit on the other end.  Message kinds:
 
 A connection that closes at a frame boundary shuts the worker down, and so
 does a header announcing more than `MAX_FRAME_BYTES`, since the frame
-boundary is then lost.
+boundary is then lost (the replies already owed go out first).
+
+Bodies are the ``json.dumps(payload, sort_keys=True)`` of their payload.
+The client and the worker's ANSWER join them from the cached JSON text of
+every field element instead of dumping nested digit lists.  The client
+sends each server's STORE and QUERY frames in one write; the worker reads
+up to `RECV_BYTES` at a time, handles every complete frame in order, and
+sends the replies of one read in one write before it blocks again.
 
 Workers are separate processes, each hosting a disjoint slice of the
 logical servers (one process per logical server would be wasteful at
@@ -34,17 +41,22 @@ client: an answer backend for `scheme.run_trials`, whose connections time
 out after `REPLY_TIMEOUT_S` so that a hung worker raises instead of
 blocking the client forever.
 
-Both ends of every worker connection set ``TCP_NODELAY``.  The frames are
-small and most wait on no reply; with Nagle's algorithm (RFC 896) a small
-write waits while an earlier one is unacknowledged, and a peer with nothing
-to send delays its acknowledgement (RFC 1122; at least about 40 ms on
-Linux), a stall of about one delayed ACK per retrieval.
+Both ends of every worker connection set ``TCP_NODELAY``.  Both still
+write small segments back to back: the client one write per server (under
+1 KiB at q = 5) with no reply awaited in between, the worker one reply
+batch per read while the client, having sent everything, has nothing to
+send back.  With Nagle's algorithm (RFC 896) a small write waits while an
+earlier one is unacknowledged, and a peer with nothing to send delays its
+acknowledgement (RFC 1122; at least about 40 ms on Linux), a stall of
+about one delayed ACK per retrieval.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import math
 import multiprocessing as mp
 import socket
 import struct
@@ -60,17 +72,28 @@ _HEADER = struct.Struct(">I")
 MAX_FRAME_BYTES = 16 * 2**20
 # far above any demo reply wait (a q=7 retrieval's answers take milliseconds)
 REPLY_TIMEOUT_S = 60.0
+# a worker's read size: one read takes dozens of q=5 servers' frames (under
+# 1 KiB each), and a frame at the cap arrives in 256 reads
+RECV_BYTES = 64 * 2**10
 
 
 # ---------------------------------------------------------------------------
 # framing and element serialization
 # ---------------------------------------------------------------------------
 
-def send_frame(sock: socket.socket, payload: dict) -> None:
-    body = json.dumps(payload, sort_keys=True).encode("utf-8")
+def _frame(body: bytes) -> bytes:
+    """The header and `body` of one frame; ValueError past the cap."""
     if len(body) > MAX_FRAME_BYTES:
         raise ValueError(f"frame of {len(body)} bytes exceeds the {MAX_FRAME_BYTES}-byte cap")
-    sock.sendall(_HEADER.pack(len(body)) + body)
+    return _HEADER.pack(len(body)) + body
+
+
+def _json_body(payload: dict) -> bytes:
+    return json.dumps(payload, sort_keys=True).encode("utf-8")
+
+
+def send_frame(sock: socket.socket, payload: dict) -> None:
+    sock.sendall(_frame(_json_body(payload)))
 
 
 def _recv_exact(sock: socket.socket, size: int, allow_eof: bool = False):
@@ -119,34 +142,87 @@ def recv_frame(sock: socket.socket) -> dict | None:
     return msg
 
 
+def _in_range(field: GFField, values) -> np.ndarray:
+    """`values` as int64; ValueError unless each lies in 0..order-1."""
+    flat = np.asarray(values, dtype=np.int64)
+    if flat.size and (flat.min() < 0 or flat.max() >= field.order):
+        raise ValueError(f"field elements must lie in 0..{field.order - 1}")
+    return flat
+
+
 def encode_elements(field: GFField, values) -> list[list[int]]:
-    """Flatten a grid of field elements to base-p coefficient tuples."""
-    flat = np.asarray(values, dtype=np.int64).reshape(-1)
+    """Flatten a grid of field elements to base-p coefficient tuples.
+    Raises ValueError for a value outside 0..order-1."""
+    flat = _in_range(field, values).reshape(-1)
     return ((flat[:, None] // field.p ** np.arange(field.n)) % field.p).tolist()
+
+
+@functools.cache
+def _element_texts(field: GFField) -> list[bytes]:
+    """The JSON text of each element's coefficient tuple, by encoding."""
+    return [json.dumps(cs).encode("ascii") for cs in encode_elements(field, np.arange(field.order))]
+
+
+def _grid_texts(field: GFField, grids) -> list[bytes]:
+    """For each grid along the first axis of `grids`, the JSON text of
+    ``encode_elements(field, grid)`` without its brackets, joined from the
+    cached element texts.  The range check runs first, so that no value
+    wraps to another element's text."""
+    flat = _in_range(field, grids)
+    texts = _element_texts(field).__getitem__
+    return [b", ".join(map(texts, row)) for row in flat.reshape(len(flat), math.prod(flat.shape[1:])).tolist()]
+
+
+# Bodies from element texts.  Each equals, byte for byte,
+# ``json.dumps(payload, sort_keys=True).encode()`` of the payload it stands for.
+
+def _store_body(server: int, shape: tuple[int, ...], elements: bytes) -> bytes:
+    return b'{"elements": [%b], "kind": "STORE", "server": %d, "shape": [%b]}' % (
+        elements, server, ", ".join(map(str, shape)).encode("ascii"))
+
+
+def _query_body(server: int, elements: bytes) -> bytes:
+    return b'{"elements": [%b], "kind": "QUERY", "server": %d}' % (elements, server)
+
+
+def _answer_body(field: GFField, server: int, value: int) -> bytes:
+    return b'{"element": %b, "kind": "ANSWER", "server": %d}' % (_element_texts(field)[value], server)
+
+
+@functools.cache
+def _element_values(field: GFField) -> dict[tuple[int, ...], int]:
+    """Each element's coefficient tuple, mapped to its encoding."""
+    return {tuple(cs): v for v, cs in enumerate(encode_elements(field, np.arange(field.order)))}
 
 
 def decode_elements(field: GFField, elements, shape=None) -> np.ndarray:
     """Inverse of `encode_elements`.  Raises ValueError unless every tuple
-    has exactly n int digits in 0..p-1; a bool is not a digit.  The digits
-    are checked on one flat list, which numpy converts without discovering
-    a nested shape."""
+    has exactly n int digits in 0..p-1; a bool is not a digit."""
+    try:
+        # checked before the lookup, where (True, 1) would find (1, 1)
+        ok = set(map(type, itertools.chain.from_iterable(elements))) <= {int}
+        vals = list(map(_element_values(field).__getitem__, map(tuple, elements))) if ok else []
+    except (TypeError, KeyError):  # an element that is not a sequence, or no element's tuple
+        ok = False
+    if not ok:
+        raise ValueError(_decode_error(field, elements))
+    vals = np.array(vals, dtype=np.int64)
+    return vals if shape is None else vals.reshape(shape)
+
+
+def _decode_error(field: GFField, elements) -> str:
+    """Why `decode_elements` rejects `elements`: a malformed tuple before a
+    digit out of range."""
     malformed = f"elements must be tuples of {field.n} integer digits"
     try:
         flat = list(itertools.chain.from_iterable(elements))
-        # checked before numpy, which reads the True in [True, 1] as 1
-        ok = set(map(type, flat)) <= {int} and set(map(len, elements)) <= {field.n}
-    except TypeError:  # an element that is not a sequence
-        ok = False
-    if not ok:
-        raise ValueError(malformed)
-    try:
-        digits = np.array(flat, dtype=np.int64)
-    except OverflowError:  # a digit past int64
-        raise ValueError(malformed) from None
-    if digits.size and (digits.min() < 0 or digits.max() >= field.p):
-        raise ValueError(f"element digits must lie in 0..{field.p - 1}")
-    vals = digits.reshape(-1, field.n) @ (field.p ** np.arange(field.n, dtype=np.int64))
-    return vals if shape is None else vals.reshape(shape)
+    except TypeError:
+        return malformed
+    if not set(map(type, flat)) <= {int} or not set(map(len, elements)) <= {field.n}:
+        return malformed
+    if min(flat) < -(2**63) or max(flat) >= 2**63:  # a digit past int64
+        return malformed
+    return f"element digits must lie in 0..{field.p - 1}"
 
 
 # ---------------------------------------------------------------------------
@@ -168,19 +244,45 @@ def serve_worker(listener: socket.socket, field_order: int) -> None:
 
 def serve_connection(conn: socket.socket, field: GFField) -> None:
     """Answer frames on `conn` until it closes; a rejected frame, an
-    unparsable body included, gets an ERROR frame."""
+    unparsable body included, gets an ERROR frame.
+
+    Each read takes up to `RECV_BYTES`; every frame it completes is handled
+    in order, and their replies go out in one write before the next read.  A close at a frame boundary returns, a close mid-frame raises
+    ConnectionError, and a header past the cap raises ValueError once the
+    replies already owed are sent."""
     stored: dict[int, np.ndarray] = {}
-    while (body := _recv_body(conn)) is not None:
+    buf = bytearray()
+    while chunk := conn.recv(RECV_BYTES):
+        buf += chunk  # amortized: a frame spread over many reads is not re-copied
+        replies: list[bytes] = []
+        start = 0
         try:
-            reply = _handle_frame(field, stored, _parse_body(body))
-        except ValueError as exc:
-            reply = {"kind": "ERROR", "message": str(exc)}
-        if reply is not None:
-            send_frame(conn, reply)
+            while len(buf) - start >= _HEADER.size:
+                (length,) = _HEADER.unpack_from(buf, start)
+                if length > MAX_FRAME_BYTES:
+                    raise ValueError(f"peer announced a {length}-byte frame; the cap is {MAX_FRAME_BYTES}")
+                end = start + _HEADER.size + length
+                if end > len(buf):
+                    break
+                body = buf[start + _HEADER.size : end]
+                start = end
+                try:
+                    reply = _handle_frame(field, stored, _parse_body(body))
+                except ValueError as exc:
+                    reply = _json_body({"kind": "ERROR", "message": str(exc)})
+                if reply is not None:
+                    replies.append(_frame(reply))
+        finally:
+            if replies:
+                conn.sendall(b"".join(replies))
+        del buf[:start]
+    if buf:
+        raise ConnectionError("peer closed mid-frame")
 
 
-def _handle_frame(field: GFField, stored: dict[int, np.ndarray], msg) -> dict | None:
-    """The reply to one frame (None for STORE); ValueError names what is wrong."""
+def _handle_frame(field: GFField, stored: dict[int, np.ndarray], msg) -> bytes | None:
+    """The body of the reply to one frame (None for STORE); ValueError
+    names what is wrong."""
     kind = msg.get("kind") if isinstance(msg, dict) else None
     if kind not in ("STORE", "QUERY"):
         raise ValueError(f"unknown frame kind {kind!r}")
@@ -197,8 +299,7 @@ def _handle_frame(field: GFField, stored: dict[int, np.ndarray], msg) -> dict | 
         raise ValueError(f"QUERY for server {server}, which has no stored shares")
     share = stored[server]
     query = decode_elements(field, msg.get("elements"), share.shape)
-    answer = int(field.sum_arr(field.mul_arr(share, query)))
-    return {"kind": "ANSWER", "server": server, "element": list(field.coeffs(answer))}
+    return _answer_body(field, server, int(field.sum_arr(field.mul_arr(share, query))))
 
 
 def read_answer(conn: socket.socket, server: int) -> list[int]:
@@ -265,22 +366,14 @@ class WorkerPool:
                 proc.join(timeout=10)
 
     def answers(self, shares, queries) -> np.ndarray:
-        """The N answers: each server's STORE then QUERY frame, in server
-        order, then the replies in server order."""
+        """The N answers: each server's STORE and QUERY frames in one write,
+        in server order, then the replies in server order."""
         field = self.field
         conns = [self.conns[s % self.size] for s in range(self.server_count)]
+        share_texts, query_texts = _grid_texts(field, shares), _grid_texts(field, queries)
+        shape = np.shape(shares)[1:]
         for s, conn in enumerate(conns):
-            send_frame(conn, {
-                "kind": "STORE",
-                "server": s,
-                "shape": list(shares[s].shape),
-                "elements": encode_elements(field, shares[s]),
-            })
-            send_frame(conn, {
-                "kind": "QUERY",
-                "server": s,
-                "elements": encode_elements(field, queries[s]),
-            })
+            conn.sendall(_frame(_store_body(s, shape, share_texts[s])) + _frame(_query_body(s, query_texts[s])))
         return decode_elements(field, [read_answer(conn, s) for s, conn in enumerate(conns)])
 
 

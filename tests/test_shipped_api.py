@@ -37,6 +37,7 @@ ALLOWED = {
     "linalg.ColumnSpace": BENCHMARK_PIN,
     "linalg.ColumnSpace.contains": BENCHMARK_PIN,
     "scheme.SchemeInstance.server_answer": BENCHMARK_PIN,
+    "transport.send_frame": BENCHMARK_PIN,
 }
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

@@ -100,6 +100,44 @@ def test_element_codec_round_trip():
             assert json.dumps(encode_elements(field, grid)) == json.dumps(oracle)
 
 
+def test_encode_elements_rejects_values_outside_the_field():
+    """A value outside 0..order-1 is no element: it raises instead of going
+    out as another element's digits, and a negative one does not index the
+    element texts from the end."""
+    field = field_of_order(25)
+    for bad in ([-1], [25], [26], [[0, 1], [-1, 3]], np.array([3, 2**40])):
+        with pytest.raises(ValueError, match=r"0\.\.24"):
+            encode_elements(field, bad)
+        with pytest.raises(ValueError, match=r"0\.\.24"):
+            transport._grid_texts(field, [bad])
+    assert encode_elements(field, [0, 24]) == [[0, 0], [4, 4]]
+
+
+@pytest.mark.parametrize("order", [25, 49, 64, 81])
+def test_rendered_bodies_equal_sorted_json(order):
+    """STORE, QUERY and ANSWER bodies joined from cached element texts are
+    the bytes ``json.dumps(payload, sort_keys=True)`` gives."""
+    field = field_of_order(order)
+    rng = np.random.default_rng(order)
+    oracle = lambda payload: json.dumps(payload, sort_keys=True).encode()
+    for shape in ((4, 0), (4, 1, 0), (3, 7), (5, 3, 15), (2, 4, 3, 2)):
+        grids = field.sample_arr(rng, shape)
+        texts = transport._grid_texts(field, grids)
+        assert len(texts) == shape[0]
+        for s, (grid, text) in enumerate(zip(grids, texts)):
+            server = int(rng.integers(0, 10**6))
+            elements = encode_elements(field, grid)
+            assert transport._store_body(server, grid.shape, text) == oracle(
+                {"kind": "STORE", "server": server, "shape": list(grid.shape), "elements": elements})
+            assert transport._query_body(server, text) == oracle(
+                {"kind": "QUERY", "server": server, "elements": elements})
+    assert transport._grid_texts(field, np.zeros((0, 3), dtype=np.int64)) == []
+    for value in (0, 1, field.order - 1, *rng.integers(0, field.order, 8).tolist()):
+        server = int(rng.integers(-5, 10**6))
+        assert transport._answer_body(field, server, value) == oracle(
+            {"kind": "ANSWER", "server": server, "element": list(field.coeffs(value))})
+
+
 def test_socket_demo_matches_in_process_demo():
     """Moving the inner products behind sockets must not change anything:
     same successes, same per-trial transcript, same rate."""
@@ -248,6 +286,108 @@ def test_worker_stops_on_oversized_header():
             serve_connection(worker, F25)
         worker.close()
         assert client.recv(16) == b""
+
+
+def _wire(*payloads) -> bytes:
+    """The frames of `payloads`; a bytes payload is a raw body."""
+    bodies = [p if isinstance(p, bytes) else json.dumps(p, sort_keys=True).encode() for p in payloads]
+    return b"".join(struct.pack(">I", len(body)) + body for body in bodies)
+
+
+def _replies(sock: socket.socket) -> list[dict]:
+    """Every frame `sock` receives until the peer closes."""
+    out = []
+    while (msg := recv_frame(sock)) is not None:
+        out.append(msg)
+    return out
+
+
+QUERY_4 = {"kind": "QUERY", "server": 4, "elements": [[1, 0], [1, 0]]}
+ANSWER_4 = {"kind": "ANSWER", "server": 4, "element": [1, 1]}  # 1·1 + 5·1 = 1 + t
+
+
+class _Trickle:
+    """A connection stand-in: `recv` hands out `data` `step` bytes at a time
+    and then b"" (a close), and each `sendall` is kept."""
+
+    def __init__(self, data: bytes, step: int):
+        self.data, self.step, self.pos, self.writes = data, step, 0, []
+
+    def recv(self, size: int) -> bytes:
+        chunk = self.data[self.pos : self.pos + min(size, self.step)]
+        self.pos += len(chunk)
+        return chunk
+
+    def sendall(self, data) -> None:
+        self.writes.append(bytes(data))
+
+
+def test_worker_answers_a_batch_in_order_with_one_write():
+    """Frames that arrive in one write are all handled, in order; a
+    malformed frame among them gets its ERROR in its place, and the
+    replies go back in one write."""
+    conn = _Trickle(_wire(GOOD_STORE, QUERY_4, b"{bad}", {"kind": "FETCH"}, QUERY_4), step=2**20)
+    serve_connection(conn, F25)
+    assert len(conn.writes) == 1
+    left, right = socket.socketpair()
+    with left, right:
+        left.sendall(conn.writes[0])
+        left.close()
+        replies = _replies(right)
+    assert [r["kind"] for r in replies] == ["ANSWER", "ERROR", "ERROR", "ANSWER"]
+    assert replies[0] == replies[3] == ANSWER_4
+    assert "Expecting property name" in replies[1]["message"]
+    assert replies[2]["message"] == "unknown frame kind 'FETCH'"
+
+
+def test_worker_reads_a_frame_one_byte_at_a_time():
+    wire = _wire(GOOD_STORE, QUERY_4)
+    conn = _Trickle(wire, step=1)
+    serve_connection(conn, F25)
+    assert conn.pos == len(wire)
+    # one reply, written after the read that completed the QUERY frame
+    assert conn.writes == [_wire(ANSWER_4)]
+
+
+def test_worker_reads_a_large_frame_in_many_reads():
+    """A STORE of several MiB arrives in many reads and is answered."""
+    side = 300
+    store = {"kind": "STORE", "server": 4, "shape": [side, side],
+             "elements": encode_elements(F25, np.arange(side * side) % 25)}
+    query = {"kind": "QUERY", "server": 4, "elements": [[1, 0]] * (side * side)}
+    wire = _wire(store, query)
+    assert len(wire) > 2 * transport.RECV_BYTES * 8
+    conn = _Trickle(wire, step=transport.RECV_BYTES)
+    serve_connection(conn, F25)
+    total = int(F25.sum_arr(np.arange(side * side) % 25))
+    assert conn.writes == [_wire({"kind": "ANSWER", "server": 4, "element": list(F25.coeffs(total))})]
+
+
+def test_worker_replies_then_raises_on_close_mid_frame():
+    client, worker = socket.socketpair()
+    with client, worker:
+        client.settimeout(10)
+        client.sendall(_wire(GOOD_STORE, QUERY_4, QUERY_4)[:-3])  # the last frame cut short
+        client.shutdown(socket.SHUT_WR)
+        with pytest.raises(ConnectionError, match="mid-frame"):
+            serve_connection(worker, F25)
+        worker.close()
+        assert _replies(client) == [ANSWER_4]
+
+
+def test_worker_sends_owed_replies_before_an_oversized_header():
+    """Past the cap the frame boundary is lost, but the replies to the
+    complete frames before the header go out first, in order."""
+    client, worker = socket.socketpair()
+    with client, worker:
+        client.settimeout(10)
+        client.sendall(_wire(GOOD_STORE, QUERY_4, {"kind": "FETCH"}, QUERY_4)
+                       + struct.pack(">I", MAX_FRAME_BYTES + 1))
+        with pytest.raises(ValueError, match="cap"):
+            serve_connection(worker, F25)
+        worker.close()
+        replies = _replies(client)
+    assert [r["kind"] for r in replies] == ["ANSWER", "ERROR", "ANSWER"]
 
 
 json_values = st.recursive(
