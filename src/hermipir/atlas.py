@@ -14,9 +14,13 @@ the server count ``N`` and the download rate ``L / N``:
   (``y^2`` = monic polynomial of odd degree ``2g + 1``): a two-branch
   closed form for the largest usable ``J``; ``L = 2J - g``,
   ``N = L + m_total + 6g + 2``.
-* the Hermitian curve driving the live scheme: ``L = m*q - g`` for
-  the largest admissible fiber count ``m``, with two server-overhead
-  conventions (see :func:`hermitian_best`).
+* the Hermitian curve driving the live scheme: the layout ``m``,
+  ``L = m*q - g`` and ``N`` that :func:`hermipir.scheme.validate_params`
+  returns, feasible exactly when the scheme accepts it ("tight"), or with
+  ``(q - 2)(q + 1)/2`` more servers ("padded"; see :func:`hermitian_best`).
+
+Every closed-form record comes from one constructor, and an infeasible
+record carries no ``L``, ``N`` or ``J``.
 
 The module also provides the exhaustive / normalized searches over
 odd-degree hyperelliptic models used to tabulate best rates per field (one
@@ -47,6 +51,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import _BLAS_CALL_MACS, field_of_order
+from .scheme import InfeasibleParams, validate_params
 
 # Hard cap on the number of candidate models a single search may enumerate.
 SEARCH_BUDGET = 30_000_000
@@ -179,6 +184,19 @@ def _check_masking(x_sec: int, t_priv: int) -> int:
     return x_sec + t_priv
 
 
+def _record(family: str, field_order: int, x_sec: int, t_priv: int,
+            genus: int, feasible: bool, frag: int | None = None,
+            servers: int | None = None, j: int | None = None,
+            **fields) -> RateRecord:
+    """The record of one closed form; an infeasible one carries no L, N or J."""
+    if not feasible:
+        frag = servers = j = None
+    return RateRecord(family=family, field_order=field_order, x_sec=x_sec,
+                      t_priv=t_priv, genus=genus, feasible=feasible,
+                      frag_count=frag, server_count=servers, j_value=j,
+                      **fields)
+
+
 # ---------------------------------------------------------------------------
 # per-family closed forms
 # ---------------------------------------------------------------------------
@@ -187,17 +205,8 @@ def rational_best(field_order: int, x_sec: int, t_priv: int) -> RateRecord:
     """Largest-rate genus-0 record over a field with ``field_order`` elements."""
     m_total = _check_masking(x_sec, t_priv)
     frag = (field_order - m_total) // 2
-    feasible = frag >= 1
-    return RateRecord(
-        family="rational",
-        field_order=field_order,
-        x_sec=x_sec,
-        t_priv=t_priv,
-        genus=0,
-        feasible=feasible,
-        frag_count=frag if feasible else None,
-        server_count=frag + m_total if feasible else None,
-    )
+    return _record("rational", field_order, x_sec, t_priv, 0, frag >= 1,
+                   frag, frag + m_total)
 
 
 def elliptic_best(field_order: int, point_count: int, gamma: int,
@@ -213,30 +222,34 @@ def elliptic_best(field_order: int, point_count: int, gamma: int,
     if not 0 <= gamma <= 3:
         raise ValueError("gamma must lie in 0..3 for a cubic model")
     j = (point_count - (m_total + gamma + 9)) // 4
-    feasible = j >= 1
     frag = 2 * j - 1
-    return RateRecord(
-        family="elliptic",
-        field_order=field_order,
-        x_sec=x_sec,
-        t_priv=t_priv,
-        genus=1,
-        feasible=feasible,
-        frag_count=frag if feasible else None,
-        server_count=frag + m_total + 8 if feasible else None,
-        j_value=j if feasible else None,
-        point_count=point_count,
-        gamma=gamma,
-    )
+    return _record("elliptic", field_order, x_sec, t_priv, 1, j >= 1,
+                   frag, frag + m_total + 8, j,
+                   point_count=point_count, gamma=gamma)
+
+
+def _line_limited_j(field_order: int, genus: int, gamma: int,
+                    m_total: int) -> int:
+    """The usable ``J`` when the supply of x-lines runs out first."""
+    return (2 * field_order - (m_total + 6 * genus + 2 * gamma + 2)) // 4
 
 
 def _hyperelliptic_j(field_order: int, genus: int, point_count: int,
                      gamma: int, m_total: int) -> tuple[int, str]:
     """The usable ``J`` of :func:`hyperelliptic_best` and its regime."""
     if 2 * point_count >= 2 * field_order + 6 * genus + m_total + 4:
-        return ((2 * field_order - (m_total + 6 * genus + 2 * gamma + 2)) // 4,
-                "line-limited")
+        return _line_limited_j(field_order, genus, gamma, m_total), "line-limited"
     return (point_count - (m_total + 6 * genus + 3 + gamma)) // 2, "point-limited"
+
+
+def _hyperelliptic_record(field_order: int, genus: int, j: int, x_sec: int,
+                          t_priv: int, **fields) -> RateRecord:
+    """The genus-``g`` record of a usable ``J``: ``L = 2J - g``,
+    ``N = L + m_total + 6g + 2``, feasible when ``J >= g``."""
+    frag = 2 * j - genus
+    return _record("hyperelliptic", field_order, x_sec, t_priv, genus,
+                   j >= genus, frag, frag + x_sec + t_priv + 6 * genus + 2, j,
+                   **fields)
 
 
 def hyperelliptic_best(field_order: int, genus: int, point_count: int,
@@ -256,22 +269,9 @@ def hyperelliptic_best(field_order: int, genus: int, point_count: int,
     if not 0 <= gamma <= 2 * genus + 1:
         raise ValueError("gamma must lie in 0..2g+1")
     j, regime = _hyperelliptic_j(field_order, genus, point_count, gamma, m_total)
-    feasible = j >= genus
-    frag = 2 * j - genus
-    return RateRecord(
-        family="hyperelliptic",
-        field_order=field_order,
-        x_sec=x_sec,
-        t_priv=t_priv,
-        genus=genus,
-        feasible=feasible,
-        frag_count=frag if feasible else None,
-        server_count=frag + m_total + 6 * genus + 2 if feasible else None,
-        j_value=j if feasible else None,
-        point_count=point_count,
-        gamma=gamma,
-        note=regime,
-    )
+    return _hyperelliptic_record(field_order, genus, j, x_sec, t_priv,
+                                 point_count=point_count, gamma=gamma,
+                                 note=regime)
 
 
 def hyperelliptic_upper(field_order: int, genus: int,
@@ -284,62 +284,43 @@ def hyperelliptic_upper(field_order: int, genus: int,
     m_total = _check_masking(x_sec, t_priv)
     if genus < 1:
         raise ValueError("genus must be at least 1")
-    j = (2 * field_order - (m_total + 6 * genus + 2)) // 4
-    feasible = j >= genus
-    frag = 2 * j - genus
-    return RateRecord(
-        family="hyperelliptic",
-        field_order=field_order,
-        x_sec=x_sec,
-        t_priv=t_priv,
-        genus=genus,
-        feasible=feasible,
-        frag_count=frag if feasible else None,
-        server_count=frag + m_total + 6 * genus + 2 if feasible else None,
-        j_value=j if feasible else None,
-        convention="gamma-zero-bound",
-    )
+    return _hyperelliptic_record(
+        field_order, genus, _line_limited_j(field_order, genus, 0, m_total),
+        x_sec, t_priv, convention="gamma-zero-bound")
 
 
 def hermitian_best(q: int, x_sec: int, t_priv: int,
                    overhead: str = "padded") -> RateRecord:
     """Best Hermitian record over GF(q^2) for the given masking budget.
 
-    The fiber count is maximized subject to the point supply:
-    ``m = floor((q^3 - 3q^2 + q + 1 - m_total) / (2q))`` and ``L = m*q - g``
-    with ``g = q(q-1)/2``.  Two server-overhead conventions are supported:
+    The layout is the one :func:`hermipir.scheme.validate_params` accepts
+    at its default fiber count: ``m`` and ``L`` come from it, and the record
+    is feasible exactly when the scheme would build it.  Two server-overhead
+    conventions are supported:
 
-    * ``overhead="tight"``: ``N = L + m_total + 3q^2 - q - 2``, the margin
+    * ``overhead="tight"``: ``N`` is the scheme's server count, the margin
       the running construction achieves.
-    * ``overhead="padded"``: ``N = L + m_total + (7q^2 - 3q - 6)/2``, a more
-      conservative degree accounting used in the reference catalog.
+    * ``overhead="padded"``: the tight ``N`` plus ``(q - 2)(q + 1)/2``, a
+      more conservative degree accounting used in the reference catalog.
+
+    Raises ValueError when ``q`` is not a prime power.
     """
-    m_total = _check_masking(x_sec, t_priv)
-    if q < 2:
-        raise ValueError("q must be at least 2")
+    _check_masking(x_sec, t_priv)
     if overhead not in ("tight", "padded"):
         raise ValueError("overhead must be 'tight' or 'padded'")
-    genus = q * (q - 1) // 2
-    fibers = (q ** 3 - 3 * q ** 2 + q + 1 - m_total) // (2 * q)
-    frag = fibers * q - genus
-    feasible = 2 * fibers >= q + 1 and frag >= 1
-    if overhead == "tight":
-        margin = m_total + 3 * q * q - q - 2
-    else:
-        margin = m_total + (7 * q * q - 3 * q - 6) // 2
-    return RateRecord(
-        family="hermitian",
-        field_order=q * q,
-        x_sec=x_sec,
-        t_priv=t_priv,
-        genus=genus,
-        feasible=feasible,
-        frag_count=frag if feasible else None,
-        server_count=frag + margin if feasible else None,
-        j_value=fibers if feasible else None,
-        convention=f"overhead-{overhead}",
-        note=f"fiber count m={fibers}" if feasible else "",
-    )
+    convention = f"overhead-{overhead}"
+    try:
+        layout = validate_params(q, x_sec, t_priv)
+    except InfeasibleParams:
+        return _record("hermitian", q * q, x_sec, t_priv, q * (q - 1) // 2,
+                       False, convention=convention)
+    servers = layout.server_count
+    if overhead == "padded":
+        servers += (q - 2) * (q + 1) // 2
+    return _record("hermitian", q * q, x_sec, t_priv, layout.genus, True,
+                   layout.frag_count, servers, layout.fiber_count,
+                   convention=convention,
+                   note=f"fiber count m={layout.fiber_count}")
 
 
 # ---------------------------------------------------------------------------
@@ -593,16 +574,9 @@ def curve_search_best_rate(field_order: int, genus: int, x_sec: int,
             best_key = (-j, windex)
             best = entry
     if best is None:
-        return RateRecord(
-            family="hyperelliptic",
-            field_order=field_order,
-            x_sec=x_sec,
-            t_priv=t_priv,
-            genus=genus,
-            feasible=False,
-            convention=f"search-{space}",
-            note="no model reaches the usable threshold",
-        )
+        return _record("hyperelliptic", field_order, x_sec, t_priv, genus,
+                       False, convention=f"search-{space}",
+                       note="no model reaches the usable threshold")
     point_count, gamma, coeffs = best
     rec = hyperelliptic_best(field_order, genus, point_count, gamma, x_sec, t_priv)
     return replace(rec, witness=coeffs, convention=f"search-{space}")

@@ -260,6 +260,12 @@ def cmd_pir_demo(args: argparse.Namespace) -> int:
 # certify
 # ---------------------------------------------------------------------------
 
+def _check_lines(checks) -> list[str]:
+    """One md line per check: ``ok  `` or ``FAIL``, its name and detail."""
+    return [f"{'ok  ' if check['ok'] else 'FAIL'} {check['check']}: {check['detail']}"
+            for check in checks]
+
+
 def cmd_certify(args: argparse.Namespace) -> int:
     config = {
         "command": "certify",
@@ -284,9 +290,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
             f"m={p.fiber_count} L={p.frag_count} N={p.server_count}",
             f"rate: {p.frag_count}/{p.server_count} = {format_rate(report.rate)}",
         ]
-        for check in report.checks():
-            mark = "ok  " if check["ok"] else "FAIL"
-            lines.append(f"{mark} {check['check']}: {check['detail']}")
+        lines += _check_lines(report.checks())
         lines.append(f"certification: {'PASS' if report.all_ok else 'FAIL'}")
         _emit("\n".join(lines))
     return 0 if report.all_ok else 1
@@ -401,8 +405,7 @@ def _suite_bases(seed: int) -> list[dict]:
     sizes = ranks = vals = regular = True
     for q, m in BASIS_PAIRS:
         c = curve_for_q(q)
-        genus = q * (q - 1) // 2
-        frag_count = m * q - genus
+        frag_count = m * q - c.genus
         alphas = list(range(1, m + 1))
         fns = interpolation_basis(c, m, alphas)
         labels = interpolation_labels(q, m)
@@ -588,10 +591,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "all_ok": all_ok,
         }))
     else:
-        lines = [f"suite: {args.suite}   seed: {args.seed}"]
-        for check in checks:
-            mark = "ok  " if check["ok"] else "FAIL"
-            lines.append(f"{mark} {check['check']}: {check['detail']}")
+        lines = [f"suite: {args.suite}   seed: {args.seed}", *_check_lines(checks)]
         passed = sum(check["ok"] for check in checks)
         verdict = "PASS" if all_ok else "FAIL"
         lines.append(

@@ -16,7 +16,9 @@ sit on the other end.  Message kinds:
   rejects a frame: a body that is not UTF-8 JSON, an unknown ``kind``, a
   ``server`` that is not an int (or, in a QUERY, one never stored), a
   ``shape`` that is not a list of non-negative ints, or elements that do
-  not fit.  The worker skips the frame and keeps serving; the client raises
+  not fit.  The message quotes at most `_QUOTE_CHARS` characters of a
+  rejected value, so it fits in a frame whatever the rejected frame held.
+  The worker skips the frame and keeps serving; the client raises
   ConnectionError with the message.
 
 A connection that closes at a frame boundary shuts the worker down, and so
@@ -72,6 +74,10 @@ _HEADER = struct.Struct(">I")
 MAX_FRAME_BYTES = 16 * 2**20
 # far above any demo reply wait (a q=7 retrieval's answers take milliseconds)
 REPLY_TIMEOUT_S = 60.0
+# an ERROR message quotes a rejected value by at most this many characters
+# of its repr, so that every ERROR body stays far below the cap whatever the
+# frame held (JSON escaping grows a character to at most 12 bytes)
+_QUOTE_CHARS = 64
 # a worker's read size: one read takes dozens of q=5 servers' frames (under
 # 1 KiB each), and a frame at the cap arrives in 256 reads
 RECV_BYTES = 64 * 2**10
@@ -247,7 +253,8 @@ def serve_connection(conn: socket.socket, field: GFField) -> None:
     unparsable body included, gets an ERROR frame.
 
     Each read takes up to `RECV_BYTES`; every frame it completes is handled
-    in order, and their replies go out in one write before the next read.  A close at a frame boundary returns, a close mid-frame raises
+    in order, and their replies go out in one write before the next read.
+    A close at a frame boundary returns, a close mid-frame raises
     ConnectionError, and a header past the cap raises ValueError once the
     replies already owed are sent."""
     stored: dict[int, np.ndarray] = {}
@@ -280,19 +287,25 @@ def serve_connection(conn: socket.socket, field: GFField) -> None:
         raise ConnectionError("peer closed mid-frame")
 
 
+def _quote(value) -> str:
+    """``repr(value)``, cut to `_QUOTE_CHARS` characters and marked "..."."""
+    text = repr(value)
+    return text if len(text) <= _QUOTE_CHARS else text[:_QUOTE_CHARS] + "..."
+
+
 def _handle_frame(field: GFField, stored: dict[int, np.ndarray], msg) -> bytes | None:
     """The body of the reply to one frame (None for STORE); ValueError
     names what is wrong."""
     kind = msg.get("kind") if isinstance(msg, dict) else None
     if kind not in ("STORE", "QUERY"):
-        raise ValueError(f"unknown frame kind {kind!r}")
+        raise ValueError(f"unknown frame kind {_quote(kind)}")
     server = msg.get("server")
     if type(server) is not int:
-        raise ValueError(f"{kind} server must be an int, got {server!r}")
+        raise ValueError(f"{kind} server must be an int, got {_quote(server)}")
     if kind == "STORE":
         shape = msg.get("shape")
         if not isinstance(shape, list) or any(type(d) is not int or d < 0 for d in shape):
-            raise ValueError(f"STORE shape must be a list of non-negative ints, got {shape!r}")
+            raise ValueError(f"STORE shape must be a list of non-negative ints, got {_quote(shape)}")
         stored[server] = decode_elements(field, msg.get("elements"), tuple(shape))
         return None
     if server not in stored:

@@ -217,8 +217,18 @@ def test_hermitian_best_anchors():
     live = hermitian_best(5, 1, 1, overhead="tight")
     assert (live.frag_count, live.server_count) == (15, 85)
     assert not hermitian_best(5, 20, 20).feasible
+
+
+@pytest.mark.parametrize("q, x, t, overhead", [
+    (11, 0, 5, "padded"),
+    (11, 5, 0, "tight"),
+    (11, 5, 5, "loose"),
+    (6, 1, 1, "padded"),   # no Hermitian curve over GF(36)
+    (1, 1, 1, "tight"),
+])
+def test_hermitian_best_rejects_bad_arguments(q, x, t, overhead):
     with pytest.raises(ValueError):
-        hermitian_best(11, 5, 5, overhead="loose")
+        hermitian_best(q, x, t, overhead=overhead)
 
 
 def test_count_points_known_models():

@@ -71,24 +71,29 @@ def test_validate_params_infeasible_cases():
 
 
 def test_accepted_params_match_the_tight_hermitian_record():
-    # wherever the scheme builds, the atlas's tight record describes the
-    # same layout: the catalogs' Hermitian rows are rates real instances get
-    grid = (1, 2, 3, 5, 8, 13, 21)
-    params = []
-    for q in (3, 4, 5, 7, 8, 9, 11, 13, 16):
-        for x in grid:
-            for t in grid:
+    # the atlas's tight record is feasible exactly where the scheme builds,
+    # with the scheme's layout: the catalogs' Hermitian rows are rates real
+    # instances get, and the padded row adds (q - 2)(q + 1)/2 servers
+    accepted = 0
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
+        for x in range(1, 8 * q):
+            for t in range(1, 8 * q):
+                tight = hermitian_best(q, x, t, overhead="tight")
+                padded = hermitian_best(q, x, t, overhead="padded")
                 try:
-                    params.append(validate_params(q, x, t))
+                    p = validate_params(q, x, t)
                 except InfeasibleParams:
-                    pass
+                    assert not tight.feasible and not padded.feasible, (q, x, t)
+                    continue
+                accepted += 1
+                assert tight.feasible, p
+                assert (tight.j_value, tight.frag_count, tight.server_count) == (
+                    p.fiber_count, p.frag_count, p.server_count), p
+                assert padded.server_count == p.server_count + (q - 2) * (q + 1) // 2, p
+    assert accepted > 40_000
     # every Table 3 budget builds
-    params += [validate_params(TABLE3_BASE_PARAM, b, b) for b in TABLE3_BUDGETS]
-    for p in params:
-        rec = hermitian_best(p.q, p.x_sec, p.t_priv, overhead="tight")
-        assert rec.feasible, p
-        assert (rec.j_value, rec.frag_count, rec.server_count) == (
-            p.fiber_count, p.frag_count, p.server_count), p
+    for b in TABLE3_BUDGETS:
+        validate_params(TABLE3_BASE_PARAM, b, b)
 
 
 def test_point_allocation_disjoint_and_sized(inst_11, inst_22):

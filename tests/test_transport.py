@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import socket
 import struct
 import threading
@@ -238,6 +239,27 @@ def test_worker_answers_bad_frame_with_error(frame, message):
         with pytest.raises(ConnectionError, match=message):
             read_answer(client, 4)
         # the stored grid survives: the next query is answered
+        send_frame(client, {"kind": "QUERY", "server": 4, "elements": [[1, 0], [1, 0]]})
+        assert decode_elements(F25, [read_answer(client, 4)])[0] == F25.add(1, 5)
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_worker_answers_error_that_would_outgrow_the_cap(monkeypatch):
+    """A rejected value is quoted in part: JSON escaping grows a backslash
+    string's repr from 6 to 8 bytes, so quoting a whole shape of them would
+    put the ERROR body over the cap and end the worker."""
+    monkeypatch.setattr(transport, "MAX_FRAME_BYTES", 4096)
+    frame = {"kind": "STORE", "server": 6, "shape": ["\\"] * 600, "elements": []}
+    body = json.dumps(frame, sort_keys=True).encode()
+    assert len(body) <= 4096 < len(json.dumps({"message": repr(frame["shape"])}))
+    message = "STORE shape must be a list of non-negative ints, got " + repr(frame["shape"])[:64] + "..."
+    client, thread = _serve_in_thread()
+    with client:
+        send_frame(client, frame)
+        with pytest.raises(ConnectionError, match=re.escape(f"worker error: {message}") + "$"):
+            read_answer(client, 4)
+        send_frame(client, GOOD_STORE)
         send_frame(client, {"kind": "QUERY", "server": 4, "elements": [[1, 0], [1, 0]]})
         assert decode_elements(F25, [read_answer(client, 4)])[0] == F25.add(1, 5)
     thread.join(timeout=10)
