@@ -50,6 +50,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .curve import hermitian_genus
 from .fields import _BLAS_CALL_MACS, field_of_order
 from .scheme import InfeasibleParams, validate_params
 
@@ -312,7 +313,7 @@ def hermitian_best(q: int, x_sec: int, t_priv: int,
     try:
         layout = validate_params(q, x_sec, t_priv)
     except InfeasibleParams:
-        return _record("hermitian", q * q, x_sec, t_priv, q * (q - 1) // 2,
+        return _record("hermitian", q * q, x_sec, t_priv, hermitian_genus(q),
                        False, convention=convention)
     servers = layout.server_count
     if overhead == "padded":

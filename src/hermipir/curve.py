@@ -40,12 +40,17 @@ from hermipir.fields import factor_prime_power, field_of_order
 Poly = dict[tuple[int, int], int]  # (x_power, y_power) -> coefficient encoding
 
 
+def hermitian_genus(q: int) -> int:
+    """The genus q(q - 1)/2 of the Hermitian curve over GF(q^2)."""
+    return q * (q - 1) // 2
+
+
 class HermitianCurve:
     def __init__(self, q: int):
         factor_prime_power(q)  # raises for non prime powers
         self.field = field = field_of_order(q * q)
         self.q = q
-        self.genus = q * (q - 1) // 2
+        self.genus = hermitian_genus(q)
         # each of the q trace values has q preimages; a stable sort keeps
         # every fiber's y-values ascending
         ys = np.arange(field.order, dtype=np.int64)
@@ -299,8 +304,7 @@ def interpolation_labels(q: int, m: int) -> list[tuple[int, int]]:
     """(z, i) labels, z-major, truncated to the fragment count m*q - g.
     z is the y-power plus one; i indexes the omitted linear factor, 1-based
     within the leading m - z + 1 data x-values."""
-    genus = q * (q - 1) // 2
-    frag_count = m * q - genus
+    frag_count = m * q - hermitian_genus(q)
     out: list[tuple[int, int]] = []
     z = 1
     while len(out) < frag_count:

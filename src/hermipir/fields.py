@@ -26,9 +26,15 @@ code also builds the tables.
 
 Matrix products rest on one identity: multiplication by x is F_p-linear on
 the digits, with matrix columns the digits of x * t^s (s = 0..n-1), so a
-field matmul is one matmul over F_p of digit matrices.  It runs as float64
-BLAS products, which are exact while every partial sum stays below 2**53;
-inner dimensions whose sums could pass that are cut into blocks.  One
+field matmul is one matmul over F_p of digit matrices.  It runs as BLAS
+products of floats, exact while every partial sum is an integer the float
+type holds.  The digit operands are float32 when the whole inner width w
+of a product fits one exact float32 block, max(w, 1) * (p - 1)**2 <=
+2**24 - 2p, and float64 otherwise, with inner dimensions whose sums could
+pass 2**53 cut into blocks.  Every product of a Hermitian instance up to
+q = 16 is float32: at q = 7 a query product's digit sums stay below
+44 * 6**2 = 1584 and the decoder's below 434 * 6**2 = 15624.  Float32
+halves the bytes of the digit arrays and the cost of the BLAS calls.  One
 kernel, `_dot_mod_p`, serves every product: it works in bands of output
 rows, and reduces each band mod p and recomposes it by p^k straight into
 the int64 result.  A matrix that multiplies many operands, like the
@@ -54,11 +60,17 @@ import numpy as np
 
 MAX_ORDER = 2**20
 _F64_EXACT = 2**53    # every integer up to here is a float64
-# The largest float64 product handed to BLAS in one call.  OpenBLAS runs a
+_F32_EXACT = 2**24    # and up to here a float32
+# The largest product handed to BLAS in one call.  OpenBLAS runs a float64
 # product of under about 10**6 multiply-adds on the calling thread; above
 # that it wakes its thread pool, which on a 2-core host took about 10 ms per
 # call against 0.2 ms for a whole q = 7 query product, and whose threads
 # then spin on the second core.  Row bands keep every call single-threaded.
+# Float32 products have the same threshold: over 1000 q = 7 query products
+# (bands of 45 of 217 rows, about 5.2 * 10**5 multiply-adds per call) the
+# process used 0.98-0.99 s of CPU per second of wall time, 0.30-0.35 ms per
+# product against 0.47-0.60 ms in float64; with bands of 2**20 the CPU time
+# was 1.98 times the wall time and a product took 0.52 ms.
 _BLAS_CALL_MACS = 2**19
 # Fields up to this order do their elementwise ops by one gather from flat
 # int64 tables built in the constructor: every Hermitian field up to q = 16.
@@ -71,9 +83,11 @@ _TABLE_MAX_ORDER = 256
 
 
 def _reduce_mod(x: np.ndarray, p: int) -> None:
-    """x mod p in place, for float64 integers 0 <= x <= 2**53 - p: then
-    x / p rounds to below the next integer, so its floor is exact.  On a
-    102 x 231 band of sums below 800, np.fmod took 0.95 ms and this 0.04 ms."""
+    """x mod p in place, for float integers 0 <= x <= 2**53 - p in float64,
+    or 0 <= x <= 2**24 - p in float32: then x / p rounds to below the next
+    integer, so its floor is exact.  `p` is a Python int, so the arithmetic
+    keeps the dtype of `x`.  On a 102 x 231 float64 band of sums below 800,
+    np.fmod took 0.95 ms and this 0.04 ms."""
     q = x / p
     np.floor(q, out=q)
     q *= p
@@ -493,8 +507,9 @@ class GFField:
         operand with fewer entries is expanded into the digits of x * t^s for
         s = 0..n-1 (the left one through ``prepare_matrix``), the other is
         split into its digits, and `_dot_mod_p` computes the output digits
-        as float64 products over F_p and recomposes them.  Inner dimensions
-        whose exact digit sums would reach 2**63 are refused.
+        as float products over F_p (``_digit_dtype``) and recomposes them.
+        Inner dimensions whose exact digit sums would reach 2**63 are
+        refused.
         """
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
@@ -507,16 +522,18 @@ class GFField:
             return self.matmul_prepared(self.prepare_matrix(a), b)
         # inner (k, s), columns (d, j): digit s of a[i, k] times digit d of t^s * b[k, j]
         n, (rows, inner), cols = self.n, a.shape, b.shape[1]
-        left = np.empty((rows, inner, n))
+        dtype = self._digit_dtype(inner * n)
+        left = np.empty((rows, inner, n), dtype=dtype)
         self._split_digits(a, left.transpose(2, 0, 1))
-        right = np.empty((inner, n, n, cols))
+        right = np.empty((inner, n, n, cols), dtype=dtype)
         self._times_powers(b, right.transpose(1, 2, 0, 3))
         return self._dot_mod_p(left.reshape(rows, 1, inner * n), right.reshape(inner * n, n * cols))
 
     def prepare_matrix(self, a) -> np.ndarray:
         """The digit expansion of a fixed left operand `a` (rows x inner)
-        for ``matmul_prepared``: a read-only float64 array of shape
-        (rows, n, inner * n) whose entry [i, d, k * n + s] is digit d of
+        for ``matmul_prepared``: a read-only array of shape
+        (rows, n, inner * n), of the dtype ``_digit_dtype`` picks for that
+        inner width, whose entry [i, d, k * n + s] is digit d of
         a[i, k] * t^s.  Products by a matrix that stays fixed expand it once
         instead of on every call."""
         a = np.asarray(a, dtype=np.int64)
@@ -524,7 +541,7 @@ class GFField:
             raise ValueError("expected 2-D matrices")
         self._check_inner(a.shape[1])
         n, (rows, inner) = self.n, a.shape
-        out = np.empty((rows, n, inner, n))
+        out = np.empty((rows, n, inner, n), dtype=self._digit_dtype(inner * n))
         self._times_powers(a, out.transpose(3, 1, 0, 2))
         out = out.reshape(rows, n, inner * n)
         out.flags.writeable = False
@@ -539,9 +556,18 @@ class GFField:
         if prepared.shape[2] != inner * n:
             raise ValueError("inner dimensions differ")
         # rows (i, d), inner (k, s): digit d of a[i, k] * t^s times digit s of b[k, j]
-        right = np.empty((inner, n, cols))
+        right = np.empty((inner, n, cols), dtype=prepared.dtype)
         self._split_digits(b, right.transpose(1, 0, 2))
         return self._dot_mod_p(prepared, right.reshape(inner * n, cols))
+
+    def _digit_dtype(self, width: int) -> type:
+        """float32 when every digit sum of a product of inner width `width`
+        is at most 2**24 - 2p, so that one float32 block is exact; float64
+        otherwise.  An empty width counts as one, so that the float32 block
+        is never empty: GF(1048573) gets float64 at every width."""
+        if max(width, 1) * (self.p - 1) ** 2 <= _F32_EXACT - 2 * self.p:
+            return np.float32
+        return np.float64
 
     def _check_inner(self, inner: int) -> None:
         if inner * self.n * (self.p - 1) ** 2 >= 2**63:
@@ -569,23 +595,27 @@ class GFField:
 
     def _dot_mod_p(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """The one digit kernel of the field products.  `left` (rows, g,
-        width) holds g float64 rows per output row and `right` (width, c)
-        float64 columns, all digits in 0..p-1, with g * c = n * cols; entry
-        [d, j] of left[i] @ right mod p, read as an (n, cols) array, is
-        digit d of output entry (i, j).
+        width) holds g rows per output row and `right` (width, c) columns,
+        both of one float dtype and all digits in 0..p-1, with
+        g * c = n * cols; entry [d, j] of left[i] @ right mod p, read as an
+        (n, cols) array, is digit d of output entry (i, j).
 
         BLAS runs it in bands of output rows of at most _BLAS_CALL_MACS
         multiply-adds, each product over inner blocks short enough that the
-        running sum stays below 2**53 - p, where float64 is exact and
-        floor(x / p) is exact too.  Each band is reduced mod p in place and
-        recomposed by p^d straight into its rows of the int64 result, so no
-        full-size digit array or int64 temporary is ever allocated."""
+        running sum stays below 2**24 - p in float32, or 2**53 - p in
+        float64, where the dtype is exact and floor(x / p) is exact too.
+        ``_digit_dtype`` picks float32 only when the whole width is one
+        block.  Each band is reduced mod p in place and recomposed by p^d
+        straight into its rows of the int64 result (p^d < 2**20 is exact in
+        either dtype), so no full-size digit array or int64 temporary is
+        ever allocated."""
         p, n = self.p, self.n
         rows, g, width = left.shape
         cols = g * right.shape[1] // n
-        k_step = (_F64_EXACT - 2 * p) // (p - 1) ** 2
+        exact = _F32_EXACT if left.dtype == np.float32 else _F64_EXACT
+        k_step = (exact - 2 * p) // (p - 1) ** 2
         i_step = max(1, _BLAS_CALL_MACS // max(1, g * min(width, k_step) * right.shape[1]))
-        pk = np.array(self._pk, dtype=np.float64)
+        pk = np.array(self._pk, dtype=left.dtype)
         out = np.empty((rows, cols), dtype=np.int64)
         for i in range(0, rows, i_step):
             m = min(i_step, rows - i)

@@ -42,6 +42,7 @@ from .atlas import (
     rate_matches,
     rational_best,
 )
+from .curve import hermitian_genus
 
 TABLE1_BUDGETS = tuple(range(1, 15))
 TABLE2_BUDGETS = tuple(range(15, 211, 15))
@@ -325,7 +326,7 @@ def build_table3() -> dict:
                       f"{overhead} overhead"),
             "family": "hermitian",
             "field_order": TABLE3_FIELD_ORDER,
-            "genus": TABLE3_BASE_PARAM * (TABLE3_BASE_PARAM - 1) // 2,
+            "genus": hermitian_genus(TABLE3_BASE_PARAM),
             "convention": f"overhead-{overhead}",
             "search_mode": None,
             "cells": cells,

@@ -250,6 +250,56 @@ def test_matmul_exact_at_float64_block_boundary(shapes, extra, fill):
         assert (got == inner * v * v % f.p).all()
 
 
+@pytest.mark.parametrize("fill", [1, 2])
+@pytest.mark.parametrize("extra", [0, 1])
+@pytest.mark.parametrize("order", [7, 49, 169, 256])
+def test_matmul_exact_at_float32_block_boundary(order, extra, fill):
+    """Every digit p - fill at the longest inner dimension whose digit sums
+    fit one float32 block (at most 2**24 - 2p), and at one past it: the
+    digit dtype flips from float32 to float64 and both products are exact.
+    The kernel runs on broadcast digit operands, which take no memory; the
+    public products run where the expansion of a 1 x inner operand, n^2 *
+    inner digits, is small (at GF(256) it would take 512 MiB)."""
+    f = field_of_order(order)
+    inner = (2**24 - 2 * f.p) // (f.p - 1) ** 2 // f.n + extra
+    width, digit = inner * f.n, f.p - fill
+    dtype = f._digit_dtype(width)
+    assert dtype == (np.float64 if extra else np.float32)
+    left = np.broadcast_to(dtype(digit), (1, f.n, width))
+    got = f._dot_mod_p(left, np.broadcast_to(dtype(digit), (width, 1)))
+    assert (got == sum(width * digit * digit % f.p * pk for pk in f._pk)).all()
+    if f.n > 2:
+        return
+    v = sum(digit * pk for pk in f._pk)
+    a = np.full((1, inner), v, dtype=np.int64)
+    b = np.full((inner, 2), v, dtype=np.int64)
+    prepared = f.prepare_matrix(a)
+    assert prepared.dtype == dtype
+    want = f.mul(inner % f.p, f.mul(v, v))  # the prime subfield encodes k < p as k
+    for got in (f.matmul_arr(a, b), f.matmul_arr(b.T, a.T), f.matmul_prepared(prepared, b)):
+        assert got.shape in ((1, 2), (2, 1)) and (got == want).all()
+
+
+# every Hermitian field up to q = 16 at an inner dimension of q^3 + 1, the
+# curve's point count, which no instance's server count passes; and
+# GF(1048573), where one digit product passes 2**24, at an empty inner
+# dimension, where float32 would make the kernel's block step zero
+@pytest.mark.parametrize("order, inner, dtype",
+                         [(q * q, q**3 + 1, np.float32) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)]
+                         + [(1048573, 0, np.float64), (1048573, 1, np.float64)])
+def test_prepared_digit_dtype(order, inner, dtype):
+    """Products run in float32 wherever it is exact, float64 elsewhere."""
+    f = field_of_order(order)
+    rng = np.random.default_rng(inner)
+    a = f.sample_arr(rng, (2, inner))
+    b = f.sample_arr(rng, (inner, 3))
+    prepared = f.prepare_matrix(a)
+    assert prepared.dtype == dtype
+    want = matmul_oracle(f, a, b)
+    assert (f.matmul_prepared(prepared, b) == want).all()
+    assert (f.matmul_arr(b.T, a.T) == want.T).all()
+
+
 @pytest.mark.parametrize("order", [49, 64, 3**5])
 @pytest.mark.parametrize("shape", [(2, 5, 7), (7, 5, 2), (1, 4, 1), (3, 3, 3)])
 def test_matmul_expands_the_smaller_operand(order, shape, monkeypatch):
@@ -302,6 +352,24 @@ def test_prepared_product_matches_matmul_and_oracle(order, shape):
         f.matmul_prepared(prepared, f.sample_arr(rng, (inner + 1, cols)))
     with pytest.raises(ValueError, match="2-D"):
         f.matmul_prepared(prepared, b.reshape(-1))
+
+
+@pytest.mark.parametrize("order", PREPARED_ORDERS + [1048573])
+def test_one_draw_equals_successive_draws(order):
+    """One draw of shape (L, d, M), its first axis moved last, equals L
+    successive (d, M) draws stacked on the last axis, and leaves the
+    generator in the same state: Generator.integers keeps the spare half of
+    a 64-bit output for the next 32-bit value.  Storage encoding relies on
+    this to draw every slot's coefficients at once."""
+    f = field_of_order(order)
+    for seed in range(10):
+        for slots, d, m in [(1, 1, 1), (3, 5, 1), (11, 3, 3), (4, 2, 2)]:
+            rng, rng_slots = np.random.default_rng(seed), np.random.default_rng(seed)
+            once = np.moveaxis(f.sample_arr(rng, (slots, d, m)), 0, 2)
+            per_slot = np.stack([f.sample_arr(rng_slots, (d, m)) for _ in range(slots)], axis=2)
+            assert (once == per_slot).all()
+            assert rng.bit_generator.state == rng_slots.bit_generator.state
+            assert (f.sample_arr(rng, 3) == f.sample_arr(rng_slots, 3)).all()
 
 
 @pytest.mark.parametrize("order", [25, 64, 17**2, 2**10])
