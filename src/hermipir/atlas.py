@@ -154,8 +154,15 @@ class RateRecord:
             return "-"
         return format_rate(self.rate)
 
+    @property
+    def rate_fraction(self) -> str | None:
+        """``L/N`` as printed, unreduced; None when infeasible."""
+        if not self.feasible:
+            return None
+        return f"{self.frag_count}/{self.server_count}"
+
     def to_dict(self) -> dict:
-        out = {
+        return {
             "family": self.family,
             "field_order": self.field_order,
             "x_sec": self.x_sec,
@@ -171,12 +178,8 @@ class RateRecord:
             "witness": list(self.witness) if self.witness is not None else None,
             "note": self.note,
             "rate": self.rate_str,
+            "rate_fraction": self.rate_fraction,
         }
-        if self.feasible:
-            out["rate_fraction"] = f"{self.frag_count}/{self.server_count}"
-        else:
-            out["rate_fraction"] = None
-        return out
 
 
 def _check_masking(x_sec: int, t_priv: int) -> int:
@@ -355,9 +358,7 @@ def count_points_hyperelliptic(field_order: int,
     degree = len(coeffs)
     if degree % 2 == 0 or degree < 3:
         raise ValueError("model degree must be odd and at least 3")
-    for c in coeffs:
-        if not 0 <= c < field_order:
-            raise ValueError("coefficients must be field-element encodings")
+    coeffs = f.check_elements(coeffs, "coefficients")
     xs = np.arange(field_order, dtype=np.int64)
     acc = np.ones(field_order, dtype=np.int64)
     for k in range(degree - 1, -1, -1):

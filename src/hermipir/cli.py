@@ -131,9 +131,13 @@ def cmd_tables(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_count_points(args: argparse.Namespace) -> int:
+    if args.curve == "hermitian" and args.coeffs is not None:
+        return _flag_error("--coeffs applies only to --curve hyperelliptic")
+    if args.curve == "hyperelliptic" and args.coeffs is None:
+        return _flag_error("--curve hyperelliptic requires --coeffs a0,a1,...")
+    config = {"command": "count-points", "format": args.format,
+              "curve": args.curve, "q": args.q}
     if args.curve == "hermitian":
-        if args.coeffs is not None:
-            return _flag_error("--coeffs applies only to --curve hyperelliptic")
         c = curve_for_q(args.q)
         # the fiber over x depends only on its norm x^(q+1): count the x of
         # each norm in one pass, then look up one fiber per norm
@@ -148,18 +152,14 @@ def cmd_count_points(args: argparse.Namespace) -> int:
             "affine_count": affine,
             "point_count": affine + 1,
         }
-        config = {"command": "count-points", "format": args.format, **{
-            k: payload[k] for k in ("curve", "q")
-        }}
         md = (
             f"curve: hermitian, q={args.q}, over GF({args.q ** 2}) "
             f"(genus {c.genus})\n"
             f"point count: {affine + 1} ({affine} affine + 1 at infinity)\n"
         )
     else:
-        if args.coeffs is None:
-            return _flag_error("--curve hyperelliptic requires --coeffs a0,a1,...")
         coeffs = tuple(args.coeffs)
+        config["coeffs"] = list(coeffs)
         degree = len(coeffs)
         count, gamma = count_points_hyperelliptic(args.q, coeffs)
         genus = (degree - 1) // 2
@@ -177,13 +177,6 @@ def cmd_count_points(args: argparse.Namespace) -> int:
             "coeffs": list(coeffs),
             "point_count": count,
             "gamma": gamma,
-        }
-        config = {
-            "command": "count-points",
-            "format": args.format,
-            "curve": "hyperelliptic",
-            "q": args.q,
-            "coeffs": list(coeffs),
         }
         md = (
             f"curve: {model} over GF({args.q}) (genus {genus})\n"

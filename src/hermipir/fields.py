@@ -323,6 +323,17 @@ class GFField:
 
     # -- encoding ------------------------------------------------------------
 
+    def check_elements(self, values, what: str) -> np.ndarray:
+        """``values`` as an int64 array; ValueError unless each is an
+        encoding 0..order-1, ints past int64 included."""
+        try:
+            arr = np.asarray(values, dtype=np.int64)
+        except OverflowError:
+            arr = None
+        if arr is None or arr.size and (arr.min() < 0 or arr.max() >= self.order):
+            raise ValueError(f"{what} must be field element encodings 0..{self.order - 1}")
+        return arr
+
     def coeffs(self, a: int) -> tuple[int, ...]:
         """Little-endian base-p coefficient vector of length n."""
         return tuple((a // pk) % self.p for pk in self._pk)

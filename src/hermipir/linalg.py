@@ -36,11 +36,9 @@ _PANEL_COLS = 32
 
 
 def as_matrix(field: GFField, data) -> np.ndarray:
-    arr = np.asarray(data, dtype=np.int64)
+    arr = field.check_elements(data, "entries")
     if arr.ndim != 2:
         raise ValueError("expected a 2-D matrix")
-    if arr.size and (arr.min() < 0 or arr.max() >= field.order):
-        raise ValueError("entries are not valid element encodings")
     return arr
 
 

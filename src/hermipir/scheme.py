@@ -300,11 +300,9 @@ class SchemeInstance:
         slots come from one product, scaled and offset by the files in place
         in the new array that is returned."""
         p, field = self.params, self.field
-        files = np.asarray(files, dtype=np.int64)
+        files = field.check_elements(files, "file fragments")
         if files.shape != (p.num_files, p.frag_count):
             raise ValueError(f"files must have shape {(p.num_files, p.frag_count)}")
-        if files.size and (files.min() < 0 or files.max() >= field.order):
-            raise ValueError("file fragments must be field element encodings")
         # one draw, slot-major: Generator.integers keeps the spare half of
         # each 64-bit output in the generator, so this gives the values of L
         # successive (sec_dim, M) draws and leaves the same stream; with the

@@ -25,6 +25,9 @@ budget with ``x_sec = t_priv = budget``:
 Reference values are embedded verbatim; every regenerated cell is compared
 against them at a tolerance of 1e-5 and the comparison is reported
 per cell, never enforced — genuine discrepancies surface as row flags.
+Every row is one ``_row`` over its records, one per budget, and every
+table one ``_table``; a CSV line reads each column from its cell, row or
+table.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from fractions import Fraction
 
 from .atlas import (
     RateRecord,
@@ -42,7 +46,6 @@ from .atlas import (
     rate_matches,
     rational_best,
 )
-from .curve import hermitian_genus
 
 TABLE1_BUDGETS = tuple(range(1, 15))
 TABLE2_BUDGETS = tuple(range(15, 211, 15))
@@ -148,45 +151,85 @@ def _reference_relation(record: RateRecord, reference: str | None) -> str | None
         return "exceeds"
     if record.rate is None:
         return "below"
-    from fractions import Fraction
     return "exceeds" if record.rate > Fraction(reference) else "below"
 
 
-def _cell(record: RateRecord, budget: int, reference: str | None,
-          extra: dict | None = None) -> dict:
-    relation = _reference_relation(record, reference)
-    cell = {
-        "budget": budget,
-        "x_sec": budget,
-        "t_priv": budget,
-        "feasible": record.feasible,
-        "rate": record.rate_str,
-        "rate_fraction": record.to_dict()["rate_fraction"],
-        "reference": reference,
-        "matches_reference": None if relation is None else relation == "equal",
-        "reference_relation": relation,
-    }
-    if record.j_value is not None:
-        cell["j_value"] = record.j_value
-    if extra:
-        cell.update(extra)
-    return cell
+def _cells(records, reference, extra) -> list[dict]:
+    """One cell per record, at budget x_sec = t_priv, compared with the
+    reference string in the same position (with none when ``reference`` is
+    None); ``extra(record)`` adds keys of the cell's own."""
+    cells = []
+    for i, record in enumerate(records):
+        ref = None if reference is None else reference[i]
+        relation = _reference_relation(record, ref)
+        cell = {
+            "budget": record.x_sec,
+            "x_sec": record.x_sec,
+            "t_priv": record.t_priv,
+            "feasible": record.feasible,
+            "rate": record.rate_str,
+            "rate_fraction": record.rate_fraction,
+            "reference": ref,
+            "matches_reference": (None if relation is None
+                                  else relation == "equal"),
+            "reference_relation": relation,
+        }
+        if record.j_value is not None:
+            cell["j_value"] = record.j_value
+        if extra is not None:
+            cell.update(extra(record))
+        cells.append(cell)
+    return cells
 
 
-def _finish_row(row: dict, extra_flags: tuple[str, ...] = ()) -> dict:
-    matches = [c["matches_reference"] for c in row["cells"]
+def _row(label: str, convention: str, records: list[RateRecord],
+         reference: tuple[str, ...] | None, extra=None,
+         flags: tuple[str, ...] = (), **fields) -> dict:
+    """One catalog row: the cells of ``records`` (one per budget) with their
+    reference verdict and flags.  Family, field order and genus are the
+    records' own; ``fields`` adds row keys (``search_mode`` is None unless
+    given)."""
+    cells = _cells(records, reference, extra)
+    matches = [c["matches_reference"] for c in cells
                if c["matches_reference"] is not None]
-    row["reference_matches"] = all(matches) if matches else None
-    flags = list(extra_flags)
+    flags = list(flags)
     if matches and not all(matches):
         flags.append("reference-discrepancy")
-        relations = {c["reference_relation"] for c in row["cells"]}
+        relations = {c["reference_relation"] for c in cells}
         if "exceeds" in relations:
             flags.append("exceeds-reference")
         if "below" in relations:
             flags.append("below-reference")
-    row["flags"] = flags
-    return row
+    return {
+        "label": label,
+        "family": records[0].family,
+        "field_order": records[0].field_order,
+        "genus": records[0].genus,
+        "convention": convention,
+        "search_mode": None,
+        **fields,
+        "cells": cells,
+        "reference_matches": all(matches) if matches else None,
+        "flags": flags,
+    }
+
+
+def _table(number: int, budgets: tuple[int, ...], rows: list[dict],
+           **config) -> dict:
+    return {
+        "table": number,
+        "columns": list(budgets),
+        "config": {**config, "budget_meaning": "x_sec = t_priv = budget"},
+        "rows": rows,
+    }
+
+
+def _searched_model(record: RateRecord) -> dict:
+    """The profile and first witness of a feasible searched record."""
+    if not record.feasible:
+        return {}
+    return {"point_count": record.point_count, "gamma": record.gamma,
+            "witness": list(record.witness)}
 
 
 def build_table1(field_orders=None, full_search: bool = False) -> dict:
@@ -203,145 +246,62 @@ def build_table1(field_orders=None, full_search: bool = False) -> dict:
     rows = []
     for order in field_orders:
         for genus in TABLE1_GENERA:
-            reference = REFERENCE_TABLE1.get((order, genus))
-            cells = []
-            for i, budget in enumerate(TABLE1_BUDGETS):
-                rec = curve_search_best_rate(order, genus, budget, budget,
-                                             full_search=full_search)
-                ref = reference[i] if reference is not None else None
-                extra = {}
-                if rec.feasible:
-                    extra = {"point_count": rec.point_count,
-                             "gamma": rec.gamma,
-                             "witness": list(rec.witness)}
-                cells.append(_cell(rec, budget, ref, extra))
-            row = {
-                "label": f"GF({order}) genus {genus}",
-                "family": "hyperelliptic",
-                "field_order": order,
-                "genus": genus,
-                "convention": "searched",
+            records = [curve_search_best_rate(order, genus, b, b,
+                                              full_search=full_search)
+                       for b in TABLE1_BUDGETS]
+            rows.append(_row(
+                f"GF({order}) genus {genus}", "searched", records,
+                REFERENCE_TABLE1.get((order, genus)), _searched_model,
                 # every budget of a row searches the same space
-                "search_mode": rec.convention,
-                "cells": cells,
-            }
-            rows.append(_finish_row(row))
-    return {
-        "table": 1,
-        "columns": list(TABLE1_BUDGETS),
-        "config": {
-            "field_orders": list(field_orders),
-            "genera": list(TABLE1_GENERA),
-            "full_search": full_search,
-            "budget_meaning": "x_sec = t_priv = budget",
-        },
-        "rows": rows,
-    }
+                search_mode=records[-1].convention))
+    return _table(1, TABLE1_BUDGETS, rows, field_orders=list(field_orders),
+                  genera=list(TABLE1_GENERA), full_search=full_search)
 
 
 def build_table2() -> dict:
     """GF(841): the projective line against three counted maximal models."""
-    rows = []
-    cells = [
-        _cell(rational_best(TABLE2_FIELD_ORDER, b, b), b,
-              REFERENCE_TABLE2[0][i])
-        for i, b in enumerate(TABLE2_BUDGETS)
-    ]
-    rows.append(_finish_row({
-        "label": f"GF({TABLE2_FIELD_ORDER}) genus 0 (projective line)",
-        "family": "rational",
-        "field_order": TABLE2_FIELD_ORDER,
-        "genus": 0,
-        "convention": "closed-form",
-        "search_mode": None,
-        "cells": cells,
-    }))
+    q = TABLE2_FIELD_ORDER
+    rows = [_row(f"GF({q}) genus 0 (projective line)", "closed-form",
+                 [rational_best(q, b, b) for b in TABLE2_BUDGETS],
+                 REFERENCE_TABLE2[0])]
     for genus in TABLE2_GENERA:
         coeffs = (1,) + (0,) * (2 * genus)
-        count, gamma = count_points_hyperelliptic(TABLE2_FIELD_ORDER, coeffs)
-        cells = [
-            _cell(hyperelliptic_best(TABLE2_FIELD_ORDER, genus, count,
-                                     gamma, b, b), b,
-                  REFERENCE_TABLE2[genus][i])
-            for i, b in enumerate(TABLE2_BUDGETS)
-        ]
-        rows.append(_finish_row({
-            "label": (f"GF({TABLE2_FIELD_ORDER}) genus {genus}: "
-                      f"y^2 = x^{2 * genus + 1} + 1"),
-            "family": "hyperelliptic",
-            "field_order": TABLE2_FIELD_ORDER,
-            "genus": genus,
-            "convention": "counted-model",
-            "search_mode": None,
-            "point_count": count,
-            "gamma": gamma,
-            "witness": list(coeffs),
-            "cells": cells,
-        }))
-    return {
-        "table": 2,
-        "columns": list(TABLE2_BUDGETS),
-        "config": {
-            "field_order": TABLE2_FIELD_ORDER,
-            "genera": [0, *TABLE2_GENERA],
-            "budget_meaning": "x_sec = t_priv = budget",
-        },
-        "rows": rows,
-    }
+        count, gamma = count_points_hyperelliptic(q, coeffs)
+        rows.append(_row(
+            f"GF({q}) genus {genus}: y^2 = x^{2 * genus + 1} + 1",
+            "counted-model",
+            [hyperelliptic_best(q, genus, count, gamma, b, b)
+             for b in TABLE2_BUDGETS],
+            REFERENCE_TABLE2[genus],
+            point_count=count, gamma=gamma, witness=list(coeffs)))
+    return _table(2, TABLE2_BUDGETS, rows, field_order=q,
+                  genera=[0, *TABLE2_GENERA])
 
 
 def build_table3() -> dict:
     """GF(121): hypothetical maximal genus rows against the Hermitian rows."""
+    q = TABLE3_FIELD_ORDER
     rows = []
     for genus in TABLE3_GENERA:
-        count = TABLE3_FIELD_ORDER + 1 + 22 * genus
-        cells = [
-            _cell(hyperelliptic_best(TABLE3_FIELD_ORDER, genus, count, 0,
-                                     b, b), b,
-                  REFERENCE_TABLE3[genus][i],
-                  {"point_count": count, "gamma": 0})
-            for i, b in enumerate(TABLE3_BUDGETS)
-        ]
-        rows.append(_finish_row({
-            "label": (f"GF({TABLE3_FIELD_ORDER}) genus {genus} "
-                      "(gamma-zero maximal profile)"),
-            "family": "hyperelliptic",
-            "field_order": TABLE3_FIELD_ORDER,
-            "genus": genus,
-            "convention": "gamma-zero-maximal",
-            "search_mode": None,
-            "point_count": count,
-            "gamma": 0,
-            "cells": cells,
-        }, extra_flags=("hypothetical-profile",)))
+        count = q + 1 + 22 * genus
+        profile = {"point_count": count, "gamma": 0}
+        rows.append(_row(
+            f"GF({q}) genus {genus} (gamma-zero maximal profile)",
+            "gamma-zero-maximal",
+            [hyperelliptic_best(q, genus, count, 0, b, b)
+             for b in TABLE3_BUDGETS],
+            REFERENCE_TABLE3[genus], lambda record: profile,
+            flags=("hypothetical-profile",), **profile))
     for overhead, reference in (("padded", REFERENCE_TABLE3["hermitian"]),
                                 ("tight", None)):
-        cells = [
-            _cell(hermitian_best(TABLE3_BASE_PARAM, b, b, overhead=overhead),
-                  b, reference[i] if reference is not None else None)
-            for i, b in enumerate(TABLE3_BUDGETS)
-        ]
-        rows.append(_finish_row({
-            "label": (f"GF({TABLE3_FIELD_ORDER}) Hermitian tower, "
-                      f"{overhead} overhead"),
-            "family": "hermitian",
-            "field_order": TABLE3_FIELD_ORDER,
-            "genus": hermitian_genus(TABLE3_BASE_PARAM),
-            "convention": f"overhead-{overhead}",
-            "search_mode": None,
-            "cells": cells,
-        }))
-    return {
-        "table": 3,
-        "columns": list(TABLE3_BUDGETS),
-        "config": {
-            "field_order": TABLE3_FIELD_ORDER,
-            "base_param": TABLE3_BASE_PARAM,
-            "genera": list(TABLE3_GENERA),
-            "budget_meaning": "x_sec = t_priv = budget",
-        },
-        "rows": rows,
-    }
+        rows.append(_row(
+            f"GF({q}) Hermitian tower, {overhead} overhead",
+            f"overhead-{overhead}",
+            [hermitian_best(TABLE3_BASE_PARAM, b, b, overhead=overhead)
+             for b in TABLE3_BUDGETS],
+            reference))
+    return _table(3, TABLE3_BUDGETS, rows, field_order=q,
+                  base_param=TABLE3_BASE_PARAM, genera=list(TABLE3_GENERA))
 
 
 def reference_summary(structure: dict) -> dict:
@@ -384,35 +344,27 @@ _CSV_COLUMNS = ("table", "label", "family", "field_order", "genus",
 
 
 def render_csv(structure: dict) -> str:
+    """One line per cell; each column is read from the cell, else its row,
+    else the table.  Missing keys and None are written empty, lists as
+    space-separated items."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)
     for row in structure["rows"]:
         for cell in row["cells"]:
-            witness = cell.get("witness", row.get("witness"))
-            writer.writerow([
-                structure["table"],
-                row["label"],
-                row["family"],
-                row["field_order"],
-                row["genus"],
-                row["convention"],
-                cell["budget"],
-                cell["x_sec"],
-                cell["t_priv"],
-                cell["rate"],
-                cell["rate_fraction"] or "",
-                cell["feasible"],
-                cell["reference"] if cell["reference"] is not None else "",
-                "" if cell["matches_reference"] is None
-                else cell["matches_reference"],
-                cell["reference_relation"] or "",
-                cell.get("point_count", row.get("point_count", "")),
-                cell.get("gamma", row.get("gamma", "")),
-                cell.get("j_value", ""),
-                " ".join(str(c) for c in witness) if witness else "",
-            ])
+            writer.writerow([_csv_field(key, cell, row, structure)
+                             for key in _CSV_COLUMNS])
     return buf.getvalue()
+
+
+def _csv_field(key: str, *scopes: dict):
+    for scope in scopes:
+        if key in scope:
+            value = scope[key]
+            if isinstance(value, list):
+                return " ".join(map(str, value))
+            return value
+    return ""
 
 
 def render_markdown(structure: dict) -> str:

@@ -148,18 +148,10 @@ def recv_frame(sock: socket.socket) -> dict | None:
     return msg
 
 
-def _in_range(field: GFField, values) -> np.ndarray:
-    """`values` as int64; ValueError unless each lies in 0..order-1."""
-    flat = np.asarray(values, dtype=np.int64)
-    if flat.size and (flat.min() < 0 or flat.max() >= field.order):
-        raise ValueError(f"field elements must lie in 0..{field.order - 1}")
-    return flat
-
-
 def encode_elements(field: GFField, values) -> list[list[int]]:
     """Flatten a grid of field elements to base-p coefficient tuples.
     Raises ValueError for a value outside 0..order-1."""
-    flat = _in_range(field, values).reshape(-1)
+    flat = field.check_elements(values, "elements").reshape(-1)
     return ((flat[:, None] // field.p ** np.arange(field.n)) % field.p).tolist()
 
 
@@ -174,7 +166,7 @@ def _grid_texts(field: GFField, grids) -> list[bytes]:
     ``encode_elements(field, grid)`` without its brackets, joined from the
     cached element texts.  The range check runs first, so that no value
     wraps to another element's text."""
-    flat = _in_range(field, grids)
+    flat = field.check_elements(grids, "elements")
     texts = _element_texts(field).__getitem__
     return [b", ".join(map(texts, row)) for row in flat.reshape(len(flat), math.prod(flat.shape[1:])).tolist()]
 

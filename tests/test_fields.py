@@ -10,7 +10,8 @@ import pytest
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
-from hermipir import fields
+from hermipir import fields, linalg
+from hermipir.atlas import count_points_hyperelliptic
 from hermipir.curve import curve_for_q
 from hermipir.fields import (
     GFField,
@@ -19,6 +20,8 @@ from hermipir.fields import (
     is_prime,
     prime_factors,
 )
+from hermipir.scheme import build_instance, validate_params
+from hermipir.transport import encode_elements
 
 
 def test_prime_helpers():
@@ -671,3 +674,25 @@ def test_enumeration_and_tower_cache_deterministic():
     assert list(f1.elements())[:3] == [0, 1, 2]
     assert curve_for_q(3) is curve_for_q(3)
     assert curve_for_q(7).field is f1
+
+
+def test_every_element_check_raises_value_error():
+    """-1, the order and an int past int64 are no GF(25) encodings: the
+    field's check and each entry point that takes element encodings from a
+    caller raise ValueError naming the range, never numpy's OverflowError."""
+    inst = build_instance(validate_params(5, 1, 1, num_files=2))
+    field = inst.field
+    assert field.order == 25
+    rng = np.random.default_rng(0)
+    for bad in (-1, 25, 2**70):
+        entry_points = (
+            lambda: field.check_elements([[0, bad]], "values"),
+            lambda: linalg.rank(field, [[bad, 1]]),
+            lambda: inst.encode_storage([[bad] * inst.params.frag_count] * 2, rng),
+            lambda: encode_elements(field, [3, bad]),
+            lambda: count_points_hyperelliptic(25, (bad, 0, 0)),
+        )
+        for call in entry_points:
+            with pytest.raises(ValueError, match=r"must be field element encodings 0\.\.24"):
+                call()
+    assert field.check_elements([[0, 24]], "values").dtype == np.int64

@@ -124,6 +124,9 @@ CLI_GOLDENS = {
     ("count-points", "--curve", "hyperelliptic",
      "--q", "841", "--coeffs", "1,0,0,0,0"):
         "21bbfe971c4e7571695003ae963a7376e3e75053caf0447259189b9bdba358fd",
+    ("count-points", "--curve", "hyperelliptic",
+     "--q", "841", "--coeffs", "1,0,0,0,0", "--format", "json"):
+        "7cd55b384edd021f4e2d97af3d7f43aa798cbc8b6497e1e5280865bf2b6052bb",
 }
 
 MANIFEST_GOLDENS = {

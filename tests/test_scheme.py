@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import functools
 import json
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import example, given, settings, strategies as st
 
 import hermipir.scheme as scheme_mod
 from hermipir.atlas import hermitian_best
@@ -540,3 +542,62 @@ def test_rate_property():
     p = validate_params(5, 1, 1)
     assert p.rate.numerator == 3 and p.rate.denominator == 17  # 15/85 reduced
     assert SchemeParams(5, 1, 1, 5, 1, 10, 15, 85).rate == p.rate
+
+
+@functools.cache
+def _built(params: SchemeParams):
+    """The instance for `params` and its certify verdict, built once."""
+    inst = build_instance(params)
+    return inst, certify_instance(inst).all_ok
+
+
+@st.composite
+def _layouts(draw):
+    q = draw(st.sampled_from((4, 5, 7, 8, 9)))
+    x, t = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    # the largest m the point supply admits, or the one past it, half the time
+    edge = (q**3 + 1 - x - t - 3 * q * q + q) // (2 * q)
+    m = draw(st.one_of(st.integers(q - 1, q * q - 1),
+                       st.sampled_from([max(q - 1, edge), max(q - 1, edge + 1)])))
+    return q, x, t, m, draw(st.integers(1, 3))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_layouts(), st.integers(0, 2**32 - 1))
+# the layout that uses the q = 5 point supply exactly, and one point past it
+@example((5, 3, 3, 5, 1), 0)
+@example((5, 4, 3, 5, 1), 0)
+def test_feasible_parameter_space(layout, seed):
+    """Every accepted (q, x, t, m, files) builds, certifies, decodes a
+    seeded retrieval and rejects one wrong answer, naming its server when
+    no other parity-check column is a multiple of that server's; every
+    refused one breaks the point supply."""
+    q, x, t, m, files = layout
+    genus = q * (q - 1) // 2
+    # L = mq - g lies in [g, q^3 - g] for q - 1 <= m <= q^2 - 1, and L + g
+    # = mq: the point supply is the only constraint a drawn layout can break
+    supply_ok = q**3 + 1 >= 2 * (m * q - genus) + x + t + 4 * q * q - 2 * q
+    try:
+        params = validate_params(q, x, t, fiber_count=m, num_files=files)
+    except InfeasibleParams as exc:
+        assert not supply_ok and exc.violated == "point-supply"
+        return
+    assert supply_ok
+    inst, certified = _built(params)
+    assert certified
+    field, rng = inst.field, np.random.default_rng(seed)
+    data = field.sample_arr(rng, (files, params.frag_count))
+    desired = int(rng.integers(files))
+    assert (inst.retrieve(data, desired, rng) == data[desired]).all()
+
+    answers = inst.all_answers(inst.encode_storage(data, rng), inst.make_queries(desired, rng))
+    server = int(rng.integers(params.server_count))
+    answers[server] = field.add(int(answers[server]), int(rng.integers(1, field.order)))
+    with pytest.raises(DecodeError) as caught:
+        inst.reconstruct(answers)
+    check = inst.decode_map[params.frag_count :]
+    column = check[:, server]
+    i = int(np.flatnonzero(column)[0])
+    scale = field.mul_arr(check[i], field.inv(int(column[i])))
+    multiples = (field.mul_arr(column[:, None], scale[None, :]) == check).all(axis=0) & (scale != 0)
+    assert caught.value.server == (server if multiples.sum() == 1 else None)
