@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 from collections import Counter
 
@@ -563,6 +564,25 @@ def test_generator_is_pinned(order, generator):
     f = field_of_order(order)
     assert f.generator == generator
     assert int(f._exp[0]) == 1 and int(f._exp[1]) == generator
+
+
+# sha256 of the little-endian int64 bytes of exp[0..order-2]: every entry the
+# table builder writes, at the largest orders of each kind and at GF(49).
+EXP_DIGESTS = {
+    2**20: "d9bbf13f33c1e260b790f9f421b476acf69614250c250c8fc849abd27eb5c2fb",
+    3**11: "b53dbf4d61d1a16256bdaae869a0ebafb266eff721fd4569e8e17ea42c507772",
+    17**4: "add6852a5f9860fc118f167d2ff77c6e255296c6c1caf6bd782241fd339329af",
+    1048573: "46938002dd1ca9e33fa15729722581bdef670a4bbd428d3632d104a4ac99e804",
+    2**16: "a9c0b9735a82fc72c5287527e2930d5f0603c0dae1bd9c70ade1fc1578a1d84d",
+    49: "bfbb44080945d046e687f01a1b53c22bb1df14ae512b1df6db12b94316185d14",
+}
+
+
+@pytest.mark.parametrize("order", sorted(EXP_DIGESTS))
+def test_exp_table_is_pinned(order):
+    f = field_of_order(order)
+    data = f._exp[: order - 1].astype("<i8").tobytes()
+    assert hashlib.sha256(data).hexdigest() == EXP_DIGESTS[order]
 
 
 def schoolbook_mul(f: GFField, a: int, b: int) -> int:
