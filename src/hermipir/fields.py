@@ -12,7 +12,8 @@ The reduction polynomial is not an input: for every (p, n) we pick the monic
 irreducible polynomial of degree n whose constant-first coefficient vector is
 smallest in the integer encoding, so a field is reproducible from (p, n)
 alone.  Multiplication, inversion and powers use discrete-log tables, built
-for every accepted order (up to 2**20) from the smallest primitive element.
+for every accepted order (up to 2**20) from the smallest primitive element
+by the matrix product kernel below, which needs no tables.
 
 Fields of order at most _TABLE_MAX_ORDER (every Hermitian field up to q = 16)
 also get flat lookup tables, so that add, sub and mul are one gather at
@@ -21,8 +22,9 @@ gathers each element's digits packed into bit lanes of one int64, sums the
 integers and unpacks each lane mod p.  Characteristic 2 keeps add, sub
 and neg as a XOR or a copy at every order, cheaper than any gather, and
 sums by one XOR reduction; only its products are tabled.  Larger orders
-add, subtract and sum digit by digit and multiply by the log tables; that
-code also builds the tables.
+add, subtract and sum digit by digit and multiply by the log tables.  One
+digit-wise routine, `_digitwise`, serves the scalar add, neg and sub, the
+untabled add_arr and sub_arr, and builds the add and sub tables.
 
 Matrix products rest on one identity: multiplication by x is F_p-linear on
 the digits, with matrix columns the digits of x * t^s (s = 0..n-1), so a
@@ -35,11 +37,12 @@ pass 2**53 cut into blocks.  Every product of a Hermitian instance up to
 q = 16 is float32: at q = 7 a query product's digit sums stay below
 44 * 6**2 = 1584 and the decoder's below 434 * 6**2 = 15624.  Float32
 halves the bytes of the digit arrays and the cost of the BLAS calls.  One
-kernel, `_dot_mod_p`, serves every product: it works in bands of output
-rows, and reduces each band mod p and recomposes it by p^k straight into
-the int64 result.  A matrix that multiplies many operands, like the
-retrieval's noise evaluations and decoder, is expanded once by
-``prepare_matrix`` and applied by ``matmul_prepared``.
+kernel, `_dot_mod_p`, serves every product, the doubling steps of the exp
+table included: it works in bands of output rows, and reduces each band
+mod p and recomposes it by p^k straight into the int64 result.  A matrix
+that multiplies many operands, like the retrieval's noise evaluations and
+decoder, is expanded once by ``prepare_matrix`` and applied by
+``matmul_prepared``.
 
 Fresh memory is not free: on a 2-core Linux host, glibc hands freed blocks
 of a few hundred KiB back to the kernel, so every full-size temporary is
@@ -264,31 +267,24 @@ class GFField:
         """Discrete-log tables from the smallest primitive element g: g is
         primitive iff g**((order-1)/r) != 1 for every prime r | order-1,
         tested on the bootstrap polynomial arithmetic.  The exp table doubles
-        at each step, exp[k:2k] = g**k * exp[:k]; multiplication by g**k is
-        F_p-linear on the digits, with matrix rows the digits of g**k * t**s,
-        so each step is one float64 product over F_p, run in row chunks of at
-        most _BLAS_CALL_MACS multiply-adds.  Its sums stay below
-        n * p**2 <= 2**40, so they are exact."""
-        p, n, order, mod = self.p, self.n, self.order, self.modulus
+        at each step, exp[k:2k] = exp[:k] * g**k, and g**k squares, both as
+        field products by `_matmul`, which needs no tables: a column times
+        the 1 x 1 matrix [g**k] runs on `_dot_mod_p` with inner width n, so
+        its digit sums stay below n * (p - 1)**2 <= 2**40 and are exact in
+        the float dtype ``_digit_dtype`` picks, and its row bands of at most
+        _BLAS_CALL_MACS multiply-adds keep BLAS on the calling thread."""
+        p, order, mod = self.p, self.order, self.modulus
         cofactors = [(order - 1) // r for r in prime_factors(order - 1)]
         g = next(g for g in range(1, order)
                  if all(_poly_powmod(self.coeffs(g), e, mod, p) != [1] for e in cofactors))
         exp = np.empty(2 * (order - 1), dtype=np.int64)
         exp[0] = 1
-        pk = np.array(self._pk, dtype=np.float64)
-        chunk = max(1, _BLAS_CALL_MACS // (n * n))
-        gk = list(self.coeffs(g))  # g**k as a polynomial
+        gk = np.array([[g]], dtype=np.int64)  # g**k
         k = 1
         while k < order - 1:
-            step = np.zeros((n, n))
-            for s in range(n):
-                row = _poly_mulmod(gk, [0] * s + [1], mod, p)
-                step[s, : len(row)] = row
-            for lo in range(0, min(k, order - 1 - k), chunk):
-                src = exp[lo : min(lo + chunk, k, order - 1 - k)]
-                digits = self._split_digits(src, np.empty((n, src.size))).T
-                exp[k + lo : k + lo + src.size] = (digits @ step % p) @ pk
-            gk = _poly_mulmod(gk, gk, mod, p)
+            m = min(k, order - 1 - k)
+            exp[k : k + m] = self._matmul(exp[:m, None], gk)[:, 0]
+            gk = self._matmul(gk, gk)
             k *= 2
         exp[order - 1 :] = exp[: order - 1]
         log = np.zeros(order, dtype=np.int64)
@@ -314,8 +310,8 @@ class GFField:
         self._mul_table = self._logexp_mul(a, b)
         if p == 2:
             return
-        self._add_table = self._digitwise_add(a, b)
-        self._sub_table = self._digitwise_sub(a, b)
+        self._add_table = self._digitwise(a, b, 1)
+        self._sub_table = self._digitwise(a, b, -1)
         self._lane_bits = 63 // n
         self._lane_terms = ((1 << self._lane_bits) - 1) // (p - 1)
         digits = self._split_digits(elems, np.empty((n, order), dtype=np.int64))
@@ -349,21 +345,13 @@ class GFField:
     # -- scalar arithmetic ---------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        p = self.p
-        out = 0
-        for pk in self._pk:
-            out += (((a // pk) + (b // pk)) % p) * pk
-        return out
+        return self._digitwise(a, b, 1)
 
     def neg(self, a: int) -> int:
-        p = self.p
-        out = 0
-        for pk in self._pk:
-            out += ((p - (a // pk) % p) % p) * pk
-        return out
+        return self._digitwise(0, a, -1)
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        return self._digitwise(a, b, -1)
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -398,7 +386,7 @@ class GFField:
         if self.p == 2:
             return np.asarray(np.bitwise_xor(a, b, out=out))
         if self._add_table is None:
-            return _store(self._digitwise_add(a, b), out)
+            return np.asarray(_store(self._digitwise(a, b, 1), out))
         return np.asarray(self._gather(self._add_table, a, b, out))
 
     def neg_arr(self, a) -> np.ndarray:
@@ -415,7 +403,7 @@ class GFField:
         if self.p == 2:
             return np.asarray(np.bitwise_xor(a, b, out=out))
         if self._sub_table is None:
-            return _store(self._digitwise_sub(a, b), out)
+            return np.asarray(_store(self._digitwise(a, b, -1), out))
         return np.asarray(self._gather(self._sub_table, a, b, out))
 
     def mul_arr(self, a, b, out=None) -> np.ndarray:
@@ -480,18 +468,14 @@ class GFField:
     # -- arithmetic without tables: orders above _TABLE_MAX_ORDER, and the
     # code that builds the tables and that tests check them against
 
-    def _digitwise_add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
+    def _digitwise(self, a, b, sign: int):
+        """a + sign * b digit by digit, for sign = 1 or -1: an int for ints,
+        an int64 array of the broadcast shape for arrays.  An explicit loop,
+        since a generator sum made a scalar call about twice as slow."""
         p = self.p
+        out = 0
         for pk in self._pk:
-            out += (((a // pk) + (b // pk)) % p) * pk
-        return out
-
-    def _digitwise_sub(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
-        p = self.p
-        for pk in self._pk:
-            out += (((a // pk) - (b // pk)) % p) * pk
+            out = out + ((a // pk + sign * (b // pk)) % p) * pk
         return out
 
     def _logexp_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -529,6 +513,11 @@ class GFField:
         if a.shape[1] != b.shape[0]:
             raise ValueError("inner dimensions differ")
         self._check_inner(a.shape[1])
+        return self._matmul(a, b)
+
+    def _matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """matmul_arr on checked int64 operands; it reads no table, so the
+        table builder runs on it too."""
         if a.size <= b.size:
             return self.matmul_prepared(self.prepare_matrix(a), b)
         # inner (k, s), columns (d, j): digit s of a[i, k] times digit d of t^s * b[k, j]

@@ -203,7 +203,7 @@ def solve_prefix(field: GFField, mat, rhs, prefix_len: int) -> np.ndarray:
     Raises ValueError otherwise.
     """
     m = as_matrix(field, mat)
-    b = np.asarray(rhs, dtype=np.int64).reshape(-1)
+    b = field.check_elements(rhs, "right-hand side").reshape(-1)
     if b.shape[0] != m.shape[0]:
         raise ValueError("right-hand side length does not match row count")
     sel = row_selection(field, m, m.shape[0], prefix_len)

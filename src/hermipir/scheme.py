@@ -154,16 +154,8 @@ def validate_params(
         raise InfeasibleParams(
             "fiber-count-window", f"need q-1 <= m <= q^2-1, got m={m} for q={q}"
         )
+    # L + g = mq and 2g = q(q - 1), so the window on m gives g <= L <= q^3 - q - g
     frag_count = m * q - genus
-    if not genus <= frag_count <= q**3 - genus:
-        raise InfeasibleParams(
-            "fragment-count-window",
-            f"need g <= L <= q^3 - g, got L={frag_count}",
-        )
-    if (frag_count + genus) % q != 0:
-        raise InfeasibleParams(
-            "fragment-count-residue", f"L + g = {frag_count + genus} not divisible by q={q}"
-        )
     server_count = frag_count + x_sec + t_priv + 3 * q**2 - q - 2
     if q**3 + 1 < 2 * frag_count + x_sec + t_priv + 4 * q**2 - 2 * q:
         raise InfeasibleParams(
@@ -352,7 +344,10 @@ class SchemeInstance:
         naming the servers, and when the syndrome is nonzero, naming its
         weight and, when a single answer explains it, that server.
         """
-        a = np.asarray(answers, dtype=np.int64).reshape(-1)
+        try:
+            a = np.asarray(answers, dtype=np.int64).reshape(-1)
+        except OverflowError:  # an int past int64: compared as Python ints below
+            a = np.asarray(answers, dtype=object).reshape(-1)
         if a.shape[0] != self.params.server_count:
             raise DecodeError(f"expected {self.params.server_count} answers, got {a.shape[0]}")
         bad = np.flatnonzero((a < 0) | (a >= self.field.order))

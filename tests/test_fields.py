@@ -708,6 +708,7 @@ def test_every_element_check_raises_value_error():
         entry_points = (
             lambda: field.check_elements([[0, bad]], "values"),
             lambda: linalg.rank(field, [[bad, 1]]),
+            lambda: linalg.solve_prefix(field, [[1, 0], [0, 1]], [bad, 1], 2),
             lambda: inst.encode_storage([[bad] * inst.params.frag_count] * 2, rng),
             lambda: encode_elements(field, [3, bad]),
             lambda: count_points_hyperelliptic(25, (bad, 0, 0)),
@@ -716,3 +717,8 @@ def test_every_element_check_raises_value_error():
             with pytest.raises(ValueError, match=r"must be field element encodings 0\.\.24"):
                 call()
     assert field.check_elements([[0, 24]], "values").dtype == np.int64
+    # 30 and -1 wrapped to 5 and 24 before the right-hand side was checked
+    for bad in (30, -1):
+        with pytest.raises(ValueError, match=r"right-hand side must be field element encodings 0\.\.24"):
+            linalg.solve_prefix(field, [[1, 0], [0, 1]], [bad, 1], 2)
+    assert linalg.solve_prefix(field, [[1, 0], [0, 1]], [24, 1], 2).tolist() == [24, 1]

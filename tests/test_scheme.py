@@ -278,6 +278,15 @@ def test_out_of_range_answers_rejected(inst_11):
         with pytest.raises(DecodeError, match=rf"servers \[{k}\] are not field elements 0..24") as err:
             inst_11.reconstruct(tampered)
         assert err.value.server == k and err.value.weight is None
+    # ints past int64 name their servers too, not numpy's OverflowError
+    for bad, servers in [({3: 2**70}, [3]), ({3: 2**70, 7: 2**70}, [3, 7]), ({5: -2**70}, [5])]:
+        tampered = answers.tolist()
+        for k, v in bad.items():
+            tampered[k] = v
+        listed = ", ".join(map(str, servers))
+        with pytest.raises(DecodeError, match=rf"servers \[{listed}\] are not field elements 0..24") as err:
+            inst_11.reconstruct(tampered)
+        assert err.value.server == (servers[0] if len(servers) == 1 else None)
     def shifted(shares, queries):
         return inst_11.all_answers(shares, queries) + f.order
 
