@@ -717,7 +717,7 @@ def test_every_element_check_raises_value_error():
             with pytest.raises(ValueError, match=r"must be field element encodings 0\.\.24"):
                 call()
     assert field.check_elements([[0, 24]], "values").dtype == np.int64
-    # 30 and -1 wrapped to 5 and 24 before the right-hand side was checked
+    # an out-of-range right-hand side is refused, not reduced mod the order
     for bad in (30, -1):
         with pytest.raises(ValueError, match=r"right-hand side must be field element encodings 0\.\.24"):
             linalg.solve_prefix(field, [[1, 0], [0, 1]], [bad, 1], 2)
