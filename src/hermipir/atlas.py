@@ -52,6 +52,7 @@ import numpy as np
 
 from .curve import hermitian_genus
 from .fields import _BLAS_CALL_MACS, field_of_order
+from .linalg import span as linear_span
 from .scheme import InfeasibleParams, validate_params
 
 # Hard cap on the number of candidate models a single search may enumerate.
@@ -388,21 +389,6 @@ def uncovered_x_count(field_order: int, point_count: int, gamma: int) -> int:
     return size
 
 
-def _power_sums(f, xs: np.ndarray, exponents) -> np.ndarray:
-    """Values at ``xs`` of ``sum_t c_t x^exponents[t]`` for every digit vector.
-
-    Row ``i`` holds the polynomial whose coefficient ``c_t`` is the ``t``-th
-    base-``len(xs)`` digit of ``i``, the first exponent least significant.
-    With no exponents there is one row, of zeros.
-    """
-    q = len(xs)
-    sums = np.zeros((1, q), dtype=np.int64)
-    for k in reversed(exponents):
-        term = f.mul_arr(xs[:, None], f.pow_arr(xs, k)[None, :])  # c * x^k
-        sums = f.add_arr(sums[:, None, :], term[None, :, :]).reshape(-1, q)
-    return sums
-
-
 def _lift_fold(f) -> tuple[np.ndarray, np.ndarray]:
     """The carry-free lift of the field's elements and the fold back.
 
@@ -500,11 +486,14 @@ def achievable_profiles(field_order: int, genus: int,
     low = 0
     while low < n_free - 1 and field_order ** (low + 2) <= _CHUNK_CELLS:
         low += 1
-    low_values = _power_sums(f, elems, range(1, low + 1))
-    high_values = f.add_arr(_power_sums(f, elems, range(low + 1, n_free)),
+    # row k - 1 holds x^k at every x; a span lists the values of
+    # sum_k a_k x^k for every coefficient vector, in enumeration order
+    powers = np.array([f.pow_arr(elems, k) for k in range(1, n_free)])
+    low_values = linear_span(f, powers[:low])
+    high_values = f.add_arr(linear_span(f, powers[low:]),
                             f.pow_arr(elems, degree))
     rows = len(low_values)
-    span = rows * field_order
+    chunk_models = rows * field_order
     # each prefix's bins start at its offset inside its row band
     lifted_low = lift[low_values] + (np.arange(rows) % band * width)[:, None]
     lifted_high = lift[high_values]
@@ -527,7 +516,7 @@ def achievable_profiles(field_order: int, genus: int,
             continue
         uniq, first = np.unique(keys.ravel()[fresh], return_index=True)
         unseen[uniq] = False
-        first_seen.update(zip(uniq.tolist(), (chunk * span + fresh[first]).tolist()))
+        first_seen.update(zip(uniq.tolist(), (chunk * chunk_models + fresh[first]).tolist()))
     profiles = []
     for key, windex in first_seen.items():
         coeffs = []

@@ -326,11 +326,12 @@ def _uniformity_threshold(order: int) -> float:
             hi = mid
 
 
-def _uniform(samples, order: int) -> tuple[bool, float]:
+def _uniform(sample_sets, order: int) -> tuple[bool, float]:
+    """Whether every sample set is below the chi-square threshold and hits
+    every field element, and the largest statistic."""
     threshold = _uniformity_threshold(order)
-    stat = chi_square_uniform_stat(samples, order)
-    full_support = len(set(int(v) for v in samples)) == order
-    return stat < threshold and full_support, stat
+    results = [(chi_square_uniform_stat(s, order), len(set(s.tolist())) == order) for s in sample_sets]
+    return all(stat < threshold and full for stat, full in results), max(stat for stat, _ in results)
 
 
 def _suite_fields(seed: int) -> list[dict]:
@@ -425,22 +426,23 @@ def _suite_bases(seed: int) -> list[dict]:
     ]
 
 
-def _verdicts(report) -> dict[str, bool]:
-    """Each certify check's verdict, by check name."""
-    return {check["check"]: bool(check["ok"]) for check in report.checks()}
+def _certified(q: int, x_t: int, num_files: int):
+    """The instance with x_sec = t_priv = x_t, its certify report, and each
+    check's verdict by check name."""
+    instance = build_instance(validate_params(q, x_t, x_t, num_files=num_files))
+    report = certify_instance(instance)
+    return instance, report, {check["check"]: bool(check["ok"]) for check in report.checks()}
 
 
 def _suite_noise(seed: int) -> list[dict]:
     del seed  # fully deterministic
     counts, complete, contained, additive = [], True, True, True
     for x_t in (1, 2):
-        params = validate_params(5, x_t, x_t)
-        instance = build_instance(params)
-        manifest = instance.manifest()
+        instance, _, verdicts = _certified(5, x_t, 1)
+        params, manifest = instance.params, instance.manifest()
         expected = params.server_count - params.genus - params.frag_count
         counts.append((x_t, manifest["noise"]["count"], expected))
         complete &= manifest["noise"]["complete"]
-        verdicts = _verdicts(certify_instance(instance))
         contained &= verdicts["noise-containment"]
         additive &= verdicts["rank-additivity"]
     count_ok = all(got == want for _, got, want in counts)
@@ -462,57 +464,41 @@ def _suite_noise(seed: int) -> list[dict]:
 
 
 def _suite_privacy(seed: int) -> list[dict]:
-    instance = build_instance(validate_params(5, 1, 1, num_files=3))
+    instance, report, verdicts = _certified(5, 1, 3)
     order = instance.field.order
-    report = certify_instance(instance)
-    verdicts = _verdicts(report)
-    desired_ok, desired_stats = True, []
-    for d in range(3):
-        ok, stat = _uniform(instance.query_marginal_samples(
-            server=7, file_index=1, frag_index=3, desired_index=d,
-            trials=MARGINAL_TRIALS, seed=seed,
-        ), order)
-        desired_ok &= ok
-        desired_stats.append(stat)
-    server_ok, server_stats = True, []
-    for s in (0, 42, 84):
-        ok, stat = _uniform(instance.query_marginal_samples(
-            server=s, file_index=0, frag_index=0, desired_index=0,
-            trials=MARGINAL_TRIALS, seed=seed + 1 + s,
-        ), order)
-        server_ok &= ok
-        server_stats.append(stat)
+    desired_ok, desired_max = _uniform((instance.query_marginal_samples(
+        server=7, file_index=1, frag_index=3, desired_index=d,
+        trials=MARGINAL_TRIALS, seed=seed,
+    ) for d in range(3)), order)
+    server_ok, server_max = _uniform((instance.query_marginal_samples(
+        server=s, file_index=0, frag_index=0, desired_index=0,
+        trials=MARGINAL_TRIALS, seed=seed + 1 + s,
+    ) for s in (0, 42, 84)), order)
     threshold = _uniformity_threshold(order)
     return [
         {"check": "query-dual-bound", "ok": verdicts["query-dual-bound"],
          "detail": f"{report.query_dual_bound} >= t_priv + 1 = 2"},
         {"check": "query-independence", "ok": verdicts["query-independence"],
          "detail": "single query entries exhaustively uniform"},
-        {"check": "desired-marginals", "ok": bool(desired_ok),
-         "detail": f"chi-square max {max(desired_stats):.2f} < "
+        {"check": "desired-marginals", "ok": desired_ok,
+         "detail": f"chi-square max {desired_max:.2f} < "
                    f"{threshold:.2f} across desired files 0..2"},
-        {"check": "server-marginals", "ok": bool(server_ok),
-         "detail": f"chi-square max {max(server_stats):.2f} < "
+        {"check": "server-marginals", "ok": server_ok,
+         "detail": f"chi-square max {server_max:.2f} < "
                    f"{threshold:.2f} across servers 0, 42, 84"},
     ]
 
 
 def _suite_security(seed: int) -> list[dict]:
-    instance = build_instance(validate_params(5, 1, 1, num_files=3))
+    instance, report, verdicts = _certified(5, 1, 3)
     order = instance.field.order
     frag_count = instance.params.frag_count
-    report = certify_instance(instance)
-    verdicts = _verdicts(report)
-    share_ok, share_stats = True, []
-    for value in (0, 17):
-        ok, stat = _uniform(instance.share_marginal_samples(
-            server=3, file_index=0, frag_index=2, fragment_value=value,
-            trials=MARGINAL_TRIALS, seed=seed + value,
-        ), order)
-        share_ok &= ok
-        share_stats.append(stat)
+    share_ok, share_max = _uniform((instance.share_marginal_samples(
+        server=3, frag_index=2, fragment_value=value,
+        trials=MARGINAL_TRIALS, seed=seed + value,
+    ) for value in (0, 17)), order)
     threshold = _uniformity_threshold(order)
-    wide = _verdicts(certify_instance(build_instance(validate_params(5, 2, 2))))
+    wide = _certified(5, 2, 1)[2]
     return [
         {"check": "storage-dual-bounds", "ok": verdicts["storage-dual-bounds"],
          "detail": f"min {min(report.storage_dual_bounds)} >= x_sec + 1 = 2 "
@@ -520,8 +506,8 @@ def _suite_security(seed: int) -> list[dict]:
         {"check": "storage-independence", "ok": verdicts["storage-independence"],
          "detail": "single share entries exhaustively uniform for every "
                    "fragment"},
-        {"check": "share-marginals", "ok": bool(share_ok),
-         "detail": f"chi-square max {max(share_stats):.2f} < "
+        {"check": "share-marginals", "ok": share_ok,
+         "detail": f"chi-square max {share_max:.2f} < "
                    f"{threshold:.2f} for fragment values 0 and 17"},
         {"check": "elevated-thresholds",
          "ok": wide["storage-dual-bounds"] and wide["query-dual-bound"],

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hermipir.fields import GFField
-from hermipir.linalg import right_kernel_basis, rref
+from hermipir.linalg import right_kernel_basis, rref, span
 
 _BRUTE_FORCE_LIMIT = 10**7
 
@@ -107,18 +107,10 @@ def check_w_wise_independence(code: EvalCode, w: int) -> tuple[bool, tuple[int, 
 
 def _enumerate_codeword_weights(field: GFField, basis: np.ndarray) -> int:
     """Minimum Hamming weight over all nonzero combinations of `basis` rows."""
-    k, n = basis.shape
-    total = field.order**k
+    total = field.order ** basis.shape[0]
     if total > _BRUTE_FORCE_LIMIT:
         raise ValueError(f"{total} codewords exceed the brute-force limit {_BRUTE_FORCE_LIMIT}")
-    # expand the span one basis row at a time
-    words = np.zeros((1, n), dtype=np.int64)
-    for i in range(k):
-        scaled = [
-            field.add_arr(words, field.mul_arr(np.int64(s), basis[i][None, :]))
-            for s in range(field.order)
-        ]
-        words = np.concatenate(scaled, axis=0)
+    words = span(field, basis)
     weights = (words != 0).sum(axis=1)
     nonzero = weights[(words != 0).any(axis=1)]
     if nonzero.size == 0:

@@ -289,7 +289,7 @@ def two_point_monomial_set(
     return fns, complete
 
 
-def _check_alphas(curve: HermitianCurve, alphas) -> list[int]:
+def _check_alphas(curve: HermitianCurve, alphas, m: int) -> list[int]:
     alphas = [int(a) for a in alphas]
     if len(set(alphas)) != len(alphas):
         raise ValueError("data x-values must be distinct")
@@ -297,6 +297,8 @@ def _check_alphas(curve: HermitianCurve, alphas) -> list[int]:
         raise ValueError("data x-values must avoid 0 (its fiber contains the origin)")
     if any(not 0 < a < curve.field.order for a in alphas):
         raise ValueError("data x-values must be nonzero field elements")
+    if len(alphas) != m:
+        raise ValueError("alpha count must equal m")
     return alphas
 
 
@@ -325,9 +327,7 @@ def interpolation_basis(curve: HermitianCurve, m: int, alphas) -> list[CurveFunc
     q = curve.q
     if m < (q + 1) / 2:
         raise ValueError(f"need at least (q+1)/2 = {(q + 1) / 2} data x-values, got {m}")
-    alphas = _check_alphas(curve, alphas)
-    if len(alphas) != m:
-        raise ValueError("alpha count must equal m")
+    alphas = _check_alphas(curve, alphas, m)
     out = []
     for z, i in interpolation_labels(q, m):
         num: Poly = {(0, z - 1): 1}
@@ -344,9 +344,7 @@ def info_basis(curve: HermitianCurve, m: int, alphas) -> list[CurveFunction]:
     data linear factors), so the denominator has exactly z linear factors.
     Valuation at infinity is q - z + 1 >= 0; all poles sit in data fibers."""
     q = curve.q
-    alphas = _check_alphas(curve, alphas)
-    if len(alphas) != m:
-        raise ValueError("alpha count must equal m")
+    alphas = _check_alphas(curve, alphas, m)
     out = []
     for z, i in interpolation_labels(q, m):
         den = curve.linear_factor(alphas[i - 1])

@@ -48,9 +48,11 @@ Fresh memory is not free: on a 2-core Linux host, glibc hands freed blocks
 of a few hundred KiB back to the kernel, so every full-size temporary is
 first-touched again, page by page, on the next call.  A q = 7 retrieval
 that built its products through full-size digit arrays and index arrays
-took about 500 minor page faults per trial, all in storage encoding.  So the
-products allocate only their result, and ``add_arr``, ``sub_arr`` and
-``mul_arr`` take an ``out`` array that may be one of their operands.
+took about 500 minor page faults per trial, all in storage encoding.  So a
+product allocates its int64 result, one row band of accumulators, and float
+digits: n per entry of the operand it splits, and n**2 per entry of the one
+it expands, unless ``prepare_matrix`` expanded that once.  ``add_arr``,
+``sub_arr`` and ``mul_arr`` take an ``out`` array that may be an operand.
 """
 
 from __future__ import annotations
@@ -83,6 +85,9 @@ _BLAS_CALL_MACS = 2**19
 # and 16 MiB at GF(841) if the limit were raised that far; GF(256) builds only
 # its 512 KiB mul table.  Building took 1-9 ms at orders 169 to 256.
 _TABLE_MAX_ORDER = 256
+# Entries per product of the exp-table builder.  A fresh process building
+# GF(2**20) peaked at 66 MiB of RSS, against 84-85 at one product per doubling.
+_EXP_CHUNK_ROWS = 2**16
 
 
 def _reduce_mod(x: np.ndarray, p: int) -> None:
@@ -267,8 +272,9 @@ class GFField:
         """Discrete-log tables from the smallest primitive element g: g is
         primitive iff g**((order-1)/r) != 1 for every prime r | order-1,
         tested on the bootstrap polynomial arithmetic.  The exp table doubles
-        at each step, exp[k:2k] = exp[:k] * g**k, and g**k squares, both as
-        field products by `_matmul`, which needs no tables: a column times
+        at each step, exp[k:2k] = exp[:k] * g**k in chunks of at most
+        _EXP_CHUNK_ROWS entries, and g**k squares, all as field products by
+        `_matmul`, which needs no tables: a column times
         the 1 x 1 matrix [g**k] runs on `_dot_mod_p` with inner width n, so
         its digit sums stay below n * (p - 1)**2 <= 2**40 and are exact in
         the float dtype ``_digit_dtype`` picks, and its row bands of at most
@@ -283,7 +289,9 @@ class GFField:
         k = 1
         while k < order - 1:
             m = min(k, order - 1 - k)
-            exp[k : k + m] = self._matmul(exp[:m, None], gk)[:, 0]
+            for c in range(0, m, _EXP_CHUNK_ROWS):
+                d = min(m, c + _EXP_CHUNK_ROWS)
+                exp[k + c : k + d] = self._matmul(exp[c:d, None], gk)[:, 0]
             gk = self._matmul(gk, gk)
             k *= 2
         exp[order - 1 :] = exp[: order - 1]

@@ -14,7 +14,8 @@ and D @ b on top of it, so a fixed system is eliminated once and then
 solved for any number of right-hand sides by two products.  A right
 kernel of M is the parity check of selecting every row of M^T.  Elimination
 pivots on the first nonzero entry in scan order, so all results are
-deterministic functions of the input.
+deterministic functions of the input.  `span` lists every linear
+combination of a few rows, for the searches and brute-force distances.
 """
 
 from __future__ import annotations
@@ -258,3 +259,16 @@ def right_kernel_basis(field: GFField, mat) -> np.ndarray:
     """Rows span {v : mat @ v = 0}; shape (n_cols - rank, n_cols)."""
     m = as_matrix(field, mat)
     return row_selection(field, m.T, m.shape[1]).check
+
+
+def span(field: GFField, rows) -> np.ndarray:
+    """Every linear combination of the k rows of `rows` (k x n), as an
+    (order^k x n) array.  Row i takes its coefficients from the base-order
+    digits of i, the first row's least significant; no rows give one zero
+    row."""
+    r = as_matrix(field, rows)
+    coeffs = np.arange(field.order, dtype=np.int64)[:, None]
+    words = np.zeros((1, r.shape[1]), dtype=np.int64)
+    for row in r[::-1]:  # each earlier row is a less significant digit
+        words = field.add_arr(words[:, None], field.mul_arr(coeffs, row)).reshape(-1, r.shape[1])
+    return words

@@ -66,7 +66,7 @@ moved to float32 digits (``hermipir.fields``).  In one process, medians of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -399,7 +399,7 @@ class SchemeInstance:
         return vals
 
     def share_marginal_samples(
-        self, server: int, file_index: int, frag_index: int, fragment_value: int, trials: int, seed: int
+        self, server: int, frag_index: int, fragment_value: int, trials: int, seed: int
     ) -> np.ndarray:
         """`trials` independent draws of one stored share entry at `server`."""
         field = self.field
@@ -417,16 +417,7 @@ class SchemeInstance:
     def manifest(self) -> dict:
         p = self.params
         return {
-            "params": {
-                "q": p.q,
-                "x_sec": p.x_sec,
-                "t_priv": p.t_priv,
-                "fiber_count": p.fiber_count,
-                "num_files": p.num_files,
-                "genus": p.genus,
-                "frag_count": p.frag_count,
-                "server_count": p.server_count,
-            },
+            "params": asdict(p),
             "rate": {"fraction": f"{p.frag_count}/{p.server_count}", "value": float(p.rate)},
             "alphas": list(self.plan.alphas),
             "data_points": [[list(pt) for pt in fiber] for fiber in self.plan.data_points],

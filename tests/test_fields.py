@@ -601,6 +601,26 @@ def schoolbook_pow(f: GFField, a: int, e: int) -> int:
     return out
 
 
+def test_exp_table_builder_chunks_its_products(monkeypatch):
+    """At GF(2**18), whose last doubling writes 131,071 entries, no product
+    of the table builder takes more than 2**16 rows, and the table still
+    steps by the generator."""
+    rows = []
+    real = GFField._matmul
+
+    def spy(self, a, b):
+        rows.append(a.shape[0])
+        return real(self, a, b)
+
+    monkeypatch.setattr(GFField, "_matmul", spy)
+    f = GFField(2, 18)
+    assert max(rows) <= 2**16
+    exp = f._exp[: f.order - 1]
+    assert sorted(exp.tolist()) == list(range(1, f.order))
+    for k in (1, 2**16 - 1, 2**16, 2**17 + 2**16, f.order - 2):
+        assert int(exp[k]) == schoolbook_pow(f, f.generator, k)
+
+
 @pytest.mark.parametrize("order", [17**4, 3**11, 1048573, 2**20])
 def test_table_arithmetic_matches_schoolbook(order):
     """mul, inv, pow and their array forms agree with polynomial arithmetic

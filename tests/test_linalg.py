@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -459,3 +461,27 @@ def test_right_kernel_matches_free_column_oracle(fm, transpose):
     if transpose:
         mat = mat.T.copy()
     assert np.array_equal(right_kernel_basis(field, mat), kernel_oracle(field, mat))
+
+
+def span_oracle(field: GFField, rows: np.ndarray) -> list[list[int]]:
+    """Every combination by scalar arithmetic, coefficient vectors in
+    itertools.product order read backwards: the first row's varies fastest."""
+    out = []
+    for digits in itertools.product(range(field.order), repeat=len(rows)):
+        word = [0] * rows.shape[1]
+        for c, row in zip(reversed(digits), rows):
+            word = [field.add(w, field.mul(c, int(x))) for w, x in zip(word, row)]
+        out.append(word)
+    return out
+
+
+@pytest.mark.parametrize("order", [4, 9, 25])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_span_matches_product_oracle(order, k):
+    """Values and row order: row i's coefficients are the base-order digits
+    of i, the first row's least significant; no rows give one zero row."""
+    f = field_of_order(order)
+    rows = f.sample_arr(np.random.default_rng(10 * order + k), (k, 3))
+    got = linalg.span(f, rows)
+    assert got.shape == (order**k, 3)
+    assert got.tolist() == span_oracle(f, rows)

@@ -494,7 +494,7 @@ def test_query_marginal_uniform_chi_square(inst_11):
 
 def test_share_marginal_uniform_chi_square(inst_11):
     vals = inst_11.share_marginal_samples(
-        server=3, file_index=0, frag_index=2, fragment_value=17, trials=10_000, seed=6
+        server=3, frag_index=2, fragment_value=17, trials=10_000, seed=6
     )
     stat = chi_square_uniform_stat(vals, 25)
     assert stat < scipy.stats.chi2.ppf(0.999, df=24)

@@ -12,6 +12,10 @@ or in ``perfbench/`` sets, by keyword or by position: a knob that every
 caller leaves at its default is a second code path nothing runs.  Calls
 are matched by name, and a call to a class counts as a call to its
 ``__init__``.  ``KNOBS_ALLOWED`` names the exceptions, each with its reason.
+
+A third scan fails on a parameter of a def in the package that its body
+never names: an input nothing reads.  ``UNREAD_ALLOWED`` names the
+exceptions, each with its reason.
 """
 
 from __future__ import annotations
@@ -92,11 +96,9 @@ def test_allowlist_entries_are_still_needed():
 KNOBS_ALLOWED: dict[str, str] = {}
 
 
-def _defaulted_parameters():
-    """(qualified name, callee name, positional index or None, parameter
-    name) of each defaulted parameter of a def in the package; the callee
-    name of an ``__init__`` is its class, and a method's positional index
-    does not count ``self``."""
+def _functions():
+    """(qualified prefix, enclosing node, def node) of each def in the
+    package; the prefix names the class of a method."""
     for path in sorted(PACKAGE.glob("*.py")):
         parents = {}
         tree = ast.parse(path.read_text())
@@ -104,22 +106,30 @@ def _defaulted_parameters():
             for child in ast.iter_child_nodes(node):
                 parents[child] = node
         for node in ast.walk(tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            owner = parents[node]
-            method = isinstance(owner, ast.ClassDef) and not any(
-                isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
-            callee = owner.name if method and node.name == "__init__" else node.name
-            prefix = f"{path.stem}.{owner.name}." if isinstance(owner, ast.ClassDef) else f"{path.stem}."
-            args = node.args
-            positional = args.posonlyargs + args.args
-            first = len(positional) - len(args.defaults)
-            for index in range(first, len(positional)):
-                name = positional[index].arg
-                yield f"{prefix}{node.name}({name})", callee, index - method, name
-            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
-                if default is not None:
-                    yield f"{prefix}{node.name}({arg.arg})", callee, None, arg.arg
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner = parents[node]
+                prefix = f"{path.stem}.{owner.name}." if isinstance(owner, ast.ClassDef) else f"{path.stem}."
+                yield prefix, owner, node
+
+
+def _defaulted_parameters():
+    """(qualified name, callee name, positional index or None, parameter
+    name) of each defaulted parameter of a def in the package; the callee
+    name of an ``__init__`` is its class, and a method's positional index
+    does not count ``self``."""
+    for prefix, owner, node in _functions():
+        method = isinstance(owner, ast.ClassDef) and not any(
+            isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+        callee = owner.name if method and node.name == "__init__" else node.name
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        for index in range(first, len(positional)):
+            name = positional[index].arg
+            yield f"{prefix}{node.name}({name})", callee, index - method, name
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield f"{prefix}{node.name}({arg.arg})", callee, None, arg.arg
 
 
 def _calls() -> dict[str, list[ast.Call]]:
@@ -154,3 +164,29 @@ def test_every_defaulted_parameter_is_set_by_a_caller():
 def test_knob_allowlist_entries_are_still_needed():
     stale = sorted(set(KNOBS_ALLOWED) - set(_unset_knobs()))
     assert not stale, f"allowlisted parameters that a call now sets or that are gone: {stale}"
+
+
+UNREAD_ALLOWED = {
+    "transport.WorkerPool.__exit__(exc)": "the context-manager protocol passes it",
+    "transport.WorkerPool.__exit__(tb)": "the context-manager protocol passes it",
+}
+
+
+def _unread_parameters() -> list[str]:
+    out = []
+    for prefix, _, node in _functions():
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + [a for a in (args.vararg, args.kwarg) if a]
+        named = {n.id for stmt in node.body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+        out += [f"{prefix}{node.name}({a.arg})" for a in params if a.arg not in named]
+    return out
+
+
+def test_every_parameter_is_named_in_its_body():
+    unexpected = [name for name in _unread_parameters() if name not in UNREAD_ALLOWED]
+    assert not unexpected, f"parameters that their def in src/hermipir never names: {unexpected}"
+
+
+def test_unread_allowlist_entries_are_still_needed():
+    stale = sorted(set(UNREAD_ALLOWED) - set(_unread_parameters()))
+    assert not stale, f"allowlisted parameters that are now named or gone: {stale}"
