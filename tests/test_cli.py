@@ -14,7 +14,8 @@ import pytest
 from scipy.stats import chi2
 
 import hermipir
-from hermipir.cli import UNIFORMITY_LEVEL, _uniformity_threshold, main
+from hermipir import cli, scheme
+from hermipir.cli import UNIFORMITY_LEVEL, _uniformity_threshold, build_parser, main
 from test_golden import CLI_GOLDENS
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -236,6 +237,79 @@ class TestVerify:
     def test_unknown_suite_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--suite", "nonsense")
         assert code == 2
+
+
+PARSED_DEFAULTS = {
+    ("tables", "--which", "1"): {
+        "subcommand": "tables", "which": 1, "format": "md", "full_search": False,
+        "fields": None,
+    },
+    ("count-points", "--curve", "hermitian", "--q", "5"): {
+        "subcommand": "count-points", "curve": "hermitian", "q": 5, "coeffs": None,
+        "format": "md",
+    },
+    ("pir-demo",): {
+        "subcommand": "pir-demo", "q": 5, "x": 1, "t": 1, "files": 3, "seed": 7,
+        "trials": 100, "fibers": None, "transport": "local", "format": "md",
+    },
+    ("certify",): {
+        "subcommand": "certify", "q": 5, "x": 1, "t": 1, "fibers": None, "seed": 0,
+        "products": 100, "format": "md",
+    },
+    ("verify", "--suite", "fields"): {
+        "subcommand": "verify", "suite": "fields", "seed": 0, "format": "md",
+    },
+}
+
+
+@pytest.mark.parametrize("argv", list(PARSED_DEFAULTS), ids=" ".join)
+def test_parsed_defaults_are_pinned(argv):
+    # each command's minimal flags parse to the same names and defaults
+    parsed = vars(build_parser().parse_args(list(argv)))
+    del parsed["handler"]
+    assert parsed == PARSED_DEFAULTS[argv]
+
+
+class TestExitOne:
+    """A failed retrieval, certification or check exits 1 in md and json."""
+
+    def test_failed_retrieval(self, capsys, monkeypatch):
+        reconstruct = scheme.SchemeInstance.reconstruct
+
+        def wrong(self, answers):
+            return self.field.add_arr(reconstruct(self, answers), 1)
+
+        monkeypatch.setattr(scheme.SchemeInstance, "reconstruct", wrong)
+        code, out, _ = run_cli(capsys, "pir-demo", "--q", "5", "--trials", "3")
+        assert code == 1
+        assert out.count("-> FAIL") == 3 and "-> ok" not in out
+        assert "retrievals: 0/3 correct" in out
+        code, out, _ = run_cli(capsys, "pir-demo", "--q", "5", "--trials", "3", "--format", "json")
+        assert code == 1
+        transcript = json.loads(out)
+        assert transcript["successes"] < transcript["trials"] == 3
+
+    def test_failed_certification(self, capsys, monkeypatch):
+        monkeypatch.setattr(scheme, "dual_distance_bound", lambda code: 0)
+        code, out, _ = run_cli(capsys, "certify", "--q", "5")
+        assert code == 1
+        assert "FAIL storage-dual-bounds" in out
+        assert out.endswith("certification: FAIL\n")
+        code, out, _ = run_cli(capsys, "certify", "--q", "5", "--format", "json")
+        assert code == 1
+        assert json.loads(out)["report"]["all_ok"] is False
+
+    def test_failed_check(self, capsys, monkeypatch):
+        failing = [{"check": "always", "ok": False, "detail": "fails on purpose"}]
+        monkeypatch.setitem(cli._SUITES, "codes", lambda seed: failing)
+        code, out, _ = run_cli(capsys, "verify", "--suite", "codes")
+        assert code == 1
+        assert "FAIL always: fails on purpose" in out
+        assert out.endswith("suite codes: FAIL (0/1 checks)\n")
+        code, out, _ = run_cli(capsys, "verify", "--suite", "codes", "--format", "json")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["all_ok"] is False and payload["checks"] == failing
 
 
 def declared_console_script():

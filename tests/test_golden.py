@@ -30,7 +30,10 @@ those suites read their code verdicts from a certify report.  `certify --q
 11` (json) was recorded before the field ops on orders up to 256 moved from
 digit-wise arithmetic to lookup tables.  The md `verify --suite security`
 was recorded while the chi-square threshold of the privacy and security
-suites still came from scipy.  The manifests pin the
+suites still came from scipy.  The md `pir-demo --q 5 --trials 5` (local
+and socket), md `certify --q 7` and md `verify --suite fields`, `bases`
+and `codes` were recorded before the CLI's commands shared one output
+path, one instance header and one certified build.  The manifests pin the
 selected server points.  q = 4 is absent: at x_sec = t_priv = 1 no fiber
 count satisfies its point supply.
 """
@@ -82,6 +85,18 @@ CLI_GOLDENS = {
         "0c058ad1ff5a50f0fc1f9cdd9797346b47c556ce2b2647b58b4ce7a915dc8501",
     ("verify", "--suite", "codes", "--format", "json"):
         "499955298edf7bdbee11d04d082135ceec78d6860844cc0093a0f0249e541642",
+    ("verify", "--suite", "fields"):
+        "28ff6feeb698f9375c8c7898f72f992b442787771ea1c1829a06df3a608415a5",
+    ("verify", "--suite", "bases"):
+        "3a075a78a90a74065e2217620e1b94e66dd27cc532109f8fa31c7c63640e2e81",
+    ("verify", "--suite", "codes"):
+        "b95f3cb3996e3fdf38d21d298f52d7847ef00b124a58cf485487b062a09bf312",
+    ("certify", "--q", "7"):
+        "0958297c6e2ab966babaf675dc7feefdd24e46c12b8ca4d9661dbca79faa8852",
+    ("pir-demo", "--q", "5", "--trials", "5"):
+        "5be4f9f11400caba769b5d0c6c1e28c804de9139a0d9bb204ec0dba73106d095",
+    ("pir-demo", "--q", "5", "--trials", "5", "--transport", "socket"):
+        "2e621d793de4679ef254bacb020b2e4fe13fd80a4beca3c80be8b2619f5164a6",
     ("pir-demo", "--q", "5", "--trials", "5", "--format", "json"):
         "db6f4df96cce87cb105df5cc6b6cd3328b2a7cc17f92c59744471cc44f7d2046",
     ("pir-demo", "--q", "7", "--trials", "3", "--format", "json"):
