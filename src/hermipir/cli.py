@@ -10,6 +10,9 @@ performs succeed, 1 when a retrieval trial, certification, or verification
 check fails, and 2 for malformed flags or infeasible parameters (the
 violated constraint is named on stderr).
 
+Every command but ``tables`` ends in one output path, ``_finish``, which
+prints the JSON payload or the markdown lines and returns the exit status.
+
 The ``--full-search`` flag switches the curve-search catalog to exhaustive
 enumeration for every field order.
 """
@@ -63,8 +66,36 @@ def _emit(text: str) -> None:
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _finish(fmt: str, payload: dict, lines: list[str], ok: bool) -> int:
+    """Print `payload` as JSON or `lines` as markdown; exit status 0 when
+    `ok`, else 1."""
+    _emit(json.dumps(payload, indent=2, sort_keys=True) if fmt == "json" else "\n".join(lines))
+    return 0 if ok else 1
+
+
+def _instance_config(args: argparse.Namespace) -> dict:
+    """The config entries of the command and its shared instance flags."""
+    return {"command": args.subcommand, "format": args.format, "q": args.q,
+            "x_sec": args.x, "t_priv": args.t, "fiber_count": args.fibers}
+
+
+def _instance_lines(params: dict, suffix: str) -> list[str]:
+    """The md ``instance:`` line, ending in `suffix`, and ``rate:`` line."""
+    frag, servers = params["frag_count"], params["server_count"]
+    return [
+        f"instance: q={params['q']} x_sec={params['x_sec']} t_priv={params['t_priv']} "
+        f"m={params['fiber_count']} L={frag} N={servers}{suffix}",
+        f"rate: {frag}/{servers} = {format_rate(Fraction(frag, servers))}",
+    ]
+
+
+def _certified(q: int, x_sec: int, t_priv: int, fiber_count: int | None, num_files: int):
+    """The built instance, its certify report, and each check's verdict by
+    check name."""
+    params = validate_params(q, x_sec, t_priv, fiber_count=fiber_count, num_files=num_files)
+    instance = build_instance(params)
+    report = certify_instance(instance)
+    return instance, report, {check["check"]: bool(check["ok"]) for check in report.checks()}
 
 
 def _int_list(text: str) -> list[int]:
@@ -97,6 +128,9 @@ def _flag_error(message: str) -> int:
 # tables
 # ---------------------------------------------------------------------------
 
+_RENDERERS = {"md": tables.render_markdown, "csv": tables.render_csv, "json": tables.render_json}
+
+
 def cmd_tables(args: argparse.Namespace) -> int:
     if args.which != 1 and (args.fields is not None or args.full_search):
         return _flag_error("--fields and --full-search only apply to --which 1")
@@ -117,12 +151,7 @@ def cmd_tables(args: argparse.Namespace) -> int:
         "format": args.format,
         **structure["config"],
     })
-    if args.format == "json":
-        _emit(tables.render_json(structure))
-    elif args.format == "csv":
-        _emit(tables.render_csv(structure))
-    else:
-        _emit(tables.render_markdown(structure))
+    _emit(_RENDERERS[args.format](structure))
     return 0
 
 
@@ -152,11 +181,10 @@ def cmd_count_points(args: argparse.Namespace) -> int:
             "affine_count": affine,
             "point_count": affine + 1,
         }
-        md = (
-            f"curve: hermitian, q={args.q}, over GF({args.q ** 2}) "
-            f"(genus {c.genus})\n"
-            f"point count: {affine + 1} ({affine} affine + 1 at infinity)\n"
-        )
+        lines = [
+            f"curve: hermitian, q={args.q}, over GF({args.q ** 2}) (genus {c.genus})",
+            f"point count: {affine + 1} ({affine} affine + 1 at infinity)",
+        ]
     else:
         coeffs = tuple(args.coeffs)
         config["coeffs"] = list(coeffs)
@@ -178,17 +206,13 @@ def cmd_count_points(args: argparse.Namespace) -> int:
             "point_count": count,
             "gamma": gamma,
         }
-        md = (
-            f"curve: {model} over GF({args.q}) (genus {genus})\n"
-            f"point count: {count} (including 1 at infinity)\n"
-            f"gamma (points with y = 0): {gamma}\n"
-        )
+        lines = [
+            f"curve: {model} over GF({args.q}) (genus {genus})",
+            f"point count: {count} (including 1 at infinity)",
+            f"gamma (points with y = 0): {gamma}",
+        ]
     _echo_config(config)
-    if args.format == "json":
-        _emit(_json_text({"config": config, **payload}))
-    else:
-        _emit(md)
-    return 0
+    return _finish(args.format, {"config": config, **payload}, lines, True)
 
 
 # ---------------------------------------------------------------------------
@@ -196,19 +220,8 @@ def cmd_count_points(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_pir_demo(args: argparse.Namespace) -> int:
-    config = {
-        "command": "pir-demo",
-        "format": args.format,
-        "q": args.q,
-        "x_sec": args.x,
-        "t_priv": args.t,
-        "num_files": args.files,
-        "seed": args.seed,
-        "trials": args.trials,
-        "fiber_count": args.fibers,
-        "transport": args.transport,
-    }
-    _echo_config(config)
+    _echo_config({**_instance_config(args), "num_files": args.files, "seed": args.seed,
+                  "trials": args.trials, "transport": args.transport})
     if args.transport == "socket":
         from hermipir.transport import run_demo_over_sockets
 
@@ -222,31 +235,17 @@ def cmd_pir_demo(args: argparse.Namespace) -> int:
             trials=args.trials, fiber_count=args.fibers,
         )
     transcript["transport"] = args.transport
-    ok_all = transcript["successes"] == transcript["trials"]
-    if args.format == "json":
-        _emit(_json_text(transcript))
-    else:
-        p = transcript["params"]
-        lines = [
-            f"instance: q={p['q']} x_sec={p['x_sec']} t_priv={p['t_priv']} "
-            f"m={p['fiber_count']} L={p['frag_count']} N={p['server_count']} "
-            f"files={p['num_files']}",
-            f"transport: {args.transport}   seed: {args.seed}",
-        ]
-        for r in transcript["results"]:
-            status = "ok" if r["ok"] else "FAIL"
-            lines.append(
-                f"trial {r['trial']:3d}: requested file {r['desired']} -> {status}"
-            )
-        lines.append(
-            f"retrievals: {transcript['successes']}/{transcript['trials']} correct"
-        )
-        frac = Fraction(p["frag_count"], p["server_count"])
-        lines.append(
-            f"rate: {p['frag_count']}/{p['server_count']} = {format_rate(frac)}"
-        )
-        _emit("\n".join(lines))
-    return 0 if ok_all else 1
+    params = transcript["params"]
+    instance, rate = _instance_lines(params, f" files={params['num_files']}")
+    lines = [
+        instance,
+        f"transport: {args.transport}   seed: {args.seed}",
+        *(f"trial {r['trial']:3d}: requested file {r['desired']} -> {'ok' if r['ok'] else 'FAIL'}"
+          for r in transcript["results"]),
+        f"retrievals: {transcript['successes']}/{transcript['trials']} correct",
+        rate,
+    ]
+    return _finish(args.format, transcript, lines, transcript["successes"] == transcript["trials"])
 
 
 # ---------------------------------------------------------------------------
@@ -260,33 +259,16 @@ def _check_lines(checks) -> list[str]:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    config = {
-        "command": "certify",
-        "format": args.format,
-        "q": args.q,
-        "x_sec": args.x,
-        "t_priv": args.t,
-        "fiber_count": args.fibers,
-        "seed": args.seed,
-        "products_per_family": args.products,
-    }
+    config = {**_instance_config(args), "seed": args.seed, "products_per_family": args.products}
     _echo_config(config)
-    params = validate_params(args.q, args.x, args.t, fiber_count=args.fibers)
-    instance = build_instance(params)
-    report = certify_instance(instance)
-    if args.format == "json":
-        _emit(_json_text({"config": config, "report": report.to_dict()}))
-    else:
-        p = report.params
-        lines = [
-            f"instance: q={p.q} x_sec={p.x_sec} t_priv={p.t_priv} "
-            f"m={p.fiber_count} L={p.frag_count} N={p.server_count}",
-            f"rate: {p.frag_count}/{p.server_count} = {format_rate(report.rate)}",
-        ]
-        lines += _check_lines(report.checks())
-        lines.append(f"certification: {'PASS' if report.all_ok else 'FAIL'}")
-        _emit("\n".join(lines))
-    return 0 if report.all_ok else 1
+    report = _certified(args.q, args.x, args.t, args.fibers, 1)[1]
+    payload = report.to_dict()
+    lines = [
+        *_instance_lines(payload["params"], ""),
+        *_check_lines(report.checks()),
+        f"certification: {'PASS' if report.all_ok else 'FAIL'}",
+    ]
+    return _finish(args.format, {"config": config, "report": payload}, lines, report.all_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -426,19 +408,11 @@ def _suite_bases(seed: int) -> list[dict]:
     ]
 
 
-def _certified(q: int, x_t: int, num_files: int):
-    """The instance with x_sec = t_priv = x_t, its certify report, and each
-    check's verdict by check name."""
-    instance = build_instance(validate_params(q, x_t, x_t, num_files=num_files))
-    report = certify_instance(instance)
-    return instance, report, {check["check"]: bool(check["ok"]) for check in report.checks()}
-
-
 def _suite_noise(seed: int) -> list[dict]:
     del seed  # fully deterministic
     counts, complete, contained, additive = [], True, True, True
     for x_t in (1, 2):
-        instance, _, verdicts = _certified(5, x_t, 1)
+        instance, _, verdicts = _certified(5, x_t, x_t, None, 1)
         params, manifest = instance.params, instance.manifest()
         expected = params.server_count - params.genus - params.frag_count
         counts.append((x_t, manifest["noise"]["count"], expected))
@@ -464,7 +438,7 @@ def _suite_noise(seed: int) -> list[dict]:
 
 
 def _suite_privacy(seed: int) -> list[dict]:
-    instance, report, verdicts = _certified(5, 1, 3)
+    instance, report, verdicts = _certified(5, 1, 1, None, 3)
     order = instance.field.order
     desired_ok, desired_max = _uniform((instance.query_marginal_samples(
         server=7, file_index=1, frag_index=3, desired_index=d,
@@ -490,7 +464,7 @@ def _suite_privacy(seed: int) -> list[dict]:
 
 
 def _suite_security(seed: int) -> list[dict]:
-    instance, report, verdicts = _certified(5, 1, 3)
+    instance, report, verdicts = _certified(5, 1, 1, None, 3)
     order = instance.field.order
     frag_count = instance.params.frag_count
     share_ok, share_max = _uniform((instance.share_marginal_samples(
@@ -498,7 +472,7 @@ def _suite_security(seed: int) -> list[dict]:
         trials=MARGINAL_TRIALS, seed=seed + value,
     ) for value in (0, 17)), order)
     threshold = _uniformity_threshold(order)
-    wide = _certified(5, 2, 1)[2]
+    wide = _certified(5, 2, 2, None, 1)[2]
     return [
         {"check": "storage-dual-bounds", "ok": verdicts["storage-dual-bounds"],
          "detail": f"min {min(report.storage_dual_bounds)} >= x_sec + 1 = 2 "
@@ -562,22 +536,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     _echo_config(config)
     checks = _SUITES[args.suite](args.seed)
     all_ok = all(check["ok"] for check in checks)
-    if args.format == "json":
-        _emit(_json_text({
-            "config": config,
-            "suite": args.suite,
-            "checks": checks,
-            "all_ok": all_ok,
-        }))
-    else:
-        lines = [f"suite: {args.suite}   seed: {args.seed}", *_check_lines(checks)]
-        passed = sum(check["ok"] for check in checks)
-        verdict = "PASS" if all_ok else "FAIL"
-        lines.append(
-            f"suite {args.suite}: {verdict} ({passed}/{len(checks)} checks)"
-        )
-        _emit("\n".join(lines))
-    return 0 if all_ok else 1
+    passed = sum(check["ok"] for check in checks)
+    lines = [
+        f"suite: {args.suite}   seed: {args.seed}",
+        *_check_lines(checks),
+        f"suite {args.suite}: {'PASS' if all_ok else 'FAIL'} ({passed}/{len(checks)} checks)",
+    ]
+    payload = {"config": config, "suite": args.suite, "checks": checks, "all_ok": all_ok}
+    return _finish(args.format, payload, lines, all_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -590,6 +556,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Curve-coded private information retrieval toolkit.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    # flags that several commands share, each declared once
+    format_flag = argparse.ArgumentParser(add_help=False)
+    format_flag.add_argument("--format", choices=("md", "json"), default="md")
+    instance_flags = argparse.ArgumentParser(add_help=False)
+    instance_flags.add_argument("--q", type=int, default=5)
+    instance_flags.add_argument("--x", type=int, default=1)
+    instance_flags.add_argument("--t", type=int, default=1)
+    instance_flags.add_argument("--fibers", type=int, default=None,
+                                help="override the number of data x-values")
 
     t = sub.add_parser("tables", help="render a rate catalog")
     t.add_argument("--which", type=int, choices=(1, 2, 3), required=True)
@@ -600,47 +575,36 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated field orders (catalog 1 only)")
     t.set_defaults(handler=cmd_tables)
 
-    cp = sub.add_parser("count-points", help="count rational points")
+    cp = sub.add_parser("count-points", help="count rational points", parents=[format_flag])
     cp.add_argument("--curve", choices=("hermitian", "hyperelliptic"),
                     required=True)
     cp.add_argument("--q", type=int, required=True)
     cp.add_argument("--coeffs", type=_int_list, default=None,
                     help="a0,a1,... for y^2 = x^d + sum a_k x^k, d = len")
-    cp.add_argument("--format", choices=("md", "json"), default="md")
     cp.set_defaults(handler=cmd_count_points)
 
-    d = sub.add_parser("pir-demo", help="run seeded end-to-end retrievals")
-    d.add_argument("--q", type=int, default=5)
-    d.add_argument("--x", type=int, default=1)
-    d.add_argument("--t", type=int, default=1)
+    d = sub.add_parser("pir-demo", help="run seeded end-to-end retrievals",
+                       parents=[instance_flags, format_flag])
     d.add_argument("--files", type=int, default=3)
     d.add_argument("--seed", type=int, default=7)
     d.add_argument("--trials", type=_count, default=100)
-    d.add_argument("--fibers", type=int, default=None,
-                   help="override the number of data x-values")
     d.add_argument("--transport", choices=("local", "socket"),
                    default="local")
-    d.add_argument("--format", choices=("md", "json"), default="md")
     d.set_defaults(handler=cmd_pir_demo)
 
-    ce = sub.add_parser("certify", help="re-derive instance certificates")
-    ce.add_argument("--q", type=int, default=5)
-    ce.add_argument("--x", type=int, default=1)
-    ce.add_argument("--t", type=int, default=1)
-    ce.add_argument("--fibers", type=int, default=None)
+    ce = sub.add_parser("certify", help="re-derive instance certificates",
+                        parents=[instance_flags, format_flag])
     ce.add_argument("--seed", type=int, default=0,
                     help="accepted for compatibility and echoed in the config "
                          "line; no longer steers anything")
     ce.add_argument("--products", type=int, default=100,
                     help="accepted for compatibility and echoed in the config "
                          "line; no longer steers anything")
-    ce.add_argument("--format", choices=("md", "json"), default="md")
     ce.set_defaults(handler=cmd_certify)
 
-    v = sub.add_parser("verify", help="run a module verification suite")
+    v = sub.add_parser("verify", help="run a module verification suite", parents=[format_flag])
     v.add_argument("--suite", choices=tuple(_SUITES), required=True)
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--format", choices=("md", "json"), default="md")
     v.set_defaults(handler=cmd_verify)
 
     return parser

@@ -32,17 +32,17 @@ field matmul is one matmul over F_p of digit matrices.  It runs as BLAS
 products of floats, exact while every partial sum is an integer the float
 type holds.  The digit operands are float32 when the whole inner width w
 of a product fits one exact float32 block, max(w, 1) * (p - 1)**2 <=
-2**24 - 2p, and float64 otherwise, with inner dimensions whose sums could
-pass 2**53 cut into blocks.  Every product of a Hermitian instance up to
-q = 16 is float32: at q = 7 a query product's digit sums stay below
-44 * 6**2 = 1584 and the decoder's below 434 * 6**2 = 15624.  Float32
-halves the bytes of the digit arrays and the cost of the BLAS calls.  One
-kernel, `_dot_mod_p`, serves every product, the doubling steps of the exp
-table included: it works in bands of output rows, and reduces each band
-mod p and recomposes it by p^k straight into the int64 result.  A matrix
-that multiplies many operands, like the retrieval's noise evaluations and
-decoder, is expanded once by ``prepare_matrix`` and applied by
-``matmul_prepared``.
+2**24 - 2p, and float64 otherwise; an inner width whose sums could pass
+2**53 - 2p is refused, so every product is one exact block.  Every
+product of a Hermitian instance up to q = 16 is float32: at q = 7 a query
+product's digit sums stay below 44 * 6**2 = 1584 and the decoder's below
+434 * 6**2 = 15624.  Float32 halves the bytes of the digit arrays and the
+cost of the BLAS calls.  One kernel, `_dot_mod_p`, serves every product,
+the doubling steps of the exp table included: it works in bands of output
+rows, and reduces each band mod p and recomposes it by p^k straight into
+the int64 result.  A matrix that multiplies many operands, like the
+retrieval's noise evaluations and decoder, is expanded once by
+``prepare_matrix`` and applied by ``matmul_prepared``.
 
 Fresh memory is not free: on a 2-core Linux host, glibc hands freed blocks
 of a few hundred KiB back to the kernel, so every full-size temporary is
@@ -329,14 +329,16 @@ class GFField:
 
     def check_elements(self, values, what: str) -> np.ndarray:
         """``values`` as an int64 array; ValueError unless each is an
-        encoding 0..order-1, ints past int64 included."""
-        try:
-            arr = np.asarray(values, dtype=np.int64)
-        except OverflowError:
-            arr = None
-        if arr is None or arr.size and (arr.min() < 0 or arr.max() >= self.order):
+        encoding 0..order-1.  A nonempty array of any dtype but a signed or
+        unsigned integer one is refused, not truncated: floats, numeric
+        strings, None, bools and ints past int64 (an object array).  The
+        range is checked before the cast, so uint64 values of 2**63 and
+        above fail it.  numpy upcasts a mixed list such as ``[True, 2]`` to
+        int64 before the check sees it, so that one passes."""
+        arr = np.asarray(values)
+        if arr.size and (arr.dtype.kind not in "iu" or arr.min() < 0 or arr.max() >= self.order):
             raise ValueError(f"{what} must be field element encodings 0..{self.order - 1}")
-        return arr
+        return arr.astype(np.int64, copy=False)
 
     def coeffs(self, a: int) -> tuple[int, ...]:
         """Little-endian base-p coefficient vector of length n."""
@@ -511,8 +513,8 @@ class GFField:
         s = 0..n-1 (the left one through ``prepare_matrix``), the other is
         split into its digits, and `_dot_mod_p` computes the output digits
         as float products over F_p (``_digit_dtype``) and recomposes them.
-        Inner dimensions whose exact digit sums would reach 2**63 are
-        refused.
+        Inner dimensions whose digit sums could pass 2**53 - 2p, where
+        float64 stops being exact, are refused.
         """
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
@@ -578,8 +580,11 @@ class GFField:
         return np.float64
 
     def _check_inner(self, inner: int) -> None:
-        if inner * self.n * (self.p - 1) ** 2 >= 2**63:
-            raise ValueError(f"inner dimension {inner} would overflow int64 digit sums")
+        """ValueError unless every digit sum of a product of this inner
+        dimension is at most 2**53 - 2p, so that one float64 block is
+        exact; GF(1048573) refuses more than 8192 inner entries."""
+        if inner * self.n * (self.p - 1) ** 2 > _F64_EXACT - 2 * self.p:
+            raise ValueError(f"inner dimension {inner} would overflow exact float64 digit sums")
 
     def _split_digits(self, a: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Write the base-p digits of `a`, little-endian, into out[0..n-1]."""
@@ -609,29 +614,22 @@ class GFField:
         (n, cols) array, is digit d of output entry (i, j).
 
         BLAS runs it in bands of output rows of at most _BLAS_CALL_MACS
-        multiply-adds, each product over inner blocks short enough that the
-        running sum stays below 2**24 - p in float32, or 2**53 - p in
-        float64, where the dtype is exact and floor(x / p) is exact too.
-        ``_digit_dtype`` picks float32 only when the whole width is one
-        block.  Each band is reduced mod p in place and recomposed by p^d
-        straight into its rows of the int64 result (p^d < 2**20 is exact in
-        either dtype), so no full-size digit array or int64 temporary is
-        ever allocated."""
+        multiply-adds, each one product over the whole width: every digit
+        sum stays at most 2**24 - 2p in float32 (``_digit_dtype``) or
+        2**53 - 2p in float64 (``_check_inner``), where the dtype is exact
+        and floor(x / p) is exact too.  Each band is reduced mod p in place
+        and recomposed by p^d straight into its rows of the int64 result
+        (p^d < 2**20 is exact in either dtype), so no full-size digit array
+        or int64 temporary is ever allocated."""
         p, n = self.p, self.n
         rows, g, width = left.shape
         cols = g * right.shape[1] // n
-        exact = _F32_EXACT if left.dtype == np.float32 else _F64_EXACT
-        k_step = (exact - 2 * p) // (p - 1) ** 2
-        i_step = max(1, _BLAS_CALL_MACS // max(1, g * min(width, k_step) * right.shape[1]))
+        i_step = max(1, _BLAS_CALL_MACS // max(1, g * width * right.shape[1]))
         pk = np.array(self._pk, dtype=left.dtype)
         out = np.empty((rows, cols), dtype=np.int64)
         for i in range(0, rows, i_step):
             m = min(i_step, rows - i)
-            band = left[i : i + m].reshape(m * g, width)
-            acc = band[:, :k_step] @ right[:k_step]
-            for k in range(k_step, width, k_step):
-                _reduce_mod(acc, p)
-                acc += band[:, k : k + k_step] @ right[k : k + k_step]
+            acc = left[i : i + m].reshape(m * g, width) @ right
             _reduce_mod(acc, p)
             out[i : i + m] = pk @ acc.reshape(m, n, cols)
         return out

@@ -342,18 +342,22 @@ class SchemeInstance:
 
         Raises DecodeError when an answer is not a field element encoding,
         naming the servers, and when the syndrome is nonzero, naming its
-        weight and, when a single answer explains it, that server.
+        weight and, when a single answer explains it, that server.  Answers
+        of a non-integer dtype are refused, not truncated: an int past int64
+        (an object array) is compared as a Python int, and every float,
+        bool, string or None is no encoding.
         """
-        try:
-            a = np.asarray(answers, dtype=np.int64).reshape(-1)
-        except OverflowError:  # an int past int64: compared as Python ints below
-            a = np.asarray(answers, dtype=object).reshape(-1)
+        a = np.asarray(answers).reshape(-1)
         if a.shape[0] != self.params.server_count:
             raise DecodeError(f"expected {self.params.server_count} answers, got {a.shape[0]}")
-        bad = np.flatnonzero((a < 0) | (a >= self.field.order))
+        order = self.field.order
+        if a.dtype.kind in "iu":
+            bad = np.flatnonzero((a < 0) | (a >= order))
+        else:
+            bad = np.array([k for k, v in enumerate(a.tolist()) if type(v) is not int or not 0 <= v < order])
         if bad.size:
             raise DecodeError(
-                f"answers of servers {bad.tolist()} are not field elements 0..{self.field.order - 1}",
+                f"answers of servers {bad.tolist()} are not field elements 0..{order - 1}",
                 server=int(bad[0]) if bad.size == 1 else None,
             )
         out = self.field.matmul_prepared(self._decode_digits, a[:, None])[:, 0]

@@ -239,16 +239,23 @@ def test_matmul_row_bands_match_oracle(band_macs, monkeypatch):
 @pytest.mark.parametrize("shapes", [((2, 3), "left"), ((3, 2), "right")])
 def test_matmul_exact_at_float64_block_boundary(shapes, extra, fill):
     """Every entry p - fill at the longest inner dimension whose digit sums
-    fit one float64 block (at most 2**53), and at one past it (two blocks).
+    fit one float64 block (at most 2**53 - 2p): both products are exact.
     (p - 1)^2 is divisible by 16, so only the odd (p - 2)^2 would show a
-    sum that float64 rounded."""
+    sum that float64 rounded.  One past it, both refuse the inner
+    dimension: a product is never cut into inner blocks."""
     f = GFField(1048573, 1)
     (rows, cols), _ = shapes
     one_block = 2**53 // (f.n * (f.p - 1) ** 2)
+    assert one_block == (2**53 - 2 * f.p) // (f.p - 1) ** 2 == 8192
     inner = one_block + extra
     v = f.p - fill
     a = np.full((rows, inner), v, dtype=np.int64)
     b = np.full((inner, cols), v, dtype=np.int64)
+    if extra:
+        for call in (lambda: f.matmul_arr(a, b), lambda: f.prepare_matrix(a)):
+            with pytest.raises(ValueError, match=f"inner dimension {inner} would overflow"):
+                call()
+        return
     for got in (f.matmul_arr(a, b), f.matmul_prepared(f.prepare_matrix(a), b)):
         assert got.shape == (rows, cols)
         assert (got == inner * v * v % f.p).all()
@@ -717,14 +724,15 @@ def test_enumeration_and_tower_cache_deterministic():
 
 
 def test_every_element_check_raises_value_error():
-    """-1, the order and an int past int64 are no GF(25) encodings: the
-    field's check and each entry point that takes element encodings from a
-    caller raise ValueError naming the range, never numpy's OverflowError."""
+    """-1, the order, an int past int64, a float, a numeric string and None
+    are no GF(25) encodings: the field's check and each entry point that
+    takes element encodings from a caller raise ValueError naming the
+    range, never numpy's OverflowError or TypeError, and never truncate."""
     inst = build_instance(validate_params(5, 1, 1, num_files=2))
     field = inst.field
     assert field.order == 25
     rng = np.random.default_rng(0)
-    for bad in (-1, 25, 2**70):
+    for bad in (-1, 25, 2**70, 2.9, "3", None):
         entry_points = (
             lambda: field.check_elements([[0, bad]], "values"),
             lambda: linalg.rank(field, [[bad, 1]]),
@@ -742,3 +750,28 @@ def test_every_element_check_raises_value_error():
         with pytest.raises(ValueError, match=r"right-hand side must be field element encodings 0\.\.24"):
             linalg.solve_prefix(field, [[1, 0], [0, 1]], [bad, 1], 2)
     assert linalg.solve_prefix(field, [[1, 0], [0, 1]], [24, 1], 2).tolist() == [24, 1]
+
+
+@pytest.mark.parametrize("bad", [
+    [1.7, 2], [2.0, 3.0], ["3", 4], [None], np.array([True, False]),
+    np.array([2**63, 1], dtype=np.uint64), np.array([2**64 - 1], dtype=np.uint64),
+], ids=repr)
+def test_element_check_refuses_non_integers(bad):
+    """Floats, numeric strings, None, bools and uint64 values past int64
+    are no encodings: each raises ValueError, none is truncated or cast."""
+    field = field_of_order(25)
+    with pytest.raises(ValueError, match=r"must be field element encodings 0\.\.24"):
+        field.check_elements(bad, "values")
+
+
+def test_element_check_keeps_integer_input():
+    field = field_of_order(25)
+    arr = np.arange(25, dtype=np.int64)
+    assert field.check_elements(arr, "values") is arr  # no copy on the fast path
+    small = np.array([[3, 24]], dtype=np.uint8)
+    assert field.check_elements(small, "values").tolist() == [[3, 24]]
+    assert field.check_elements(np.array([24], dtype=np.uint64), "values").dtype == np.int64
+    # numpy upcasts a mixed list to int64 before the check sees it
+    assert field.check_elements([True, 2], "values").tolist() == [1, 2]
+    empty = field.check_elements([], "values")
+    assert empty.dtype == np.int64 and empty.shape == (0,)

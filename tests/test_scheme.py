@@ -287,6 +287,17 @@ def test_out_of_range_answers_rejected(inst_11):
         with pytest.raises(DecodeError, match=rf"servers \[{listed}\] are not field elements 0..24") as err:
             inst_11.reconstruct(tampered)
         assert err.value.server == (next(iter(bad)) if len(bad) == 1 else None)
+    # answers of a non-integer dtype are refused, not truncated to integers
+    for bad in (answers + 0.4, answers.astype(np.float64)):
+        with pytest.raises(DecodeError, match="are not field elements 0..24") as err:
+            inst_11.reconstruct(bad)
+        assert err.value.server is None
+    tampered = answers.tolist()
+    tampered[6] = 3.0
+    with pytest.raises(DecodeError, match=r"servers \[6\] are not field elements 0..24") as err:
+        inst_11.reconstruct(np.array(tampered, dtype=object))
+    assert err.value.server == 6
+
     def shifted(shares, queries):
         return inst_11.all_answers(shares, queries) + f.order
 
