@@ -274,6 +274,15 @@ def test_read_answer_rejects_reply_for_another_server():
         with pytest.raises(ConnectionError, match="bad reply for server 3"):
             read_answer(client, 3)
     thread.join(timeout=10)
+    # a server that only compares equal to 1, and an ANSWER with no element
+    for reply in ({"kind": "ANSWER", "server": True, "element": [1, 0]},
+                  {"kind": "ANSWER", "server": 1.0, "element": [1, 0]},
+                  {"kind": "ANSWER", "server": 1}):
+        left, right = socket.socketpair()
+        with left, right:
+            send_frame(left, reply)
+            with pytest.raises(ConnectionError, match="bad reply for server 1"):
+                read_answer(right, 1)
 
 
 @pytest.mark.parametrize("body, message", [
@@ -360,6 +369,129 @@ def test_worker_answers_a_batch_in_order_with_one_write():
     assert replies[0] == replies[3] == ANSWER_4
     assert "Expecting property name" in replies[1]["message"]
     assert replies[2]["message"] == "unknown frame kind 'FETCH'"
+
+
+def _served(wire: bytes, field, step: int = 2**20) -> list[bytes]:
+    """The writes of a worker that reads `wire` `step` bytes at a time."""
+    conn = _Trickle(wire, step)
+    serve_connection(conn, field)
+    return conn.writes
+
+
+def _served_by_json_reader(wire: bytes, field, step: int = 2**20) -> list[bytes]:
+    """`_served` with the canonical reader stubbed out, so that every body
+    goes through the JSON reader."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(transport, "_read_canonical", lambda *args: None)
+        return _served(wire, field, step)
+
+
+def _canonical_body(field, payload: dict) -> bytes:
+    """The client's rendering of a STORE or QUERY payload whose elements are
+    encodings."""
+    text = transport._grid_texts(field, np.array(payload["elements"], dtype=np.int64).reshape(1, -1))[0]
+    if payload["kind"] == "STORE":
+        return transport._store_body(payload["server"], tuple(payload["shape"]), text)
+    return transport._query_body(payload["server"], text)
+
+
+@st.composite
+def canonical_streams(draw):
+    """A field and a random STORE/QUERY stream over it, as payloads whose
+    elements are encodings; a QUERY is sized to its server's stored grid."""
+    field = field_of_order(draw(st.sampled_from([7, 16, 25, 27, 64, 81])))  # n = 1, 4, 2, 3, 6, 4
+    values = lambda count: draw(st.lists(st.integers(0, field.order - 1), min_size=count, max_size=count))
+    sizes: dict[int, int] = {}
+    payloads = []
+    for _ in range(draw(st.integers(1, 6))):
+        server = draw(st.integers(0, 3))
+        if server in sizes and draw(st.booleans()):
+            payloads.append({"kind": "QUERY", "server": server, "elements": values(sizes[server])})
+        else:
+            shape = draw(st.lists(st.integers(0, 3), max_size=3))
+            sizes[server] = int(np.prod(shape))
+            payloads.append({"kind": "STORE", "server": server, "shape": shape, "elements": values(sizes[server])})
+    return field, payloads
+
+
+def _edited_body(draw, field, payload: dict) -> bytes:
+    """The body of `payload` after one drawn edit: an extra space, a byte
+    replaced, reordered keys, a non-canonical digit or server, the digit p,
+    a wrong element count, an unknown server or an empty grid."""
+    edit = draw(st.sampled_from(["space", "byte", "keys", "digit", "server", "count", "unknown", "empty"]))
+    body = _canonical_body(field, payload)
+    wire_payload = {**payload, "elements": [list(field.coeffs(v)) for v in payload["elements"]]}
+    elements = wire_payload["elements"]
+    if edit == "space":
+        at = draw(st.integers(0, len(body)))
+        return body[:at] + b" " + body[at:]
+    if edit == "byte":
+        # anywhere, or at one of the brackets that open and close the element list
+        ends = body.index(b"["), body.index(b", \"kind\"")
+        at = draw(st.integers(0, len(body) - 1) | st.sampled_from([ends[0], ends[0] + 1, ends[1] - 2, ends[1] - 1]))
+        return body[:at] + bytes([draw(st.sampled_from(b'[]{}, "019-.x'))]) + body[at + 1:]
+    if edit == "keys":
+        keys = draw(st.permutations(sorted(wire_payload)))
+        return json.dumps({key: wire_payload[key] for key in keys}).encode()
+    if edit in ("digit", "server"):
+        tokens = [b"true", b"1.0", b"01", b"-1"]
+        if edit == "digit" and elements:
+            elements[draw(st.integers(0, len(elements) - 1))][draw(st.integers(0, field.n - 1))] = "@"
+            tokens.append(str(field.p).encode())
+        else:
+            wire_payload["server"] = "@"
+        return json.dumps(wire_payload, sort_keys=True).encode().replace(b'"@"', draw(st.sampled_from(tokens)))
+    if edit == "count":
+        if elements and draw(st.booleans()):
+            del elements[draw(st.integers(0, len(elements) - 1))]
+        else:
+            elements.append(list(field.coeffs(draw(st.integers(0, field.order - 1)))))
+    elif edit == "unknown":
+        wire_payload["server"] = 99  # never stored by a stream
+    else:
+        wire_payload["elements"] = []
+        if payload["kind"] == "STORE":
+            wire_payload["shape"] = draw(st.sampled_from([[0], [2, 0], [0, 3]]))
+    return json.dumps(wire_payload, sort_keys=True).encode()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(canonical_streams(), st.data())
+def test_canonical_reader_matches_json_reader(stream, data):
+    """A random STORE/QUERY stream, and the same stream with one frame
+    edited, get the same reply bytes as from the JSON reader alone."""
+    field, payloads = stream
+    bodies = [_canonical_body(field, payload) for payload in payloads]
+    at = data.draw(st.integers(0, len(bodies) - 1))
+    edited = [*bodies[:at], _edited_body(data.draw, field, payloads[at]), *bodies[at + 1:]]
+    step = data.draw(st.sampled_from([7, 2**20]))
+    for variant in (bodies, edited):
+        wire = _wire(*variant)
+        assert _served(wire, field, step) == _served_by_json_reader(wire, field, step)
+
+
+@pytest.mark.parametrize("q", [5, 8])
+def test_worker_reads_rendered_trial_frames_without_json(q, monkeypatch):
+    """Every frame the client renders for a trial is read without the JSON
+    parser, and the replies are the JSON reader's and the in-process
+    answers."""
+    params = scheme.validate_params(q, 1, 1, num_files=2)
+    instance = scheme.build_instance(params)
+    field, rng = instance.field, np.random.default_rng(q)
+    shares = instance.encode_storage(field.sample_arr(rng, (params.num_files, params.frag_count)), rng)
+    queries = instance.make_queries(1, rng)
+    share_texts, query_texts = transport._grid_texts(field, shares), transport._grid_texts(field, queries)
+    wire = _wire(*[body for s in range(params.server_count) for body in (
+        transport._store_body(s, shares.shape[1:], share_texts[s]), transport._query_body(s, query_texts[s]))])
+    parsed = []
+    parse_body = transport._parse_body
+    monkeypatch.setattr(transport, "_parse_body", lambda body: parsed.append(body) or parse_body(body))
+    replies = _served(wire, field)
+    assert parsed == []
+    assert replies == _served_by_json_reader(wire, field)
+    assert len(parsed) == 2 * params.server_count
+    answers = instance.all_answers(shares, queries)
+    assert b"".join(replies) == _wire(*[transport._answer_body(field, s, a) for s, a in enumerate(answers)])
 
 
 def test_worker_reads_a_frame_one_byte_at_a_time():
