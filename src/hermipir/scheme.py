@@ -83,12 +83,37 @@ from hermipir.curve import (
 from hermipir.fields import factor_prime_power
 from hermipir.linalg import row_selection, rref
 
-# all_answers works in bands of servers of at most this many grid entries,
+# inner_products works in bands of rows of at most this many grid entries,
 # so that its product and sum temporaries (128 KiB each) come back from the
 # heap's free lists.  Whole-grid temporaries are fresh memory on every
 # trial: at q = 7 (217 servers x 231 entries) they took about 175 minor page
 # faults per answer.
 _ANSWER_BAND_ENTRIES = 2**14
+
+
+def check_answer_grids(shares, queries, server_count: int) -> None:
+    """ValueError unless `shares` and `queries` have one shape whose first
+    axis holds `server_count` grids, one per server: an answer backend
+    pairs them row by row."""
+    shape = np.shape(shares)
+    if shape != np.shape(queries) or shape[:1] != (server_count,):
+        raise ValueError(
+            f"shares and queries must have one shape with {server_count} rows, "
+            f"got {shape} and {np.shape(queries)}"
+        )
+
+
+def inner_products(field, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The inner product of each row of `left` with the same row of
+    `right`, two (k, m) int64 arrays of element encodings, computed in bands
+    of rows of at most _ANSWER_BAND_ENTRIES entries.  The answer kernel of
+    both transports."""
+    rows, width = left.shape
+    step = max(1, _ANSWER_BAND_ENTRIES // max(1, width))
+    out = np.empty(rows, dtype=np.int64)
+    for i in range(0, rows, step):
+        out[i : i + step] = field.sum_arr(field.mul_arr(left[i : i + step], right[i : i + step]), axis=1)
+    return out
 
 
 class InfeasibleParams(ValueError):
@@ -326,16 +351,13 @@ class SchemeInstance:
         return int(self.field.sum_arr(prod))
 
     def all_answers(self, shares, queries) -> np.ndarray:
-        """The N answers, computed in bands of servers of at most
-        _ANSWER_BAND_ENTRIES grid entries."""
-        field, servers = self.field, self.params.server_count
+        """The N answers.  ValueError unless `shares` and `queries` have one
+        shape with N rows."""
+        servers = self.params.server_count
+        check_answer_grids(shares, queries, servers)
         shares = np.asarray(shares, dtype=np.int64).reshape(servers, -1)
         queries = np.asarray(queries, dtype=np.int64).reshape(servers, -1)
-        step = max(1, _ANSWER_BAND_ENTRIES // max(1, shares.shape[1]))
-        out = np.empty(servers, dtype=np.int64)
-        for i in range(0, servers, step):
-            out[i : i + step] = field.sum_arr(field.mul_arr(shares[i : i + step], queries[i : i + step]), axis=1)
-        return out
+        return inner_products(self.field, shares, queries)
 
     def reconstruct(self, answers) -> np.ndarray:
         """Recover the L fragments of the desired file from the N answers.

@@ -26,22 +26,37 @@ does a header announcing more than `MAX_FRAME_BYTES`, since the frame
 boundary is then lost (the replies already owed go out first).
 
 Bodies are the ``json.dumps(payload, sort_keys=True)`` of their payload.
-The client and the worker's ANSWER join them from the cached JSON text of
-every field element instead of dumping nested digit lists.  The client
-sends each server's STORE and QUERY frames in one write; the worker reads
-up to `RECV_BYTES` at a time, handles every complete frame in order, and
-sends the replies of one read in one write before it blocks again.
+The client renders every grid of a retrieval with one gather from a cached
+table holding each element's JSON text and ``", "``, padded with NULs to
+one width; one NUL strip drops the padding, and one cumulative sum of the
+entry lengths gives each grid's span.  It sends each server's STORE and
+QUERY frames in one write; the worker reads up to `RECV_BYTES` at a time,
+handles every complete frame of the read in one batch, and sends the
+batch's replies in one write before it blocks again.
 
-The worker reads a body in exactly the client's form without building a
-JSON value: one anchored regex over the text, a split of the element list
-at ``"], ["`` and a dict from each element's cached text to its encoding.
-It takes a STORE or QUERY only when every element is canonical text, the
-element count fits the shape or the stored grid, and a QUERY's server is
-stored.  Every other body, each one answered with ERROR among them, falls
-through to ``json.loads`` and the checks on its value, which give the same
-reply for a canonical body.  At q = 5 a worker spends about 23-37 µs per
-server against 60-75 µs when every body goes through ``json.loads``
-(in-process, one trial's recorded frames, on a 2-core Xeon host).
+The worker reads a batch without building JSON values, in place in its
+buffer.  A syntax pass matches one anchored regex over each body, splits
+each matched element list at ``"], ["`` and looks every piece up in one
+pass over a dict from each element's cached text to its encoding.  An
+in-order pass takes a STORE or QUERY when every element is canonical text,
+the element count fits the shape or the stored grid, and a QUERY's server
+is stored.  Every other body, each one answered with ERROR among them,
+falls through to ``json.loads`` and the checks on its value, which give
+the same reply for a canonical body.  A QUERY keeps the grid stored when
+it comes, and all of a batch's answers come from one banded product per
+grid shape, `scheme.inner_products`, the kernel of `all_answers` too.
+
+The client reads each connection through a buffer kept across retrievals,
+`RECV_BYTES` at a time.  An ANSWER in exactly the worker's form is read
+with one anchored regex and the same dict; any other reply goes through
+`read_answer`, which parses it as JSON and checks it.
+
+At q = 5, in-process over one retrieval's recorded frames on a 2-core
+Xeon host (medians of 600 runs, three runs per side), a worker spends
+about 21-23 µs per server against 33-35 µs frame by frame, the client
+renders a retrieval's grids in 82-87 µs against 417-466 µs element by
+element, and reads its 85 answers in 182-192 µs against 581-635 µs with
+two ``recv`` calls and one ``json.loads`` each.
 
 Workers are separate processes, each hosting a disjoint slice of the
 logical servers (one process per logical server would be wasteful at
@@ -78,7 +93,7 @@ import struct
 import numpy as np
 
 from hermipir.fields import GFField, field_of_order
-from hermipir.scheme import build_instance, run_trials, validate_params
+from hermipir.scheme import build_instance, check_answer_grids, inner_products, run_trials, validate_params
 
 _HEADER = struct.Struct(">I")
 # far above any demo frame (a q=7 STORE frame is a few KiB), and
@@ -173,14 +188,29 @@ def _element_texts(field: GFField) -> list[bytes]:
     return [json.dumps(cs).encode("ascii") for cs in encode_elements(field, np.arange(field.order))]
 
 
+@functools.cache
+def _element_table(field: GFField) -> tuple[np.ndarray, np.ndarray]:
+    """Each element's JSON text followed by ``", "``, by encoding, as a
+    fixed-width bytes array padded with NULs, and the byte length of each."""
+    entries = [text + b", " for text in _element_texts(field)]
+    return np.array(entries), np.array(list(map(len, entries)), dtype=np.int64)
+
+
 def _grid_texts(field: GFField, grids) -> list[bytes]:
     """For each grid along the first axis of `grids`, the JSON text of
-    ``encode_elements(field, grid)`` without its brackets, joined from the
-    cached element texts.  The range check runs first, so that no value
-    wraps to another element's text."""
+    ``encode_elements(field, grid)`` without its brackets.  The range check
+    runs first, so that no value indexes another element's text.  One gather
+    from `_element_table` renders every grid at once; the padding goes with
+    one NUL strip, since JSON text holds no NUL, and one cumulative sum of
+    the entry lengths gives each grid's span."""
     flat = field.check_elements(grids, "elements")
-    texts = _element_texts(field).__getitem__
-    return [b", ".join(map(texts, row)) for row in flat.reshape(len(flat), math.prod(flat.shape[1:])).tolist()]
+    flat = flat.reshape(len(flat), math.prod(flat.shape[1:]))
+    if not flat.shape[1]:
+        return [b""] * len(flat)
+    table, lengths = _element_table(field)
+    text = table[flat].tobytes().replace(b"\0", b"")
+    ends = np.cumsum(lengths[flat].sum(axis=1)).tolist()
+    return [text[start : end - 2] for start, end in zip([0, *ends], ends)]  # each without its last ", "
 
 
 # Bodies from element texts.  Each equals, byte for byte,
@@ -256,16 +286,16 @@ def serve_connection(conn: socket.socket, field: GFField) -> None:
     """Answer frames on `conn` until it closes; a rejected frame, an
     unparsable body included, gets an ERROR frame.
 
-    Each read takes up to `RECV_BYTES`; every frame it completes is handled
-    in order, and their replies go out in one write before the next read.
-    A close at a frame boundary returns, a close mid-frame raises
-    ConnectionError, and a header past the cap raises ValueError once the
-    replies already owed are sent."""
+    Each read takes up to `RECV_BYTES`; `_handle_frames` handles every frame
+    it completes, in place in the buffer, and their replies go out in one
+    write before the next read.  A close at a frame boundary returns, a
+    close mid-frame raises ConnectionError, and a header past the cap raises
+    ValueError once the replies already owed are sent."""
     stored: dict[int, np.ndarray] = {}
     buf = bytearray()
     while chunk := conn.recv(RECV_BYTES):
         buf += chunk  # amortized: a frame spread over many reads is not re-copied
-        replies: list[bytes] = []
+        spans: list[tuple[int, int]] = []
         start = 0
         try:
             while len(buf) - start >= _HEADER.size:
@@ -275,42 +305,76 @@ def serve_connection(conn: socket.socket, field: GFField) -> None:
                 end = start + _HEADER.size + length
                 if end > len(buf):
                     break
-                body = buf[start + _HEADER.size : end]
+                spans.append((start + _HEADER.size, end))
                 start = end
-                try:
-                    reply = _handle_frame(field, stored, body)
-                except ValueError as exc:
-                    reply = _json_body({"kind": "ERROR", "message": str(exc)})
-                if reply is not None:
-                    replies.append(_frame(reply))
         finally:
-            if replies:
+            if spans and (replies := _handle_frames(field, stored, buf, spans)):
                 conn.sendall(b"".join(replies))
         del buf[:start]
     if buf:
         raise ConnectionError("peer closed mid-frame")
 
 
-def _handle_frame(field: GFField, stored: dict[int, np.ndarray], body: bytes) -> bytes | None:
-    """The body of the reply to the frame `body` (None for STORE); ValueError
-    names what is wrong.  A body in the canonical form is read by
-    `_read_canonical`, any other by `_read_message` from its JSON value."""
-    kind, server, grid = _read_canonical(field, stored, body) or _read_message(field, stored, _parse_body(body))
-    if kind == "STORE":
-        stored[server] = grid
-        return None
-    return _answer_body(field, server, int(field.sum_arr(field.mul_arr(stored[server], grid))))
-
-
 # The exact text `_store_body` and `_query_body` render: sorted keys, ", "
 # separators, a server of at most 18 digits with no sign and no leading
 # zero, and a shape of such numbers on STORE only.  An element list is
-# empty or runs from a "[" to a "]" and holds no quote.
+# empty or runs from a "[" to a "]" and holds no quote; the group is its
+# text inside those two brackets.
 _NUMBER = rb"(?:0|[1-9][0-9]{0,17})"
 _CANONICAL = re.compile(
-    rb'\{"elements": \[((?:\[[^"]*\])?)\], "kind": "(STORE|QUERY)", "server": (%b)'
+    rb'\{"elements": \[(?:\[([^"]*)\])?\], "kind": "(STORE|QUERY)", "server": (%b)'
     rb'(?:, "shape": \[((?:%b(?:, %b)*)?)\])?\}\Z' % (_NUMBER, _NUMBER, _NUMBER)
 )
+
+
+def _handle_frames(field: GFField, stored: dict[int, np.ndarray], buf: bytearray,
+                   spans: list[tuple[int, int]]) -> list[bytes]:
+    """The replies to the frames whose bodies are ``buf[start:end]`` for
+    the spans, in order: none to a STORE, an ANSWER to a QUERY, an ERROR to
+    a rejected frame.
+
+    A syntax pass matches `_CANONICAL` on every body in place and looks
+    every element piece of the matched bodies up in one pass over
+    `_element_pieces` (-1 for no element's text).  An in-order pass then
+    takes each body by `_read_canonical`, or else by `_read_message` from
+    its JSON value, and stores or queues each grid.  A QUERY keeps the grid
+    stored when it comes, so a later STORE of the same read does not change
+    its answer; all the read's answers come from one `inner_products` per
+    grid shape."""
+    matches = [_CANONICAL.match(buf, start, end) for start, end in spans]
+    pieces: list[bytes] = []
+    ends: list[int] = []
+    for match in matches:
+        if match is not None and match[1] is not None:
+            pieces += match[1].split(b"], [")
+        ends.append(len(pieces))
+    values = np.fromiter(map(_element_pieces(field).get, pieces, itertools.repeat(-1)),
+                         dtype=np.int64, count=len(pieces))
+    if len(values) and values.min() < 0:  # a body with a piece that is no element's text is not canonical
+        for i in np.searchsorted(ends, np.flatnonzero(values < 0), side="right").tolist():
+            matches[i] = None
+    replies: list[bytes | None] = []
+    owed: dict[tuple[int, ...], list[tuple[int, int, np.ndarray, np.ndarray]]] = {}
+    for (start, end), match, last, first in zip(spans, matches, ends, [0, *ends]):
+        try:
+            kind, server, grid = (_read_canonical(stored, match, values[first:last])
+                                  or _read_message(field, stored, _parse_body(buf[start:end])))
+        except ValueError as exc:
+            replies.append(_frame(_json_body({"kind": "ERROR", "message": str(exc)})))
+            continue
+        if kind == "STORE":
+            stored[server] = grid
+        else:
+            owed.setdefault(grid.shape, []).append((len(replies), server, stored[server], grid))
+            replies.append(None)
+    for shape, queries in owed.items():
+        at, servers, shares, grids = zip(*queries)
+        size = math.prod(shape)
+        answers = inner_products(field, np.array(shares).reshape(len(at), size),
+                                 np.array(grids).reshape(len(at), size))
+        for i, server, value in zip(at, servers, answers.tolist()):
+            replies[i] = _frame(_answer_body(field, server, value))
+    return replies
 
 
 @functools.cache
@@ -319,15 +383,14 @@ def _element_pieces(field: GFField) -> dict[bytes, int]:
     return {text[1:-1]: v for v, text in enumerate(_element_texts(field))}
 
 
-def _read_canonical(field: GFField, stored: dict[int, np.ndarray], body: bytes):
-    """``(kind, server, grid)`` for a STORE or QUERY body in exactly the
-    canonical form whose every element is canonical text, whose element
-    count fits its shape or stored grid, and whose QUERY server is stored;
-    None for any other body, which `_read_message` then reads."""
-    match = _CANONICAL.match(body)
+def _read_canonical(stored: dict[int, np.ndarray], match, grid: np.ndarray):
+    """``(kind, server, grid)`` for a body that `match`ed `_CANONICAL`,
+    whose element pieces are the encodings `grid`, when the element count
+    fits its shape or stored grid and a QUERY's server is stored; None for
+    any other body, which `_read_message` then reads."""
     if match is None:
         return None
-    elements, kind, server, shape = match.groups()
+    _, kind, server, shape = match.groups()
     server = int(server)
     if kind == b"STORE":
         if shape is None:
@@ -337,12 +400,7 @@ def _read_canonical(field: GFField, stored: dict[int, np.ndarray], body: bytes):
         return None
     else:
         shape = stored[server].shape
-    pieces = elements[1:-1].split(b"], [") if elements else []
-    if len(pieces) != math.prod(shape):
-        return None
-    try:
-        grid = np.fromiter(map(_element_pieces(field).__getitem__, pieces), dtype=np.int64, count=len(pieces))
-    except KeyError:  # a piece that is no element's canonical text
+    if len(grid) != math.prod(shape):
         return None
     return kind.decode("ascii"), server, grid.reshape(shape)
 
@@ -372,9 +430,10 @@ def _read_message(field: GFField, stored: dict[int, np.ndarray], msg):
     return kind, server, decode_elements(field, msg.get("elements"), stored[server].shape)
 
 
-def read_answer(conn: socket.socket, server: int) -> list[int]:
-    """The coefficient tuple of `server`'s ANSWER, the next frame on `conn`.
-    Raises ConnectionError on an ERROR frame or any other reply."""
+def read_answer(conn, server: int) -> list[int]:
+    """The coefficient tuple of `server`'s ANSWER, the next frame on `conn`
+    (a socket or an `_AnswerReader`).  Raises ConnectionError on an ERROR
+    frame or any other reply."""
     msg = recv_frame(conn)
     if msg is not None and msg.get("kind") == "ERROR":
         raise ConnectionError(f"worker error: {msg.get('message')}")
@@ -383,6 +442,63 @@ def read_answer(conn: socket.socket, server: int) -> list[int]:
             or msg["server"] != server or "element" not in msg):
         raise ConnectionError(f"bad reply for server {server}: {msg}")
     return msg["element"]
+
+
+# The exact text `_answer_body` renders; the group is the element's text
+# inside its brackets.
+_ANSWER = re.compile(rb'\{"element": \[([^"]*)\], "kind": "ANSWER", "server": (%b)\}\Z' % _NUMBER)
+
+
+class _AnswerReader:
+    """A worker connection read through a buffer, `RECV_BYTES` at a time.
+
+    `answer` takes a canonical ANSWER frame off the buffer without building
+    a JSON value; `recv` hands out the buffered bytes before reading the
+    socket, so that `read_answer` reads any other frame from where `answer`
+    stopped.  Bytes past the frames read stay for the next read."""
+
+    def __init__(self, sock: socket.socket):
+        self.sock, self.buf, self.pos = sock, bytearray(), 0
+
+    def _fill(self) -> bool:
+        """Append one read of the socket to the buffer, dropping the bytes
+        already read; False when the peer has closed."""
+        chunk = self.sock.recv(RECV_BYTES)
+        del self.buf[: self.pos]
+        self.pos = 0
+        self.buf += chunk
+        return bool(chunk)
+
+    def recv(self, size: int) -> bytes:
+        if self.pos == len(self.buf) and not self._fill():
+            return b""
+        out = bytes(self.buf[self.pos : self.pos + size])
+        self.pos += len(out)
+        return out
+
+    def answer(self, field: GFField, server: int) -> int | None:
+        """The encoding of `server`'s answer when the next frame is its
+        ANSWER in exactly the worker's form with an element's text; None,
+        leaving the frame unread, for any other frame, a header past the
+        cap, or a close before the frame is complete."""
+        buf = self.buf
+        while True:
+            start = self.pos + _HEADER.size
+            if len(buf) >= start:
+                (length,) = _HEADER.unpack_from(buf, self.pos)
+                if length > MAX_FRAME_BYTES:
+                    return None
+                if len(buf) >= start + length:
+                    break
+            if not self._fill():
+                return None
+        match = _ANSWER.match(buf, start, start + length)
+        if match is None or int(match[2]) != server:
+            return None
+        value = _element_pieces(field).get(match[1])
+        if value is not None:
+            self.pos = start + length
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +519,7 @@ class WorkerPool:
         self.size = max(1, min(workers, server_count))
         self.procs: list[mp.Process] = []
         self.conns: list[socket.socket] = []
+        self.readers: list[_AnswerReader] = []  # one per connection, kept across calls
 
     def __enter__(self) -> WorkerPool:
         ctx = mp.get_context("fork")
@@ -418,6 +535,7 @@ class WorkerPool:
             for listener in listeners:
                 conn = socket.create_connection(listener.getsockname(), timeout=REPLY_TIMEOUT_S)
                 self.conns.append(conn)
+                self.readers.append(_AnswerReader(conn))
                 conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         except BaseException as exc:
             self.__exit__(type(exc), exc, None)
@@ -439,14 +557,31 @@ class WorkerPool:
 
     def answers(self, shares, queries) -> np.ndarray:
         """The N answers: each server's STORE and QUERY frames in one write,
-        in server order, then the replies in server order."""
-        field = self.field
-        conns = [self.conns[s % self.size] for s in range(self.server_count)]
+        in server order, then the replies in server order.  ValueError,
+        before any frame is sent, unless `shares` and `queries` have one
+        shape with N rows.
+
+        A canonical ANSWER is read by `_AnswerReader.answer`; any other
+        reply by `read_answer`, and its element by `decode_elements`."""
+        field, servers = self.field, self.server_count
+        check_answer_grids(shares, queries, servers)
         share_texts, query_texts = _grid_texts(field, shares), _grid_texts(field, queries)
         shape = np.shape(shares)[1:]
-        for s, conn in enumerate(conns):
-            conn.sendall(_frame(_store_body(s, shape, share_texts[s])) + _frame(_query_body(s, query_texts[s])))
-        return decode_elements(field, [read_answer(conn, s) for s, conn in enumerate(conns)])
+        for s in range(servers):
+            self.conns[s % self.size].sendall(
+                _frame(_store_body(s, shape, share_texts[s])) + _frame(_query_body(s, query_texts[s])))
+        answers = np.empty(servers, dtype=np.int64)
+        elements: dict[int, list] = {}
+        for s in range(servers):
+            reader = self.readers[s % self.size]
+            value = reader.answer(field, s)
+            if value is None:
+                elements[s] = read_answer(reader, s)
+            else:
+                answers[s] = value
+        if elements:
+            answers[list(elements)] = decode_elements(field, list(elements.values()))
+        return answers
 
 
 def run_demo_over_sockets(

@@ -163,6 +163,24 @@ def test_server_answer_bilinear(inst_11):
     assert inst_11.server_answer(f.mul_arr(np.int64(c), a), g) == f.mul(c, inst_11.server_answer(a, g))
 
 
+def test_all_answers_rejects_grids_of_the_wrong_shape(inst_11, monkeypatch):
+    """Share and query grids pair row by row, one per server: a different
+    count of rows, or share and query grids of different shapes, raise
+    before any product runs instead of pairing grids across servers."""
+    p, f = inst_11.params, inst_11.field
+    rng = np.random.default_rng(8)
+    grids = f.sample_arr(rng, (p.server_count, p.num_files, p.frag_count))
+    doubled = f.sample_arr(rng, (2 * p.server_count, p.num_files, p.frag_count))  # (170, 3, 15) at q = 5
+    monkeypatch.setattr(scheme_mod, "inner_products", lambda *args: pytest.fail("a product ran"))
+    for shares, queries in ((doubled, doubled), (grids[:1], grids[:1]), (grids, grids[:, :, :-1]),
+                            (grids, grids.reshape(p.server_count, -1)), (grids[0, 0], grids[0, 0])):
+        with pytest.raises(ValueError, match=f"one shape with {p.server_count} rows"):
+            inst_11.all_answers(shares, queries)
+    monkeypatch.undo()
+    expected = [inst_11.server_answer(share, query) for share, query in zip(grids, grids)]
+    assert inst_11.all_answers(grids, grids).tolist() == expected
+
+
 def test_round_trip_many_seeds(inst_11):
     p = inst_11.params
     f = inst_11.field

@@ -114,17 +114,21 @@ def test_encode_elements_rejects_values_outside_the_field():
     assert encode_elements(field, [0, 24]) == [[0, 0], [4, 4]]
 
 
-@pytest.mark.parametrize("order", [25, 49, 64, 81])
+@pytest.mark.parametrize("order", [25, 49, 64, 81, 121, 169, 289, 361])
 def test_rendered_bodies_equal_sorted_json(order):
     """STORE, QUERY and ANSWER bodies joined from cached element texts are
-    the bytes ``json.dumps(payload, sort_keys=True)`` gives."""
+    the bytes ``json.dumps(payload, sort_keys=True)`` gives.  From GF(121)
+    on, digits past 9 make element texts of different widths, such as
+    ``[0, 3]`` and ``[16, 16]`` at GF(289)."""
     field = field_of_order(order)
     rng = np.random.default_rng(order)
     oracle = lambda payload: json.dumps(payload, sort_keys=True).encode()
-    for shape in ((4, 0), (4, 1, 0), (3, 7), (5, 3, 15), (2, 4, 3, 2)):
-        grids = field.sample_arr(rng, shape)
+    narrow, wide = 3 * field.p, field.order - 1  # [0, 3] and [p - 1, p - 1]
+    mixed = np.array([[narrow, wide, 0, wide, narrow], [wide, wide, narrow, narrow, 1], [0] * 5])
+    for grids in (*(field.sample_arr(rng, shape) for shape in ((4, 0), (4, 1, 0), (3, 7), (5, 3, 15), (2, 4, 3, 2))),
+                  mixed, mixed.reshape(3, 5, 1)):
         texts = transport._grid_texts(field, grids)
-        assert len(texts) == shape[0]
+        assert len(texts) == len(grids)
         for grid, text in zip(grids, texts):
             server = int(rng.integers(0, 10**6))
             elements = encode_elements(field, grid)
@@ -494,6 +498,40 @@ def test_worker_reads_rendered_trial_frames_without_json(q, monkeypatch):
     assert b"".join(replies) == _wire(*[transport._answer_body(field, s, a) for s, a in enumerate(answers)])
 
 
+def test_worker_answers_each_query_from_the_grid_stored_before_it():
+    """One read holding STORE, QUERY, a second STORE of the same server,
+    QUERY, a QUERY the canonical reader refuses, an unparsable body and a
+    QUERY for an unknown server gets the same reply bytes whatever the
+    read size, and the JSON reader's: each QUERY is answered from the grid
+    stored when it came, though all of a read's answers come from one
+    product."""
+    field = F25
+    first, second, query = [3, 7, 11, 24], [1, 0, 0, 2], [5, 6, 1, 9]
+    store = lambda grid: _canonical_body(field, {"kind": "STORE", "server": 2, "shape": [2, 2], "elements": grid})
+    query_body = _canonical_body(field, {"kind": "QUERY", "server": 2, "elements": query})
+    wire = _wire(store(first), query_body, store(second), query_body, query_body.replace(b", ", b",  ", 1),
+                 b"{bad}", _canonical_body(field, {"kind": "QUERY", "server": 9, "elements": query}))
+    parsed = []
+    parse_body = transport._parse_body
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(transport, "_parse_body", lambda body: parsed.append(bytes(body)) or parse_body(body))
+        at_once = _served(wire, field)
+    assert len(at_once) == 1 and len(parsed) == 3  # the three frames the canonical reader refuses
+    for step in (1, 7):
+        assert b"".join(_served(wire, field, step)) == at_once[0]
+    assert _served_by_json_reader(wire, field) == at_once
+    left, right = socket.socketpair()
+    with left, right:
+        left.sendall(at_once[0])
+        left.close()
+        replies = _replies(right)
+    answer = lambda grid: list(field.coeffs(int(field.sum_arr(field.mul_arr(np.array(grid), np.array(query))))))
+    assert answer(first) != answer(second)
+    assert [r.get("element") for r in replies[:3]] == [answer(first), answer(second), answer(second)]
+    assert [r["kind"] for r in replies] == ["ANSWER"] * 3 + ["ERROR"] * 2
+    assert replies[4]["message"] == "QUERY for server 9, which has no stored shares"
+
+
 def test_worker_reads_a_frame_one_byte_at_a_time():
     wire = _wire(GOOD_STORE, QUERY_4)
     conn = _Trickle(wire, step=1)
@@ -542,6 +580,103 @@ def test_worker_sends_owed_replies_before_an_oversized_header():
         worker.close()
         replies = _replies(client)
     assert [r["kind"] for r in replies] == ["ANSWER", "ERROR", "ANSWER"]
+
+
+def _answer_edits(draw, field, server: int, value: int) -> tuple[int, bytes]:
+    """The server the client expects and one wire piece for `server`'s
+    ANSWER of `value`: its exact rendering, or that after one drawn edit."""
+    body = transport._answer_body(field, server, value)
+    edit = draw(st.sampled_from(["none", "none", "space", "keys", "server", "other", "no element", "digit p",
+                                 "error", "cap", "cut"]))
+    payload = {"kind": "ANSWER", "server": server, "element": list(field.coeffs(value))}
+    expected = server + 1 if edit == "other" else server
+    if edit == "space":
+        at = draw(st.integers(0, len(body)))
+        body = body[:at] + b" " + body[at:]
+    elif edit == "keys":
+        keys = draw(st.permutations(sorted(payload)))
+        body = json.dumps({key: payload[key] for key in keys}).encode()
+    elif edit == "server":
+        body = body.replace(b'"server": %d' % server, b'"server": ' + draw(st.sampled_from([b"true", b"1.0", b"01"])))
+    elif edit == "no element":
+        del payload["element"]
+        body = json.dumps(payload, sort_keys=True).encode()
+    elif edit == "digit p":
+        payload["element"][draw(st.integers(0, field.n - 1))] = field.p
+        body = json.dumps(payload, sort_keys=True).encode()
+    elif edit == "error":
+        body = json.dumps({"kind": "ERROR", "message": "QUERY for server 4, which has no stored shares"}).encode()
+    elif edit == "cap":
+        return server, struct.pack(">I", MAX_FRAME_BYTES + 1) + body
+    if edit == "cut":
+        return server, struct.pack(">I", len(body)) + body[: draw(st.integers(0, len(body) - 1))]
+    return expected, struct.pack(">I", len(body)) + body
+
+
+def _answer_outcomes(read, conn, servers: list[int]) -> list:
+    """For each expected server in turn, the element `read(conn, server)`
+    returns or the type and message of what it raises; the first exception
+    that leaves the frame boundary behind ends the list."""
+    out = []
+    for server in servers:
+        try:
+            out.append(read(conn, server))
+        except (ConnectionError, ValueError) as exc:
+            out.append((type(exc), str(exc)))
+            if "mid-frame" in str(exc) or "cap" in str(exc):
+                break
+    return out
+
+
+def _buffered_answer(field):
+    """What `WorkerPool.answers` takes from an `_AnswerReader` for one
+    server: the canonical answer's element, or `read_answer`'s."""
+    def read(reader, server):
+        value = reader.answer(field, server)
+        return read_answer(reader, server) if value is None else list(field.coeffs(value))
+    return read
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from([7, 25, 64, 121, 289]), st.data())
+def test_buffered_answer_reader_matches_read_answer(order, data):
+    """A random stream of ANSWER frames, some of them edited, read through
+    an `_AnswerReader` in reads of a drawn size gives, frame by frame, the
+    element `read_answer` gives, or the same exception type and message."""
+    field = field_of_order(order)
+    frames = data.draw(st.lists(st.tuples(st.integers(0, 300), st.integers(0, field.order - 1)), min_size=1, max_size=6))
+    pieces = [_answer_edits(data.draw, field, server, value) for server, value in frames]
+    servers = [server for server, _ in pieces] + [0]  # one read past the end meets the close
+    wire = b"".join(piece for _, piece in pieces)
+    outcomes = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(transport, "RECV_BYTES", data.draw(st.sampled_from([1, 5, 64, 2**16])))
+        for read, wrap in ((read_answer, lambda sock: sock), (_buffered_answer(field), transport._AnswerReader)):
+            left, right = socket.socketpair()
+            with left, right:
+                right.settimeout(10)
+                left.sendall(wire)
+                left.close()
+                outcomes.append(_answer_outcomes(read, wrap(right), servers))
+    assert outcomes[1] == outcomes[0]
+
+
+def test_pool_reads_bytes_left_over_by_the_previous_call():
+    """Replies past the ones a call reads stay in the pool's buffer for the
+    next call, whichever reader takes them."""
+    pool = WorkerPool(F25, 2, 1)
+    client, worker = socket.socketpair()
+    with client, worker:
+        client.settimeout(10)
+        pool.conns, pool.readers = [client], [transport._AnswerReader(client)]
+        odd = json.dumps({"element": [4, 1], "server": 1, "kind": "ANSWER"}).encode()  # not canonical
+        replies = [transport._answer_body(F25, 0, 7), transport._answer_body(F25, 1, 13),
+                   transport._answer_body(F25, 0, 24), odd]
+        worker.sendall(b"".join(struct.pack(">I", len(body)) + body for body in replies))
+        grid = np.zeros((2, 1, 1), dtype=np.int64)
+        assert pool.answers(grid, grid).tolist() == [7, 13]
+        assert len(pool.readers[0].buf) > pool.readers[0].pos  # the second call's replies came in the first read
+        assert pool.answers(grid, grid).tolist() == [24, 4 + 5 * 1]
 
 
 json_values = st.recursive(
@@ -630,10 +765,27 @@ def test_worker_disables_nagle_on_accepted_connection(monkeypatch):
     assert len(seen) == 1 and seen[0]
 
 
+def test_pool_rejects_grids_of_the_wrong_shape(monkeypatch):
+    """Share and query grids pair row by row, one per server: three grids
+    for two servers, one grid, or share and query grids of different sizes
+    raise ValueError before any frame is sent, and the pool still answers."""
+    grid = np.arange(6, dtype=np.int64).reshape(3, 1, 2)
+    sent = []
+    with WorkerPool(F25, 2, 1) as pool:
+        monkeypatch.setattr(socket.socket, "sendall", lambda sock, data: sent.append(data))
+        for shares, queries in ((grid, grid), (grid[:1], grid[:1]), (grid[:2], grid[:2, :, :1])):
+            with pytest.raises(ValueError, match="one shape with 2 rows"):
+                pool.answers(shares, queries)
+        monkeypatch.undo()
+        assert sent == []
+        assert pool.answers(grid[:2], grid[1:]).tolist() == [
+            int(F25.sum_arr(F25.mul_arr(grid[s], grid[s + 1]))) for s in range(2)]
+
+
 def test_pool_times_out_on_hung_worker(monkeypatch):
     """A worker that never replies makes the pool raise after the reply
     timeout instead of blocking; exiting still ends the worker."""
-    monkeypatch.setattr(transport, "_handle_frame", lambda *args: time.sleep(600))
+    monkeypatch.setattr(transport, "_handle_frames", lambda *args: time.sleep(600))
     monkeypatch.setattr(transport, "REPLY_TIMEOUT_S", 0.5)
     grid = np.zeros((2, 1, 1), dtype=np.int64)
     start = time.perf_counter()
