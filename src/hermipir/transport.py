@@ -46,10 +46,13 @@ the same reply for a canonical body.  A QUERY keeps the grid stored when
 it comes, and all of a batch's answers come from one banded product per
 grid shape, `scheme.inner_products`, the kernel of `all_answers` too.
 
-The client reads each connection through a buffer kept across retrievals,
-`RECV_BYTES` at a time.  An ANSWER in exactly the worker's form is read
-with one anchored regex and the same dict; any other reply goes through
-`read_answer`, which parses it as JSON and checks it.
+Both ends read a connection through a `_FrameReader`, a buffer filled
+`RECV_BYTES` at a time whose `take` hands out the body span of each
+complete frame and refuses a header past the cap.  The client keeps one
+reader per connection across retrievals, so bytes read ahead wait for
+the next call, and decodes each reply as it reads it: an ANSWER in
+exactly the worker's form with one anchored regex and the same dict, any
+other reply as a JSON object through the same checks.
 
 At q = 5, in-process over one retrieval's recorded frames on a 2-core
 Xeon host (medians of 600 runs, three runs per side), a worker spends
@@ -143,16 +146,22 @@ def _recv_exact(sock: socket.socket, size: int, allow_eof: bool = False):
     return b"".join(chunks)
 
 
+def _frame_length(buf, at: int) -> int:
+    """The body length announced by the header at `buf[at:]`; ValueError
+    past the cap."""
+    (length,) = _HEADER.unpack_from(buf, at)
+    if length > MAX_FRAME_BYTES:
+        raise ValueError(f"peer announced a {length}-byte frame; the cap is {MAX_FRAME_BYTES}")
+    return length
+
+
 def _recv_body(sock: socket.socket) -> bytes | None:
     """The next frame's body, or None when the peer closed at a frame
     boundary.  Raises ValueError for a header past the cap."""
     header = _recv_exact(sock, _HEADER.size, allow_eof=True)
     if header is None:
         return None
-    (length,) = _HEADER.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise ValueError(f"peer announced a {length}-byte frame; the cap is {MAX_FRAME_BYTES}")
-    return _recv_exact(sock, length)
+    return _recv_exact(sock, _frame_length(header, 0))
 
 
 def _parse_body(body: bytes):
@@ -163,16 +172,71 @@ def _parse_body(body: bytes):
         raise ValueError("frame body nests too deeply") from None
 
 
-def recv_frame(sock: socket.socket) -> dict | None:
-    """The next frame, or None when the peer closed at a frame boundary.
-    Raises ValueError for a body that is not a UTF-8 JSON object."""
-    body = _recv_body(sock)
-    if body is None:
-        return None
+def _message(body: bytes) -> dict:
+    """The JSON object of a frame body; ValueError unless it is one."""
     msg = _parse_body(body)
     if not isinstance(msg, dict):
         raise ValueError(f"frame body must be a JSON object, got {type(msg).__name__}")
     return msg
+
+
+def recv_frame(sock: socket.socket) -> dict | None:
+    """The next frame, or None when the peer closed at a frame boundary.
+    Raises ValueError for a body that is not a UTF-8 JSON object."""
+    body = _recv_body(sock)
+    return None if body is None else _message(body)
+
+
+class _FrameReader:
+    """A connection read through a buffer, `RECV_BYTES` at a time, at both
+    ends: `fill` appends one read to `buf`, and `take` hands out the body
+    span of each complete frame in it.  Bytes past the frames taken stay
+    for the next `take`, so a reader kept across calls loses nothing it
+    read ahead."""
+
+    def __init__(self, sock: socket.socket):
+        self.sock, self.buf, self.pos = sock, bytearray(), 0
+
+    def fill(self) -> bool:
+        """Append one read of the socket to `buf`, dropping the bytes
+        already taken; False when the peer has closed."""
+        chunk = self.sock.recv(RECV_BYTES)
+        del self.buf[: self.pos]
+        self.pos = 0
+        self.buf += chunk  # amortized: a frame spread over many reads is not re-copied
+        return bool(chunk)
+
+    def take(self) -> tuple[int, int] | None:
+        """The span of the next frame's body in `buf`, now taken, or None
+        while `buf` does not hold the whole frame.  ValueError for a header
+        past the cap."""
+        start = self.pos + _HEADER.size
+        if len(self.buf) < start:
+            return None
+        end = start + _frame_length(self.buf, self.pos)
+        if len(self.buf) < end:
+            return None
+        self.pos = end
+        return start, end
+
+    def answer(self, field: GFField, server: int) -> int:
+        """The encoding of the element in `server`'s ANSWER, the next frame.
+        An ANSWER in exactly the worker's form with an element's text is
+        read by `_ANSWER` and `_element_pieces`; any other frame by
+        `_message` and `_answer_element`, whose errors it raises.  A close
+        mid-frame raises ConnectionError."""
+        while (span := self.take()) is None:
+            if not self.fill():
+                if self.buf:
+                    raise ConnectionError("peer closed mid-frame")
+                return _answer_element(field, None, server)
+        start, end = span
+        match = _ANSWER.match(self.buf, start, end)
+        if match is not None and int(match[2]) == server:
+            value = _element_pieces(field).get(match[1])
+            if value is not None:
+                return value
+        return _answer_element(field, _message(self.buf[start:end]), server)
 
 
 def encode_elements(field: GFField, values) -> list[list[int]]:
@@ -229,40 +293,22 @@ def _answer_body(field: GFField, server: int, value: int) -> bytes:
     return b'{"element": %b, "kind": "ANSWER", "server": %d}' % (_element_texts(field)[value], server)
 
 
-@functools.cache
-def _element_values(field: GFField) -> dict[tuple[int, ...], int]:
-    """Each element's coefficient tuple, mapped to its encoding."""
-    return {tuple(cs): v for v, cs in enumerate(encode_elements(field, np.arange(field.order)))}
-
-
 def decode_elements(field: GFField, elements, shape=None) -> np.ndarray:
     """Inverse of `encode_elements`.  Raises ValueError unless every tuple
-    has exactly n int digits in 0..p-1; a bool is not a digit."""
-    try:
-        # checked before the lookup, where (True, 1) would find (1, 1)
-        ok = set(map(type, itertools.chain.from_iterable(elements))) <= {int}
-        vals = list(map(_element_values(field).__getitem__, map(tuple, elements))) if ok else []
-    except (TypeError, KeyError):  # an element that is not a sequence, or no element's tuple
-        ok = False
-    if not ok:
-        raise ValueError(_decode_error(field, elements))
-    vals = np.array(vals, dtype=np.int64)
-    return vals if shape is None else vals.reshape(shape)
-
-
-def _decode_error(field: GFField, elements) -> str:
-    """Why `decode_elements` rejects `elements`: a malformed tuple before a
-    digit out of range."""
-    malformed = f"elements must be tuples of {field.n} integer digits"
+    has exactly n int digits in 0..p-1, naming a malformed tuple before a
+    digit out of range; a bool is not a digit."""
     try:
         flat = list(itertools.chain.from_iterable(elements))
-    except TypeError:
-        return malformed
-    if not set(map(type, flat)) <= {int} or not set(map(len, elements)) <= {field.n}:
-        return malformed
-    if min(flat) < -(2**63) or max(flat) >= 2**63:  # a digit past int64
-        return malformed
-    return f"element digits must lie in 0..{field.p - 1}"
+        well_formed = set(map(type, flat)) <= {int} and set(map(len, elements)) <= {field.n}
+        digits = np.array(flat, dtype=np.int64).reshape(-1, field.n) if well_formed else None
+    except (TypeError, OverflowError):  # an element that is not a sequence, or a digit past int64
+        digits = None
+    if digits is None:
+        raise ValueError(f"elements must be tuples of {field.n} integer digits")
+    if ((digits < 0) | (digits >= field.p)).any():
+        raise ValueError(f"element digits must lie in 0..{field.p - 1}")
+    vals = digits @ field.p ** np.arange(field.n)
+    return vals if shape is None else vals.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -292,26 +338,16 @@ def serve_connection(conn: socket.socket, field: GFField) -> None:
     close mid-frame raises ConnectionError, and a header past the cap raises
     ValueError once the replies already owed are sent."""
     stored: dict[int, np.ndarray] = {}
-    buf = bytearray()
-    while chunk := conn.recv(RECV_BYTES):
-        buf += chunk  # amortized: a frame spread over many reads is not re-copied
+    reader = _FrameReader(conn)
+    while reader.fill():
         spans: list[tuple[int, int]] = []
-        start = 0
         try:
-            while len(buf) - start >= _HEADER.size:
-                (length,) = _HEADER.unpack_from(buf, start)
-                if length > MAX_FRAME_BYTES:
-                    raise ValueError(f"peer announced a {length}-byte frame; the cap is {MAX_FRAME_BYTES}")
-                end = start + _HEADER.size + length
-                if end > len(buf):
-                    break
-                spans.append((start + _HEADER.size, end))
-                start = end
+            while span := reader.take():
+                spans.append(span)
         finally:
-            if spans and (replies := _handle_frames(field, stored, buf, spans)):
+            if spans and (replies := _handle_frames(field, stored, reader.buf, spans)):
                 conn.sendall(b"".join(replies))
-        del buf[:start]
-    if buf:
+    if reader.buf:
         raise ConnectionError("peer closed mid-frame")
 
 
@@ -430,75 +466,23 @@ def _read_message(field: GFField, stored: dict[int, np.ndarray], msg):
     return kind, server, decode_elements(field, msg.get("elements"), stored[server].shape)
 
 
-def read_answer(conn, server: int) -> list[int]:
-    """The coefficient tuple of `server`'s ANSWER, the next frame on `conn`
-    (a socket or an `_AnswerReader`).  Raises ConnectionError on an ERROR
-    frame or any other reply."""
-    msg = recv_frame(conn)
+def _answer_element(field: GFField, msg: dict | None, server: int) -> int:
+    """The encoding of the element in `msg`, the JSON object of `server`'s
+    reply (None for a close at a frame boundary).  Raises ConnectionError
+    on an ERROR frame or any other reply, and ValueError for an element
+    that is no coefficient tuple."""
     if msg is not None and msg.get("kind") == "ERROR":
         raise ConnectionError(f"worker error: {msg.get('message')}")
     # a bool or float server is not an int, though True and 1.0 equal 1
     if (msg is None or msg.get("kind") != "ANSWER" or type(msg.get("server")) is not int
             or msg["server"] != server or "element" not in msg):
         raise ConnectionError(f"bad reply for server {server}: {msg}")
-    return msg["element"]
+    return int(decode_elements(field, [msg["element"]])[0])
 
 
 # The exact text `_answer_body` renders; the group is the element's text
 # inside its brackets.
 _ANSWER = re.compile(rb'\{"element": \[([^"]*)\], "kind": "ANSWER", "server": (%b)\}\Z' % _NUMBER)
-
-
-class _AnswerReader:
-    """A worker connection read through a buffer, `RECV_BYTES` at a time.
-
-    `answer` takes a canonical ANSWER frame off the buffer without building
-    a JSON value; `recv` hands out the buffered bytes before reading the
-    socket, so that `read_answer` reads any other frame from where `answer`
-    stopped.  Bytes past the frames read stay for the next read."""
-
-    def __init__(self, sock: socket.socket):
-        self.sock, self.buf, self.pos = sock, bytearray(), 0
-
-    def _fill(self) -> bool:
-        """Append one read of the socket to the buffer, dropping the bytes
-        already read; False when the peer has closed."""
-        chunk = self.sock.recv(RECV_BYTES)
-        del self.buf[: self.pos]
-        self.pos = 0
-        self.buf += chunk
-        return bool(chunk)
-
-    def recv(self, size: int) -> bytes:
-        if self.pos == len(self.buf) and not self._fill():
-            return b""
-        out = bytes(self.buf[self.pos : self.pos + size])
-        self.pos += len(out)
-        return out
-
-    def answer(self, field: GFField, server: int) -> int | None:
-        """The encoding of `server`'s answer when the next frame is its
-        ANSWER in exactly the worker's form with an element's text; None,
-        leaving the frame unread, for any other frame, a header past the
-        cap, or a close before the frame is complete."""
-        buf = self.buf
-        while True:
-            start = self.pos + _HEADER.size
-            if len(buf) >= start:
-                (length,) = _HEADER.unpack_from(buf, self.pos)
-                if length > MAX_FRAME_BYTES:
-                    return None
-                if len(buf) >= start + length:
-                    break
-            if not self._fill():
-                return None
-        match = _ANSWER.match(buf, start, start + length)
-        if match is None or int(match[2]) != server:
-            return None
-        value = _element_pieces(field).get(match[1])
-        if value is not None:
-            self.pos = start + length
-        return value
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +503,7 @@ class WorkerPool:
         self.size = max(1, min(workers, server_count))
         self.procs: list[mp.Process] = []
         self.conns: list[socket.socket] = []
-        self.readers: list[_AnswerReader] = []  # one per connection, kept across calls
+        self.readers: list[_FrameReader] = []  # one per connection, kept across calls
 
     def __enter__(self) -> WorkerPool:
         ctx = mp.get_context("fork")
@@ -535,7 +519,7 @@ class WorkerPool:
             for listener in listeners:
                 conn = socket.create_connection(listener.getsockname(), timeout=REPLY_TIMEOUT_S)
                 self.conns.append(conn)
-                self.readers.append(_AnswerReader(conn))
+                self.readers.append(_FrameReader(conn))
                 conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         except BaseException as exc:
             self.__exit__(type(exc), exc, None)
@@ -561,8 +545,7 @@ class WorkerPool:
         before any frame is sent, unless `shares` and `queries` have one
         shape with N rows.
 
-        A canonical ANSWER is read by `_AnswerReader.answer`; any other
-        reply by `read_answer`, and its element by `decode_elements`."""
+        Each reply is decoded as it is read, by `_FrameReader.answer`."""
         field, servers = self.field, self.server_count
         check_answer_grids(shares, queries, servers)
         share_texts, query_texts = _grid_texts(field, shares), _grid_texts(field, queries)
@@ -570,18 +553,7 @@ class WorkerPool:
         for s in range(servers):
             self.conns[s % self.size].sendall(
                 _frame(_store_body(s, shape, share_texts[s])) + _frame(_query_body(s, query_texts[s])))
-        answers = np.empty(servers, dtype=np.int64)
-        elements: dict[int, list] = {}
-        for s in range(servers):
-            reader = self.readers[s % self.size]
-            value = reader.answer(field, s)
-            if value is None:
-                elements[s] = read_answer(reader, s)
-            else:
-                answers[s] = value
-        if elements:
-            answers[list(elements)] = decode_elements(field, list(elements.values()))
-        return answers
+        return np.array([self.readers[s % self.size].answer(field, s) for s in range(servers)], dtype=np.int64)
 
 
 def run_demo_over_sockets(

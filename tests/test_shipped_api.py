@@ -42,6 +42,7 @@ ALLOWED = {
     "linalg.ColumnSpace.contains": BENCHMARK_PIN,
     "scheme.SchemeInstance.server_answer": BENCHMARK_PIN,
     "transport.send_frame": BENCHMARK_PIN,
+    "transport.recv_frame": BENCHMARK_PIN,
 }
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

@@ -20,7 +20,6 @@ from hermipir.transport import (
     WorkerPool,
     decode_elements,
     encode_elements,
-    read_answer,
     recv_frame,
     run_demo_over_sockets,
     send_frame,
@@ -209,6 +208,20 @@ def test_socket_demo_answers_only_over_sockets(monkeypatch):
 
 F25 = field_of_order(25)
 GOOD_STORE = {"kind": "STORE", "server": 4, "shape": [1, 2], "elements": [[1, 0], [0, 1]]}
+
+
+def read_answer(sock: socket.socket, server: int) -> list:
+    """The reference client read: the coefficient tuple of `server`'s
+    ANSWER, the next frame on `sock`.  Raises ConnectionError on an ERROR
+    frame or any other reply."""
+    msg = recv_frame(sock)
+    if msg is not None and msg.get("kind") == "ERROR":
+        raise ConnectionError(f"worker error: {msg.get('message')}")
+    # a bool or float server is not an int, though True and 1.0 equal 1
+    if (msg is None or msg.get("kind") != "ANSWER" or type(msg.get("server")) is not int
+            or msg["server"] != server or "element" not in msg):
+        raise ConnectionError(f"bad reply for server {server}: {msg}")
+    return msg["element"]
 
 
 def _serve_in_thread():
@@ -582,6 +595,27 @@ def test_worker_sends_owed_replies_before_an_oversized_header():
     assert [r["kind"] for r in replies] == ["ANSWER", "ERROR", "ANSWER"]
 
 
+@pytest.mark.parametrize("extra", [0, 1])
+def test_frame_reader_takes_a_frame_at_exactly_the_cap(extra, monkeypatch):
+    """A header announcing exactly `MAX_FRAME_BYTES` is taken at both ends,
+    by the worker loop and by the client's answer read; one byte more is
+    refused by both."""
+    monkeypatch.setattr(transport, "MAX_FRAME_BYTES", 128)
+    padded = lambda payload: json.dumps(payload, sort_keys=True).encode().ljust(128 + extra)
+    worker = _Trickle(_wire(GOOD_STORE, padded(QUERY_4)), step=2**20)
+    client = transport._FrameReader(_Trickle(_wire(padded(ANSWER_4)), step=2**20))
+    if extra:
+        with pytest.raises(ValueError, match="cap"):
+            serve_connection(worker, F25)
+        with pytest.raises(ValueError, match="cap"):
+            client.answer(F25, 4)
+        assert worker.writes == []
+    else:
+        serve_connection(worker, F25)
+        assert worker.writes == [_wire(ANSWER_4)]
+        assert client.answer(F25, 4) == F25.add(1, 5)
+
+
 def _answer_edits(draw, field, server: int, value: int) -> tuple[int, bytes]:
     """The server the client expects and one wire piece for `server`'s
     ANSWER of `value`: its exact rendering, or that after one drawn edit."""
@@ -628,30 +662,24 @@ def _answer_outcomes(read, conn, servers: list[int]) -> list:
     return out
 
 
-def _buffered_answer(field):
-    """What `WorkerPool.answers` takes from an `_AnswerReader` for one
-    server: the canonical answer's element, or `read_answer`'s."""
-    def read(reader, server):
-        value = reader.answer(field, server)
-        return read_answer(reader, server) if value is None else list(field.coeffs(value))
-    return read
-
-
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.sampled_from([7, 25, 64, 121, 289]), st.data())
 def test_buffered_answer_reader_matches_read_answer(order, data):
     """A random stream of ANSWER frames, some of them edited, read through
-    an `_AnswerReader` in reads of a drawn size gives, frame by frame, the
-    element `read_answer` gives, or the same exception type and message."""
+    a `_FrameReader` in reads of a drawn size gives, frame by frame, the
+    encoding `read_answer` and `decode_elements` give, or the same
+    exception type and message."""
     field = field_of_order(order)
     frames = data.draw(st.lists(st.tuples(st.integers(0, 300), st.integers(0, field.order - 1)), min_size=1, max_size=6))
     pieces = [_answer_edits(data.draw, field, server, value) for server, value in frames]
     servers = [server for server, _ in pieces] + [0]  # one read past the end meets the close
     wire = b"".join(piece for _, piece in pieces)
+    reference = lambda sock, server: int(decode_elements(field, [read_answer(sock, server)])[0])
+    buffered = lambda reader, server: reader.answer(field, server)
     outcomes = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(transport, "RECV_BYTES", data.draw(st.sampled_from([1, 5, 64, 2**16])))
-        for read, wrap in ((read_answer, lambda sock: sock), (_buffered_answer(field), transport._AnswerReader)):
+        for read, wrap in ((reference, lambda sock: sock), (buffered, transport._FrameReader)):
             left, right = socket.socketpair()
             with left, right:
                 right.settimeout(10)
@@ -668,7 +696,7 @@ def test_pool_reads_bytes_left_over_by_the_previous_call():
     client, worker = socket.socketpair()
     with client, worker:
         client.settimeout(10)
-        pool.conns, pool.readers = [client], [transport._AnswerReader(client)]
+        pool.conns, pool.readers = [client], [transport._FrameReader(client)]
         odd = json.dumps({"element": [4, 1], "server": 1, "kind": "ANSWER"}).encode()  # not canonical
         replies = [transport._answer_body(F25, 0, 7), transport._answer_body(F25, 1, 13),
                    transport._answer_body(F25, 0, 24), odd]
