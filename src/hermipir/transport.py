@@ -35,16 +35,24 @@ handles every complete frame of the read in one batch, and sends the
 batch's replies in one write before it blocks again.
 
 The worker reads a batch without building JSON values, in place in its
-buffer.  A syntax pass matches one anchored regex over each body, splits
-each matched element list at ``"], ["`` and looks every piece up in one
-pass over a dict from each element's cached text to its encoding.  An
-in-order pass takes a STORE or QUERY when every element is canonical text,
-the element count fits the shape or the stored grid, and a QUERY's server
-is stored.  Every other body, each one answered with ERROR among them,
-falls through to ``json.loads`` and the checks on its value, which give
-the same reply for a canonical body.  A QUERY keeps the grid stored when
-it comes, and all of a batch's answers come from one banded product per
-grid shape, `scheme.inner_products`, the kernel of `all_answers` too.
+buffer.  A syntax pass matches one anchored regex over each body and
+reads the element lists of every matched body at once.  Over a field
+whose element texts have one width (p < 10, where each takes 3n bytes and
+``", "`` two more), it joins the lists as the client rendered them, reads
+the digits with one strided numpy pass per digit column of the joined
+bytes viewed as rows of that width, and takes the batch only when every
+digit lies in 0..p-1 and re-rendering the values gives back the same
+bytes.  Over any other field (p >= 11, where ``[0]`` and ``[10]`` differ
+in width), and for a batch the byte check refuses, it splits each list at
+``"], ["`` and looks every piece up in one pass over a dict from each
+element's cached text to its encoding, which finds the bodies at fault.
+An in-order pass takes a STORE or QUERY when every element is canonical
+text, the element count fits the shape or the stored grid, and a QUERY's
+server is stored.  Every other body, each one answered with ERROR among
+them, falls through to ``json.loads`` and the checks on its value, which
+give the same reply for a canonical body.  A QUERY keeps the grid stored
+when it comes, and all of a batch's answers come from one banded product
+per grid shape, `scheme.inner_products`, the kernel of `all_answers` too.
 
 Both ends read a connection through a `_FrameReader`, a buffer filled
 `RECV_BYTES` at a time whose `take` hands out the body span of each
@@ -56,10 +64,11 @@ other reply as a JSON object through the same checks.
 
 At q = 5, in-process over one retrieval's recorded frames on a 2-core
 Xeon host (medians of 600 runs, three runs per side), a worker spends
-about 21-23 µs per server against 33-35 µs frame by frame, the client
-renders a retrieval's grids in 82-87 µs against 417-466 µs element by
-element, and reads its 85 answers in 182-192 µs against 581-635 µs with
-two ``recv`` calls and one ``json.loads`` each.
+about 7-9 µs per server against 16-20 µs when it splits every list and
+looks each piece up in the dict, the client renders a retrieval's grids
+in 82-87 µs against 417-466 µs element by element, and reads its 85
+answers in 182-192 µs against 581-635 µs with two ``recv`` calls and
+one ``json.loads`` each.
 
 Workers are separate processes, each hosting a disjoint slice of the
 logical servers (one process per logical server would be wasteful at
@@ -369,31 +378,24 @@ def _handle_frames(field: GFField, stored: dict[int, np.ndarray], buf: bytearray
     the spans, in order: none to a STORE, an ANSWER to a QUERY, an ERROR to
     a rejected frame.
 
-    A syntax pass matches `_CANONICAL` on every body in place and looks
-    every element piece of the matched bodies up in one pass over
-    `_element_pieces` (-1 for no element's text).  An in-order pass then
-    takes each body by `_read_canonical`, or else by `_read_message` from
-    its JSON value, and stores or queues each grid.  A QUERY keeps the grid
-    stored when it comes, so a later STORE of the same read does not change
-    its answer; all the read's answers come from one `inner_products` per
-    grid shape."""
+    A syntax pass matches `_CANONICAL` on every body in place and reads
+    the element lists of the matched bodies with `_element_values` (-1 for
+    no element's text).  An in-order pass then takes each body by
+    `_read_canonical`, or else by `_read_message` from its JSON value, and
+    stores or queues each grid.  A QUERY keeps the grid stored when it
+    comes, so a later STORE of the same read does not change its answer;
+    all the read's answers come from one `inner_products` per grid shape."""
     matches = [_CANONICAL.match(buf, start, end) for start, end in spans]
-    pieces: list[bytes] = []
-    ends: list[int] = []
-    for match in matches:
-        if match is not None and match[1] is not None:
-            pieces += match[1].split(b"], [")
-        ends.append(len(pieces))
-    values = np.fromiter(map(_element_pieces(field).get, pieces, itertools.repeat(-1)),
-                         dtype=np.int64, count=len(pieces))
+    values, ends = _element_values(field, [None if match is None else match[1] for match in matches])
     if len(values) and values.min() < 0:  # a body with a piece that is no element's text is not canonical
         for i in np.searchsorted(ends, np.flatnonzero(values < 0), side="right").tolist():
             matches[i] = None
     replies: list[bytes | None] = []
     owed: dict[tuple[int, ...], list[tuple[int, int, np.ndarray, np.ndarray]]] = {}
+    shapes: dict[bytes, tuple[tuple[int, ...], int]] = {}
     for (start, end), match, last, first in zip(spans, matches, ends, [0, *ends]):
         try:
-            kind, server, grid = (_read_canonical(stored, match, values[first:last])
+            kind, server, grid = (_read_canonical(stored, match, values[first:last], shapes)
                                   or _read_message(field, stored, _parse_body(buf[start:end])))
         except ValueError as exc:
             replies.append(_frame(_json_body({"kind": "ERROR", "message": str(exc)})))
@@ -419,26 +421,91 @@ def _element_pieces(field: GFField) -> dict[bytes, int]:
     return {text[1:-1]: v for v, text in enumerate(_element_texts(field))}
 
 
-def _read_canonical(stored: dict[int, np.ndarray], match, grid: np.ndarray):
+@functools.cache
+def _text_width(field: GFField) -> int | None:
+    """The width of every entry of `_element_table` when every element's
+    text has one (p < 10: n one-character digits make 3n bytes, and
+    ``", "`` two more); None otherwise."""
+    table, lengths = _element_table(field)
+    return table.itemsize if (lengths == table.itemsize).all() else None
+
+
+def _element_values(field: GFField, groups: list[bytes | None]) -> tuple[np.ndarray, list[int]]:
+    """The encodings of the elements in the element-list groups of
+    `_CANONICAL` (None for a body without one), in order, -1 for a piece
+    that is no element's text; and the cumulative element count at the end
+    of each body.
+
+    Over a field whose element texts have one width w, the groups joined
+    as the client renders them, ``[`` g ``], [`` ... g ``], ``, go to
+    `_fixed_width_values` whole.  When it takes them, a group holds
+    (len(g) + 4) // w elements, since ``"], ["`` falls only between two
+    elements.  Any other batch, and every batch over a field of mixed
+    widths, is split at ``"], ["`` and looked up piece by piece in
+    `_element_pieces`, which finds the bodies at fault."""
+    width = _text_width(field)
+    present = [group for group in groups if group is not None]
+    if width and present:
+        values = _fixed_width_values(field, width, b"[" + b"], [".join(present) + b"], ")
+        if values is not None:
+            counts = (0 if group is None else (len(group) + 4) // width for group in groups)
+            return values, list(itertools.accumulate(counts))
+    pieces: list[bytes] = []
+    ends: list[int] = []
+    for group in groups:
+        if group is not None:
+            pieces += group.split(b"], [")
+        ends.append(len(pieces))
+    values = np.fromiter(map(_element_pieces(field).get, pieces, itertools.repeat(-1)),
+                         dtype=np.int64, count=len(pieces))
+    return values, ends
+
+
+def _fixed_width_values(field: GFField, width: int, text: bytes) -> np.ndarray | None:
+    """The encodings of the elements whose texts, each followed by
+    ``", "``, make up `text` back to back, when each takes `width` bytes;
+    None for any other text.  The rows of `width` bytes are read in one
+    strided pass per digit column, and taken only when every digit lies in
+    0..p-1 and re-rendering the values from `_element_table` gives back
+    `text` byte for byte."""
+    if len(text) % width:
+        return None
+    rows = np.frombuffer(text, dtype=np.uint8).reshape(-1, width)
+    values = np.zeros(len(rows), dtype=np.int64)
+    for column in range(width - 4, 0, -3):  # the digits, most significant first
+        digits = rows[:, column] - ord("0")  # a byte below "0" wraps past 255
+        if digits.max() >= field.p:
+            return None
+        values *= field.p
+        values += digits
+    return values if _element_table(field)[0][values].tobytes() == text else None
+
+
+def _read_canonical(stored: dict[int, np.ndarray], match, grid: np.ndarray,
+                    shapes: dict[bytes, tuple[tuple[int, ...], int]]):
     """``(kind, server, grid)`` for a body that `match`ed `_CANONICAL`,
     whose element pieces are the encodings `grid`, when the element count
     fits its shape or stored grid and a QUERY's server is stored; None for
-    any other body, which `_read_message` then reads."""
+    any other body, which `_read_message` then reads.  `shapes` keeps the
+    shape and size of each STORE shape text parsed so far."""
     if match is None:
         return None
-    _, kind, server, shape = match.groups()
+    _, kind, server, text = match.groups()
     server = int(server)
     if kind == b"STORE":
-        if shape is None:
+        if text is None:
             return None
-        shape = tuple(map(int, shape.split(b", "))) if shape else ()
-    elif shape is not None or server not in stored:
+        if (known := shapes.get(text)) is None:
+            shape = tuple(map(int, text.split(b", "))) if text else ()
+            known = shapes[text] = shape, math.prod(shape)
+        (shape, size), kind = known, "STORE"
+    elif text is not None or (share := stored.get(server)) is None:
         return None
     else:
-        shape = stored[server].shape
-    if len(grid) != math.prod(shape):
+        shape, size, kind = share.shape, share.size, "QUERY"
+    if len(grid) != size:
         return None
-    return kind.decode("ascii"), server, grid.reshape(shape)
+    return kind, server, grid.reshape(shape)
 
 
 def _quote(value) -> str:

@@ -416,7 +416,8 @@ def _canonical_body(field, payload: dict) -> bytes:
 def canonical_streams(draw):
     """A field and a random STORE/QUERY stream over it, as payloads whose
     elements are encodings; a QUERY is sized to its server's stored grid."""
-    field = field_of_order(draw(st.sampled_from([7, 16, 25, 27, 64, 81])))  # n = 1, 4, 2, 3, 6, 4
+    # n = 1, 4, 2, 3, 6, 4; from 11 on, element texts differ in width (n = 1, 2, 2)
+    field = field_of_order(draw(st.sampled_from([7, 16, 25, 27, 64, 81, 11, 121, 169])))
     values = lambda count: draw(st.lists(st.integers(0, field.order - 1), min_size=count, max_size=count))
     sizes: dict[int, int] = {}
     payloads = []
@@ -487,11 +488,12 @@ def test_canonical_reader_matches_json_reader(stream, data):
         assert _served(wire, field, step) == _served_by_json_reader(wire, field, step)
 
 
-@pytest.mark.parametrize("q", [5, 8])
+@pytest.mark.parametrize("q", [5, 8, 11])
 def test_worker_reads_rendered_trial_frames_without_json(q, monkeypatch):
     """Every frame the client renders for a trial is read without the JSON
     parser, and the replies are the JSON reader's and the in-process
-    answers."""
+    answers.  At q = 11, the first Hermitian field with two-digit
+    coefficients, element texts differ in width."""
     params = scheme.validate_params(q, 1, 1, num_files=2)
     instance = scheme.build_instance(params)
     field, rng = instance.field, np.random.default_rng(q)
@@ -543,6 +545,40 @@ def test_worker_answers_each_query_from_the_grid_stored_before_it():
     assert [r.get("element") for r in replies[:3]] == [answer(first), answer(second), answer(second)]
     assert [r["kind"] for r in replies] == ["ANSWER"] * 3 + ["ERROR"] * 2
     assert replies[4]["message"] == "QUERY for server 9, which has no stored shares"
+
+
+@pytest.mark.parametrize("order, old, new", [
+    # in GF(7) an element's text and its ", " take 5 bytes: one element is no empty grid
+    (7, b'"server": 3, "shape": [1]', b'"server": 3, "shape": [0]'),
+    (25, b"[3, 2]", b"[3, 5]"),  # a digit p
+    (25, b"[3, 2]", b"[3, 9]"),
+    (25, b"[3, 2]", b"[3, /]"),  # a byte just below "0"
+    (25, b"[3, 2]", b"[3,,2]"),
+    (25, b"], [3", b"] ,[3"),  # JSON, but not the client's rendering
+    (25, b"], [3", b"]] [3"),
+    (25, b"[1, 0], ", b"[1, 0]  "),
+])
+def test_worker_reads_a_batch_around_one_body_at_fault(order, old, new):
+    """One body of a batch of the client's renderings, edited so that its
+    element texts keep their width and the digits their columns, gets the
+    JSON reader's reply, an ANSWER or an ERROR; every other body is read
+    without the JSON parser."""
+    field = field_of_order(order)
+    store = lambda server, grid: _canonical_body(
+        field, {"kind": "STORE", "server": server, "shape": [len(grid)], "elements": grid})
+    query = lambda server, grid: _canonical_body(field, {"kind": "QUERY", "server": server, "elements": grid})
+    bodies = [store(1, [4, 5]), store(3, [4]), query(1, [1, 13 % order])]
+    (at,) = [i for i, body in enumerate(bodies) if old in body]
+    assert bodies[at].count(old) == 1
+    bodies[at] = bad = bodies[at].replace(old, new)
+    wire = _wire(*bodies)
+    parsed = []
+    parse_body = transport._parse_body
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(transport, "_parse_body", lambda body: parsed.append(bytes(body)) or parse_body(body))
+        replies = _served(wire, field)
+    assert parsed == [bad]
+    assert replies == _served_by_json_reader(wire, field)
 
 
 def test_worker_reads_a_frame_one_byte_at_a_time():
