@@ -34,12 +34,13 @@ polynomial, so one value histogram of ``u`` gives the point profiles of all
 serve ``q`` models, where evaluating each model at every ``x`` takes
 ``q * q``.  The prefix values are never formed as field elements: in the
 carry-free lift (base-p digits re-read in base ``2p - 1``) a field sum is
-an integer sum, so a band of prefixes is one addition and one histogram
-over the lifted sums.  One fixed float32 matrix then folds the lifted
-sums back, counts the square roots and packs each model's profile into a
-16-bit key, for all ``q`` constant terms in one BLAS product; it is exact
-because every key stays below ``2^24``.  Best-rate selection computes
-``J`` per profile in plain ints and builds one record, for the winner.
+an integer sum, so a band of prefixes is one addition and one float32
+scatter-add histogram over the lifted sums.  One fixed float32 matrix then
+folds the lifted sums back, counts the square roots and packs each model's
+profile into a 16-bit key, for all ``q`` constant terms in one BLAS
+product; it is exact because every key stays below ``2^24``.  Best-rate
+selection computes ``J`` per profile in plain ints and builds one record,
+for the winner.
 """
 
 from __future__ import annotations
@@ -334,12 +335,14 @@ def hermitian_best(q: int, x_sec: int, t_priv: int,
 
 @lru_cache(maxsize=None)
 def _square_weights(field_order: int) -> np.ndarray:
-    """weights[v] = number of y with y^2 = v: 1 for v=0, 2 for squares, else 0."""
+    """weights[v] = number of y with y^2 = v: 1 for v=0, 2 for squares, else 0.
+    Read-only, since every later caller shares the cached array."""
     f = field_of_order(field_order)
     w = np.zeros(field_order, dtype=np.int64)
     w[0] = 1
     nonzero = np.arange(1, field_order, dtype=np.int64)
     w[f.mul_arr(nonzero, nonzero)] = 2
+    w.flags.writeable = False
     return w
 
 
@@ -449,9 +452,11 @@ def achievable_profiles(field_order: int, genus: int,
     float32 because every key stays below ``2^24``.  A chunk runs in bands
     of prefix rows, each one addition of the lifted high part to the lifted
     low parts (with each prefix's bin offset inside the band), one
-    ``bincount`` and one BLAS product, in work buffers reused across bands
-    and chunks.  Keys stay 16-bit, and a table of the keys seen so far finds
-    the few new ones, whose first witnesses one small ``np.unique`` picks.
+    ``np.add.at`` of float32 ones into the zeroed histogram rows and one
+    BLAS product, in work buffers reused across bands and chunks.  Keys
+    stay 16-bit, and a table of the keys seen so far finds the few new
+    ones; one ``np.minimum.at`` of their enumeration indices into a
+    key-indexed array keeps each key's first witness.
     """
     f = field_of_order(field_order)
     if f.p == 2:
@@ -498,27 +503,37 @@ def achievable_profiles(field_order: int, genus: int,
     lifted_low = lift[low_values] + (np.arange(rows) % band * width)[:, None]
     lifted_high = lift[high_values]
     cells = np.empty((min(band, rows), field_order), dtype=np.int64)
+    # a float32 operand keeps np.add.at on its fast indexed loop; a Python
+    # int sends it to the generic one, some 40 times slower
+    ones = np.ones(cells.size, dtype=np.float32)
     hist32 = np.empty((len(cells), width), dtype=np.float32)
     products = np.empty(cells.shape, dtype=np.float32)
     keys = np.empty((rows, field_order), dtype=np.min_scalar_type(key_limit))
-    first_seen: dict[int, int] = {}
+    # first_index[key]: the enumeration index of the key's first witness,
+    # `total` while none is known
+    first_index = np.full(key_limit, total, dtype=np.int64)
     for chunk, high in enumerate(lifted_high):
         for r in range(0, rows, band):
             low_band = lifted_low[r : r + band]
             m = len(low_band)
             np.add(low_band, high, out=cells[:m])
-            hist32[:m].ravel()[:] = np.bincount(cells[:m].ravel(), minlength=m * width)
+            hist = hist32[:m].ravel()
+            hist.fill(0)
+            np.add.at(hist, cells[:m].ravel(), ones[: m * field_order])
             np.matmul(hist32[:m], key_matrix, out=products[:m])
             np.add(products[:m], 64, out=keys[r : r + m], casting="unsafe")
         # np.take gathers by 16-bit keys without first casting them to intp
         fresh = np.flatnonzero(unseen.take(keys))
         if not len(fresh):
             continue
-        uniq, first = np.unique(keys.ravel()[fresh], return_index=True)
-        unseen[uniq] = False
-        first_seen.update(zip(uniq.tolist(), (chunk * chunk_models + fresh[first]).tolist()))
+        fresh_keys = keys.ravel()[fresh]
+        unseen[fresh_keys] = False
+        # the least index of each new key is its first witness
+        np.minimum.at(first_index, fresh_keys, chunk * chunk_models + fresh)
+    # gamma < 64, so ascending keys list the profiles in sorted order
+    found = np.flatnonzero(first_index < total)
     profiles = []
-    for key, windex in first_seen.items():
+    for key, windex in zip(found.tolist(), first_index[found].tolist()):
         coeffs = []
         rem = windex
         for _ in range(n_free):
@@ -527,7 +542,6 @@ def achievable_profiles(field_order: int, genus: int,
         if reduced:
             coeffs.append(0)
         profiles.append((key // 64, key % 64, tuple(coeffs)))
-    profiles.sort(key=lambda entry: (entry[0], entry[1]))
     return tuple(profiles)
 
 

@@ -264,9 +264,13 @@ def _element_texts(field: GFField) -> list[bytes]:
 @functools.cache
 def _element_table(field: GFField) -> tuple[np.ndarray, np.ndarray]:
     """Each element's JSON text followed by ``", "``, by encoding, as a
-    fixed-width bytes array padded with NULs, and the byte length of each."""
+    fixed-width bytes array padded with NULs, and the byte length of each.
+    Both are read-only, since every later frame renders from them."""
     entries = [text + b", " for text in _element_texts(field)]
-    return np.array(entries), np.array(list(map(len, entries)), dtype=np.int64)
+    table = np.array(entries)
+    lengths = np.array(list(map(len, entries)), dtype=np.int64)
+    table.flags.writeable = lengths.flags.writeable = False
+    return table, lengths
 
 
 def _grid_texts(field: GFField, grids) -> list[bytes]:

@@ -2,9 +2,12 @@
 
 from dataclasses import replace
 from fractions import Fraction
+from functools import cache
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hermipir import atlas
 from hermipir.atlas import (
@@ -260,6 +263,14 @@ def test_count_points_maximal_family():
     assert count != 842 + 6 * 29
 
 
+def test_square_weights_are_read_only():
+    # the cached weights serve every later search and point count
+    weights = atlas._square_weights(7)
+    with pytest.raises(ValueError, match="read-only"):
+        weights[3] = 2
+    assert weights.tolist() == [1, 2, 2, 0, 2, 0, 0]
+
+
 def test_uncovered_x_count():
     assert uncovered_x_count(121, 232, 1) == 5
     assert uncovered_x_count(121, 243, 0) == 0
@@ -328,6 +339,31 @@ def test_row_bands_match_oracle(monkeypatch, macs):
                                         (7, 2, True)]:
         assert achievable_profiles.__wrapped__(field_order, genus, reduced) \
             == achievable_profiles_oracle(field_order, genus, reduced)
+
+
+# every (order, genus, reduced) case of at most 6 * 10^4 models, GF(9)
+# genus 2 (59,049) the largest
+SMALL_CASES = [
+    (order, genus, reduced)
+    for order in (3, 5, 7, 9, 11, 25, 27)
+    for genus in (1, 2)
+    for reduced in (False, True)
+    if not reduced or (2 * genus + 1) % field_of_order(order).p != 0
+    if order ** (2 * genus + 1 - reduced) <= 60_000
+]
+_cached_oracle = cache(achievable_profiles_oracle)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SMALL_CASES), st.integers(1, 1 << 18),
+       st.integers(1, 1 << 19))
+def test_search_matches_oracle_at_any_chunk_and_band(case, chunk_cells, macs):
+    # small chunks and bands leave a partial last band and merge first
+    # witnesses across many chunks; monkeypatch is function-scoped, which
+    # hypothesis rejects, so the constants are patched here
+    with mock.patch.object(atlas, "_CHUNK_CELLS", chunk_cells), \
+            mock.patch.object(atlas, "_BLAS_CALL_MACS", macs):
+        assert achievable_profiles.__wrapped__(*case) == _cached_oracle(*case)
 
 
 @pytest.mark.parametrize("field_order", [3, 5, 9, 25, 27, 29, 49, 125])

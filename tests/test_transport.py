@@ -113,6 +113,17 @@ def test_encode_elements_rejects_values_outside_the_field():
     assert encode_elements(field, [0, 24]) == [[0, 0], [4, 4]]
 
 
+def test_element_table_is_read_only():
+    """The cached table and lengths serve every later frame of the process,
+    so an in-place write raises instead of corrupting them."""
+    table, lengths = transport._element_table(field_of_order(25))
+    with pytest.raises(ValueError, match="read-only"):
+        table[0] = b"[9, 9], "
+    with pytest.raises(ValueError, match="read-only"):
+        lengths += 1
+    assert table[0] == b"[0, 0], " and (lengths == 8).all()
+
+
 @pytest.mark.parametrize("order", [25, 49, 64, 81, 121, 169, 289, 361])
 def test_rendered_bodies_equal_sorted_json(order):
     """STORE, QUERY and ANSWER bodies joined from cached element texts are
