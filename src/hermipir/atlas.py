@@ -45,7 +45,7 @@ for the winner.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -164,24 +164,11 @@ class RateRecord:
         return f"{self.frag_count}/{self.server_count}"
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "field_order": self.field_order,
-            "x_sec": self.x_sec,
-            "t_priv": self.t_priv,
-            "genus": self.genus,
-            "feasible": self.feasible,
-            "frag_count": self.frag_count,
-            "server_count": self.server_count,
-            "j_value": self.j_value,
-            "point_count": self.point_count,
-            "gamma": self.gamma,
-            "convention": self.convention,
-            "witness": list(self.witness) if self.witness is not None else None,
-            "note": self.note,
-            "rate": self.rate_str,
-            "rate_fraction": self.rate_fraction,
-        }
+        """The fields in order, the witness as a list, then the two rate strings."""
+        out = asdict(self)
+        if self.witness is not None:
+            out["witness"] = list(self.witness)
+        return out | {"rate": self.rate_str, "rate_fraction": self.rate_fraction}
 
 
 def _check_masking(x_sec: int, t_priv: int) -> int:
@@ -557,8 +544,10 @@ def curve_search_best_rate(field_order: int, genus: int, x_sec: int,
     defining coefficients of a maximizing model as ``witness``; ties in the
     rate resolve to the witness whose coefficient vector is smallest as a
     base-``field_order`` integer.  The rate grows with ``J`` at a fixed
-    budget, so one pass over the profiles in plain ints finds the winner by
-    ``(-J, witness index)``, and only the winner becomes a record.
+    budget, so one pass over the profiles finds the winner by
+    ``(-J, coeffs[::-1])``: equal-length coefficient tuples compared from
+    the most significant end sort as those integers.  Only the winner
+    becomes a record.
     """
     m_total = _check_masking(x_sec, t_priv)
     p = field_of_order(field_order).p
@@ -566,17 +555,14 @@ def curve_search_best_rate(field_order: int, genus: int, x_sec: int,
     profiles = achievable_profiles(field_order, genus, use_reduced)
     space = "reduced" if use_reduced else "exhaustive"
     best = None
-    best_key: tuple[int, int] | None = None
+    best_key: tuple[int, tuple[int, ...]] | None = None
     for entry in profiles:
         point_count, gamma, coeffs = entry
         j = _hyperelliptic_j(field_order, genus, point_count, gamma, m_total)[0]
         if j < genus:
             continue
-        windex = 0
-        for c in reversed(coeffs):
-            windex = windex * field_order + c
-        if best_key is None or (-j, windex) < best_key:
-            best_key = (-j, windex)
+        if best_key is None or (-j, coeffs[::-1]) < best_key:
+            best_key = (-j, coeffs[::-1])
             best = entry
     if best is None:
         return _record("hyperelliptic", field_order, x_sec, t_priv, genus,
@@ -607,15 +593,6 @@ class ComparisonReport:
     @property
     def agreement(self) -> bool:
         return self.conclusion_holds or not self.condition_holds
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "condition_holds": self.condition_holds,
-            "conclusion_holds": self.conclusion_holds,
-            "agreement": self.agreement,
-            "details": self.details,
-        }
 
 
 def _rate_beats(left: RateRecord, right: RateRecord) -> bool:

@@ -308,10 +308,9 @@ def _uniformity_threshold(order: int) -> float:
             hi = mid
 
 
-def _uniform(sample_sets, order: int) -> tuple[bool, float]:
-    """Whether every sample set is below the chi-square threshold and hits
+def _uniform(sample_sets, order: int, threshold: float) -> tuple[bool, float]:
+    """Whether every sample set is below the chi-square `threshold` and hits
     every field element, and the largest statistic."""
-    threshold = _uniformity_threshold(order)
     results = [(chi_square_uniform_stat(s, order), len(set(s.tolist())) == order) for s in sample_sets]
     return all(stat < threshold and full for stat, full in results), max(stat for stat, _ in results)
 
@@ -440,15 +439,15 @@ def _suite_noise(seed: int) -> list[dict]:
 def _suite_privacy(seed: int) -> list[dict]:
     instance, report, verdicts = _certified(5, 1, 1, None, 3)
     order = instance.field.order
+    threshold = _uniformity_threshold(order)
     desired_ok, desired_max = _uniform((instance.query_marginal_samples(
         server=7, file_index=1, frag_index=3, desired_index=d,
         trials=MARGINAL_TRIALS, seed=seed,
-    ) for d in range(3)), order)
+    ) for d in range(3)), order, threshold)
     server_ok, server_max = _uniform((instance.query_marginal_samples(
         server=s, file_index=0, frag_index=0, desired_index=0,
         trials=MARGINAL_TRIALS, seed=seed + 1 + s,
-    ) for s in (0, 42, 84)), order)
-    threshold = _uniformity_threshold(order)
+    ) for s in (0, 42, 84)), order, threshold)
     return [
         {"check": "query-dual-bound", "ok": verdicts["query-dual-bound"],
          "detail": f"{report.query_dual_bound} >= t_priv + 1 = 2"},
@@ -467,11 +466,11 @@ def _suite_security(seed: int) -> list[dict]:
     instance, report, verdicts = _certified(5, 1, 1, None, 3)
     order = instance.field.order
     frag_count = instance.params.frag_count
+    threshold = _uniformity_threshold(order)
     share_ok, share_max = _uniform((instance.share_marginal_samples(
         server=3, frag_index=2, fragment_value=value,
         trials=MARGINAL_TRIALS, seed=seed + value,
-    ) for value in (0, 17)), order)
-    threshold = _uniformity_threshold(order)
+    ) for value in (0, 17)), order, threshold)
     wide = _certified(5, 2, 2, None, 1)[2]
     return [
         {"check": "storage-dual-bounds", "ok": verdicts["storage-dual-bounds"],

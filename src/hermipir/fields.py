@@ -17,14 +17,14 @@ by the matrix product kernel below, which needs no tables.
 
 Fields of order at most _TABLE_MAX_ORDER (every Hermitian field up to q = 16)
 also get flat lookup tables, so that add, sub and mul are one gather at
-a * order + b and neg is the sub gather at 0 * order + a.  A field sum
+a * order + b.  In every characteristic neg is sub(0, a).  A field sum
 gathers each element's digits packed into bit lanes of one int64, sums the
-integers and unpacks each lane mod p.  Characteristic 2 keeps add, sub
-and neg as a XOR or a copy at every order, cheaper than any gather, and
-sums by one XOR reduction; only its products are tabled.  Larger orders
-add, subtract and sum digit by digit and multiply by the log tables.  One
-digit-wise routine, `_digitwise`, serves the scalar add, neg and sub, the
-untabled add_arr and sub_arr, and builds the add and sub tables.
+integers and unpacks each lane mod p.  Characteristic 2 keeps add and sub
+as a XOR at every order, cheaper than any gather, and sums by one XOR
+reduction; only its products are tabled.  Larger orders add, subtract and
+sum digit by digit and multiply by the log tables.  One digit-wise
+routine, `_digitwise`, serves the scalar add, neg and sub, the untabled
+add_arr and sub_arr, and builds the add and sub tables.
 
 Matrix products rest on one identity: multiplication by x is F_p-linear on
 the digits, with matrix columns the digits of x * t^s (s = 0..n-1), so a
@@ -108,6 +108,16 @@ def _store(result: np.ndarray, out) -> np.ndarray:
         return result
     out[...] = result
     return out
+
+
+def _zero_where(values, zero):
+    """`values`, a gather from the exp table, with 0 where `zero` holds: a
+    zero operand of a product or power gives 0.  A 0-d gather is a numpy
+    scalar, which cannot be written, so it is replaced instead."""
+    if values.ndim == 0:
+        return np.int64(0) if zero else values
+    values[zero] = 0
+    return values
 
 
 def is_prime(n: int) -> bool:
@@ -306,8 +316,8 @@ class GFField:
         most _TABLE_MAX_ORDER, computed once by the code without tables:
         entry a * order + b of a binary table is (a op b), and entry a of
         the lane table packs digit k of a at bit k * (63 // n).
-        Characteristic 2 gets only the mul table: its add, sub and neg are
-        a XOR or a copy, which a gather would slow."""
+        Characteristic 2 gets only the mul table: its add and sub are a
+        XOR, which a gather would slow."""
         self._add_table = self._sub_table = self._mul_table = None
         self._lanes = None
         order, p, n = self.order, self.p, self.n
@@ -390,31 +400,28 @@ class GFField:
         against 0.28-0.33 s.  Otherwise it is one gather from the add table
         at a * order + b up to order _TABLE_MAX_ORDER, and digit by digit
         above it.  sub_arr takes the same three routes, and neg_arr is
-        sub_arr(0, a) in odd characteristic."""
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        if self.p == 2:
-            return np.asarray(np.bitwise_xor(a, b, out=out))
-        if self._add_table is None:
-            return np.asarray(_store(self._digitwise(a, b, 1), out))
-        return np.asarray(self._gather(self._add_table, a, b, out))
+        sub_arr(0, a) in every characteristic."""
+        return self._add_or_sub(a, b, out, self._add_table, 1)
 
     def neg_arr(self, a) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64)
-        if self.p == 2:
-            return a.copy()
         return self.sub_arr(0, a)
 
     def sub_arr(self, a, b, out=None) -> np.ndarray:
         """Elementwise field difference a - b, into `out` when given (it may
         be a or b)."""
+        return self._add_or_sub(a, b, out, self._sub_table, -1)
+
+    def _add_or_sub(self, a, b, out, table, sign: int) -> np.ndarray:
+        """a + sign * b by the route add_arr describes; `table` is the add
+        or sub table, None where the field has none.  0-d operands give a
+        0-d array, not a numpy scalar."""
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         if self.p == 2:
             return np.asarray(np.bitwise_xor(a, b, out=out))
-        if self._sub_table is None:
-            return np.asarray(_store(self._digitwise(a, b, -1), out))
-        return np.asarray(self._gather(self._sub_table, a, b, out))
+        if table is None:
+            return np.asarray(_store(self._digitwise(a, b, sign), out))
+        return np.asarray(self._gather(table, a, b, out))
 
     def mul_arr(self, a, b, out=None) -> np.ndarray:
         """Elementwise field product, into `out` when given (it may be a or b)."""
@@ -446,11 +453,7 @@ class GFField:
             return np.ones(a.shape, dtype=np.int64)
         if e < 0:
             return self.pow_arr(self.inv_arr(a), -e)
-        out = self._exp[(self._log[a] * e) % (self.order - 1)]
-        if out.ndim == 0:
-            return np.int64(0) if a == 0 else out
-        out[a == 0] = 0
-        return out
+        return _zero_where(self._exp[(self._log[a] * e) % (self.order - 1)], a == 0)
 
     def sum_arr(self, a, axis=None) -> np.ndarray:
         """Field sum along `axis`.
@@ -489,12 +492,7 @@ class GFField:
         return out
 
     def _logexp_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        out = self._exp[self._log[a] + self._log[b]]
-        zero = (a == 0) | (b == 0)
-        if out.ndim == 0:
-            return np.int64(0) if zero else out
-        out[zero] = 0
-        return out
+        return _zero_where(self._exp[self._log[a] + self._log[b]], (a == 0) | (b == 0))
 
     def _digitwise_sum(self, a: np.ndarray, axis=None) -> np.ndarray:
         out = None

@@ -47,6 +47,9 @@ answers a are consistent exactly when the syndrome H a is zero, and the
 fragments are then D a.  Answers that are not field element encodings are
 rejected before that product.
 
+``inner_products`` is the one row-wise inner-product kernel.  It computes
+the answers of both transports, ``server_answer`` and the marginal samplers.
+
 Every retrieval multiplies by the same three matrices, ``secbase``,
 ``priv_eval`` and ``decode_map``; only the right operand changes.  The
 build makes them read-only and prepares their digit expansions once
@@ -106,8 +109,9 @@ def check_answer_grids(shares, queries, server_count: int) -> None:
 def inner_products(field, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """The inner product of each row of `left` with the same row of
     `right`, two (k, m) int64 arrays of element encodings, computed in bands
-    of rows of at most _ANSWER_BAND_ENTRIES entries.  The answer kernel of
-    both transports."""
+    of rows of at most _ANSWER_BAND_ENTRIES entries.  The one row-wise
+    inner-product kernel: both transports' answers, `server_answer` and the
+    marginal samplers."""
     rows, width = left.shape
     step = max(1, _ANSWER_BAND_ENTRIES // max(1, width))
     out = np.empty(rows, dtype=np.int64)
@@ -347,8 +351,8 @@ class SchemeInstance:
     def server_answer(self, share_row, query_row) -> int:
         """One server's answer: the inner product of its share and query
         grids.  Stateless: a pure function of the two inputs."""
-        prod = self.field.mul_arr(np.asarray(share_row), np.asarray(query_row))
-        return int(self.field.sum_arr(prod))
+        share, query = np.broadcast_arrays(share_row, query_row)
+        return int(inner_products(self.field, share.reshape(1, -1), query.reshape(1, -1))[0])
 
     def all_answers(self, shares, queries) -> np.ndarray:
         """The N answers.  ValueError unless `shares` and `queries` have one
@@ -419,7 +423,7 @@ class SchemeInstance:
         field = self.field
         rng = np.random.default_rng(seed)
         coeffs = field.sample_arr(rng, (trials, self.priv_dim))
-        vals = field.sum_arr(field.mul_arr(coeffs, self.priv_eval[server][None, :]), axis=1)
+        vals = inner_products(field, coeffs, np.broadcast_to(self.priv_eval[server], coeffs.shape))
         if file_index == desired_index:
             vals = field.add_arr(vals, np.int64(self.b_info[server, frag_index]))
         return vals
@@ -432,7 +436,7 @@ class SchemeInstance:
         rng = np.random.default_rng(seed)
         coeffs = field.sample_arr(rng, (trials, self.sec_dim))
         row = field.mul_arr(self.inv_info[server, frag_index], self.secbase[server])
-        vals = field.sum_arr(field.mul_arr(coeffs, row[None, :]), axis=1)
+        vals = inner_products(field, coeffs, np.broadcast_to(row, coeffs.shape))
         return field.add_arr(vals, np.int64(fragment_value))
 
     # -- certificates ------------------------------------------------------------

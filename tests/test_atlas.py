@@ -617,3 +617,24 @@ def test_record_serialization():
     dash = rational_best(11, 5, 6).to_dict()
     assert dash["rate"] == "-"
     assert dash["rate_fraction"] is None
+
+
+def test_record_to_dict_lists_every_field_in_order():
+    """All 16 keys in field order, then the two rate strings; the witness
+    becomes a list, and an infeasible record keeps its Nones."""
+    searched = {
+        "family": "hyperelliptic", "field_order": 17, "x_sec": 1, "t_priv": 1, "genus": 2,
+        "feasible": True, "frag_count": 6, "server_count": 22, "j_value": 4, "point_count": 26,
+        "gamma": 1, "convention": "search-exhaustive", "witness": [0, 3, 0, 0, 0],
+        "note": "line-limited", "rate": "0.27273", "rate_fraction": "6/22",
+    }
+    infeasible = {
+        "family": "hyperelliptic", "field_order": 5, "x_sec": 1, "t_priv": 1, "genus": 1,
+        "feasible": False, "frag_count": None, "server_count": None, "j_value": None,
+        "point_count": None, "gamma": None, "convention": "search-exhaustive", "witness": None,
+        "note": "no model reaches the usable threshold", "rate": "-", "rate_fraction": None,
+    }
+    for args, want in (((17, 2, 1, 1), searched), ((5, 1, 1, 1), infeasible)):
+        data = curve_search_best_rate(*args).to_dict()
+        # a tuple witness would compare unequal to the list
+        assert list(data.items()) == list(want.items()), args

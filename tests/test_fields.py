@@ -496,6 +496,36 @@ def test_tabled_ops_broadcast_like_oracles(order, shapes):
     assert type(total) is np.int64 and total == digitwise_sum(f, a)
 
 
+@pytest.mark.parametrize("order", [49, 289])
+def test_pow_arr_zero_rule_at_0d_and_array_operands(order):
+    """A 0-d operand gives an np.int64, 0 included, and zero entries of an
+    array give 0, as the scalar pow does; one tabled and one untabled order."""
+    f = field_of_order(order)
+    for x in (0, 1, 2, order - 1):
+        for e in (1, 2, 5, order - 2) + ((-3,) if x else ()):
+            got = f.pow_arr(np.int64(x), e)
+            assert type(got) is np.int64 and got == f.pow(x, e), (x, e)
+    grid = np.array([[0, 3], [order - 1, 0]], dtype=np.int64)
+    for e in (1, 4):
+        assert f.pow_arr(grid, e).tolist() == [[f.pow(int(x), e) for x in row] for row in grid]
+
+
+@pytest.mark.parametrize("order", [17**2, 3**11])
+def test_untabled_mul_arr_zero_rule_at_0d_and_array_operands(order):
+    """Above _TABLE_MAX_ORDER a product goes through the log tables: a
+    zero operand gives 0, and 0-d operands give an np.int64."""
+    f = field_of_order(order)
+    assert f._mul_table is None
+    values = (0, 1, 5, order - 1)
+    for x in values:
+        for y in values:
+            got = f.mul_arr(np.int64(x), np.int64(y))
+            assert type(got) is np.int64 and got == f.mul(x, y), (x, y)
+    col = np.array(values, dtype=np.int64)
+    want = [[f.mul(x, y) for y in values] for x in values]
+    assert f.mul_arr(col[:, None], col[None, :]).tolist() == want
+
+
 @pytest.mark.parametrize("fill", ["top", "random"])
 def test_sum_arr_at_lane_capacity(fill, monkeypatch):
     """GF(3^5) packs five digits into 12-bit lanes: 2,047 terms of digit 2
