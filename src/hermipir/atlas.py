@@ -439,11 +439,13 @@ def achievable_profiles(field_order: int, genus: int,
     float32 because every key stays below ``2^24``.  A chunk runs in bands
     of prefix rows, each one addition of the lifted high part to the lifted
     low parts (with each prefix's bin offset inside the band), one
-    ``np.add.at`` of float32 ones into the zeroed histogram rows and one
-    BLAS product, in work buffers reused across bands and chunks.  Keys
-    stay 16-bit, and a table of the keys seen so far finds the few new
-    ones; one ``np.minimum.at`` of their enumeration indices into a
-    key-indexed array keeps each key's first witness.
+    ``np.add.at`` of float32 ones into the zeroed histogram rows, one BLAS
+    product and one first-witness pass over the band's keys.  Keys stay
+    16-bit, and a table of the keys seen so far finds the few new ones;
+    one ``np.minimum.at`` of their enumeration indices into a key-indexed
+    array keeps each key's first witness.  The low parts are lifted in
+    place and every work buffer holds one band, reused across bands and
+    chunks, so the working set is one chunk-sized table of low parts.
     """
     f = field_of_order(field_order)
     if f.p == 2:
@@ -486,8 +488,11 @@ def achievable_profiles(field_order: int, genus: int,
                             f.pow_arr(elems, degree))
     rows = len(low_values)
     chunk_models = rows * field_order
-    # each prefix's bins start at its offset inside its row band
-    lifted_low = lift[low_values] + (np.arange(rows) % band * width)[:, None]
+    # lifted in place (np.take buffers its output only in mode "raise"; the
+    # indices are elements, so "wrap" never wraps); each prefix's bins start
+    # at its offset inside its row band
+    np.take(lift, low_values, out=low_values, mode="wrap")
+    low_values += (np.arange(rows) % band * width)[:, None]
     lifted_high = lift[high_values]
     cells = np.empty((min(band, rows), field_order), dtype=np.int64)
     # a float32 operand keeps np.add.at on its fast indexed loop; a Python
@@ -495,28 +500,30 @@ def achievable_profiles(field_order: int, genus: int,
     ones = np.ones(cells.size, dtype=np.float32)
     hist32 = np.empty((len(cells), width), dtype=np.float32)
     products = np.empty(cells.shape, dtype=np.float32)
-    keys = np.empty((rows, field_order), dtype=np.min_scalar_type(key_limit))
+    keys = np.empty(cells.shape, dtype=np.min_scalar_type(key_limit))
     # first_index[key]: the enumeration index of the key's first witness,
     # `total` while none is known
     first_index = np.full(key_limit, total, dtype=np.int64)
     for chunk, high in enumerate(lifted_high):
         for r in range(0, rows, band):
-            low_band = lifted_low[r : r + band]
+            low_band = low_values[r : r + band]
             m = len(low_band)
             np.add(low_band, high, out=cells[:m])
             hist = hist32[:m].ravel()
             hist.fill(0)
             np.add.at(hist, cells[:m].ravel(), ones[: m * field_order])
             np.matmul(hist32[:m], key_matrix, out=products[:m])
-            np.add(products[:m], 64, out=keys[r : r + m], casting="unsafe")
-        # np.take gathers by 16-bit keys without first casting them to intp
-        fresh = np.flatnonzero(unseen.take(keys))
-        if not len(fresh):
-            continue
-        fresh_keys = keys.ravel()[fresh]
-        unseen[fresh_keys] = False
-        # the least index of each new key is its first witness
-        np.minimum.at(first_index, fresh_keys, chunk * chunk_models + fresh)
+            np.add(products[:m], 64, out=keys[:m], casting="unsafe")
+            band_keys = keys[:m].ravel()
+            # np.take gathers by 16-bit keys without first casting them to intp
+            fresh = np.flatnonzero(unseen.take(band_keys))
+            if not len(fresh):
+                continue
+            fresh_keys = band_keys[fresh]
+            unseen[fresh_keys] = False
+            # the least index of each new key is its first witness
+            np.minimum.at(first_index, fresh_keys,
+                          chunk * chunk_models + r * field_order + fresh)
     # gamma < 64, so ascending keys list the profiles in sorted order
     found = np.flatnonzero(first_index < total)
     profiles = []

@@ -450,7 +450,7 @@ class GFField:
     def pow_arr(self, a, e: int) -> np.ndarray:
         a = np.asarray(a, dtype=np.int64)
         if e == 0:
-            return np.ones(a.shape, dtype=np.int64)
+            return np.ones(a.shape, dtype=np.int64)[()]
         if e < 0:
             return self.pow_arr(self.inv_arr(a), -e)
         return _zero_where(self._exp[(self._log[a] * e) % (self.order - 1)], a == 0)

@@ -350,8 +350,10 @@ class SchemeInstance:
 
     def server_answer(self, share_row, query_row) -> int:
         """One server's answer: the inner product of its share and query
-        grids.  Stateless: a pure function of the two inputs."""
-        share, query = np.broadcast_arrays(share_row, query_row)
+        grids.  Stateless: a pure function of the two inputs.  ValueError
+        unless the two grids have one shape, as in `all_answers`."""
+        share, query = np.asarray(share_row), np.asarray(query_row)
+        check_answer_grids(share[None], query[None], 1)
         return int(inner_products(self.field, share.reshape(1, -1), query.reshape(1, -1))[0])
 
     def all_answers(self, shares, queries) -> np.ndarray:

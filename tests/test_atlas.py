@@ -1,5 +1,6 @@
 """Tests for the best-rate calculators and model searches."""
 
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache
@@ -364,6 +365,20 @@ def test_search_matches_oracle_at_any_chunk_and_band(case, chunk_cells, macs):
     with mock.patch.object(atlas, "_CHUNK_CELLS", chunk_cells), \
             mock.patch.object(atlas, "_BLAS_CALL_MACS", macs):
         assert achievable_profiles.__wrapped__(*case) == _cached_oracle(*case)
+
+
+def test_search_working_set_is_one_low_table():
+    # the lifted low parts of GF(19) genus 2 are one 130,321-entry int64
+    # table (1 MiB) and every other buffer holds one band, so the traced
+    # peak, mostly `linalg.span` building that table, stays under 3 MiB
+    achievable_profiles.__wrapped__(19, 2)  # field and weight tables cached
+    tracemalloc.start()
+    try:
+        achievable_profiles.__wrapped__(19, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 << 20, f"traced peak {peak / 2**20:.2f} MiB"
 
 
 @pytest.mark.parametrize("field_order", [3, 5, 9, 25, 27, 29, 49, 125])

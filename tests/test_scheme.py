@@ -163,6 +163,18 @@ def test_server_answer_bilinear(inst_11):
     assert inst_11.server_answer(f.mul_arr(np.int64(c), a), g) == f.mul(c, inst_11.server_answer(a, g))
 
 
+def test_server_answer_rejects_grids_of_different_shapes(inst_11):
+    """One server's share and query grids pair entry by entry, as in
+    `all_answers`: a query row or a scalar is refused, not broadcast."""
+    p, f = inst_11.params, inst_11.field
+    grid = f.sample_arr(np.random.default_rng(9), (p.num_files, p.frag_count))  # (3, 15) at q = 5
+    for query in (grid[0], 4):
+        with pytest.raises(ValueError, match="one shape with 1 rows"):
+            inst_11.server_answer(grid, query)
+        with pytest.raises(ValueError, match="one shape with 1 rows"):
+            inst_11.server_answer(query, grid)
+
+
 def test_all_answers_rejects_grids_of_the_wrong_shape(inst_11, monkeypatch):
     """Share and query grids pair row by row, one per server: a different
     count of rows, or share and query grids of different shapes, raise
